@@ -218,14 +218,56 @@ void apply_collective(const OpDesc& desc, std::vector<ArrivalSlot>& slots) {
 }
 
 // ---------------------------------------------------------------------------
+// HostOp
+// ---------------------------------------------------------------------------
+
+HostOp::HostOp(sim::Scheduler* sched, std::shared_ptr<std::recursive_mutex> mu)
+    : sched_(sched),
+      mu_(mu ? std::move(mu) : std::make_shared<std::recursive_mutex>()),
+      done_cond_(sched) {}
+
+void HostOp::wait_done() {
+  done_cond_.wait([&] {
+    std::lock_guard<std::recursive_mutex> lock(*mu_);
+    return completion_.fired() || error_ != nullptr;
+  });
+  std::unique_lock<std::recursive_mutex> lock(*mu_);
+  if (error_ && !completion_.fired()) {
+    auto err = error_;
+    lock.unlock();
+    std::rethrow_exception(err);
+  }
+}
+
+void HostOp::on_complete(std::function<void()> fn) {
+  std::unique_lock<std::recursive_mutex> lock(*mu_);
+  auto late = completion_.add(std::move(fn));
+  lock.unlock();
+  if (late) late();
+}
+
+void HostOp::fail(std::exception_ptr err) { terminate(std::move(err), /*open_gates=*/false); }
+
+void HostOp::cancel(std::exception_ptr err) { terminate(std::move(err), /*open_gates=*/true); }
+
+void HostOp::terminate(std::exception_ptr err, bool open_gates) {
+  MCRDL_CHECK(err != nullptr);
+  std::lock_guard<std::recursive_mutex> lock(*mu_);
+  if (completion_.fired() || error_) return;
+  error_ = std::move(err);
+  if (open_gates) this->open_gates();
+  completion_.drop();
+  done_cond_.notify_all();
+}
+
+// ---------------------------------------------------------------------------
 // Rendezvous
 // ---------------------------------------------------------------------------
 
 Rendezvous::Rendezvous(sim::Scheduler* sched, int expected, OpDesc desc,
                        std::function<SimTime()> duration_fn, ChannelFn channel_fn,
                        std::shared_ptr<std::recursive_mutex> mu)
-    : sched_(sched),
-      mu_(mu ? std::move(mu) : std::make_shared<std::recursive_mutex>()),
+    : HostOp(sched, std::move(mu)),
       desc_(desc),
       expected_(expected),
       duration_fn_(std::move(duration_fn)),
@@ -233,8 +275,7 @@ Rendezvous::Rendezvous(sim::Scheduler* sched, int expected, OpDesc desc,
       slots_(static_cast<std::size_t>(expected)),
       slot_posted_(static_cast<std::size_t>(expected), false),
       slot_ready_(static_cast<std::size_t>(expected), false),
-      gates_(static_cast<std::size_t>(expected)),
-      done_cond_(sched) {
+      gates_(static_cast<std::size_t>(expected)) {
   MCRDL_CHECK(expected >= 1);
 }
 
@@ -269,8 +310,8 @@ void Rendezvous::mark_ready(int idx) {
   ready_time_ = std::max(ready_time_, sched_->now());
   if (++ready_ < expected_) return;
   const SimTime duration = duration_fn_();
-  wire_start_ = channel_fn_ ? channel_fn_(ready_time_, duration, desc_.bytes) : ready_time_;
-  complete_time_ = wire_start_ + duration;
+  exec_start_ = channel_fn_ ? channel_fn_(ready_time_, duration, desc_.bytes) : ready_time_;
+  complete_time_ = exec_start_ + duration;
   // Keep the rendezvous alive through finish() even if every Work handle
   // and the engine's pending-table entry are dropped first.
   sched_->schedule_at(complete_time_, [self = shared_from_this()] { self->finish(); });
@@ -279,59 +320,17 @@ void Rendezvous::mark_ready(int idx) {
 void Rendezvous::finish() {
   std::lock_guard<std::recursive_mutex> lock(*mu_);
   apply_collective(desc_, slots_);
-  done_ = true;
   // Callbacks first: they set Work metadata (exec_start) that downstream
   // completion hooks — fired transitively by gate opening — read.
-  auto callbacks = std::move(completion_callbacks_);
-  completion_callbacks_.clear();
-  for (auto& fn : callbacks) fn();
+  for (auto& fn : completion_.fire()) fn();
+  open_gates();
+  done_cond_.notify_all();
+}
+
+void Rendezvous::open_gates() {
   for (auto& g : gates_) {
     if (g) g->open();
   }
-  done_cond_.notify_all();
-}
-
-void Rendezvous::wait_done() {
-  done_cond_.wait([&] {
-    std::lock_guard<std::recursive_mutex> lock(*mu_);
-    return done_ || error_ != nullptr;
-  });
-  std::unique_lock<std::recursive_mutex> lock(*mu_);
-  if (error_ && !done_) {
-    auto err = error_;
-    lock.unlock();
-    std::rethrow_exception(err);
-  }
-}
-
-void Rendezvous::fail(std::exception_ptr err) {
-  MCRDL_CHECK(err != nullptr);
-  std::lock_guard<std::recursive_mutex> lock(*mu_);
-  if (done_ || error_) return;
-  error_ = std::move(err);
-  // Completion callbacks can never fire on an errored rendezvous; dropping
-  // them here breaks the Work -> callback -> Work reference cycle that would
-  // otherwise keep every shed/bounced operation alive for the whole run.
-  completion_callbacks_.clear();
-  done_cond_.notify_all();
-}
-
-void Rendezvous::cancel(std::exception_ptr err) {
-  MCRDL_CHECK(err != nullptr);
-  std::lock_guard<std::recursive_mutex> lock(*mu_);
-  if (done_ || error_) return;
-  error_ = std::move(err);
-  // The ncclCommAbort model: streams parked behind the collective's gates
-  // unwedge (no data was applied — the error is observed at the host sync
-  // points), so a survivor's communication stream is never left waiting on
-  // a dead rank forever.
-  for (auto& g : gates_) {
-    if (g) g->open();
-  }
-  // As in fail(): a cancelled rendezvous never completes, so its callbacks
-  // are dead weight holding their captured Works (and us) alive.
-  completion_callbacks_.clear();
-  done_cond_.notify_all();
 }
 
 std::vector<int> Rendezvous::posted_indices() const {
@@ -350,17 +349,6 @@ std::vector<int> Rendezvous::missing_indices() const {
     if (!slot_posted_[static_cast<std::size_t>(i)]) out.push_back(i);
   }
   return out;
-}
-
-void Rendezvous::on_complete(std::function<void()> fn) {
-  {
-    std::lock_guard<std::recursive_mutex> lock(*mu_);
-    if (!done_) {
-      completion_callbacks_.push_back(std::move(fn));
-      return;
-    }
-  }
-  fn();
 }
 
 // ---------------------------------------------------------------------------
@@ -404,6 +392,8 @@ CollectiveEngine::CollectiveEngine(sim::Scheduler* sched, net::CostModel cost_mo
 CollectiveEngine::~CollectiveEngine() {
   if (faults_ != nullptr && drain_id_ != 0) faults_->recovery().unregister_drain(drain_id_);
   if (faults_ != nullptr && grow_id_ != 0) faults_->recovery().unregister_grow(grow_id_);
+  std::lock_guard<std::recursive_mutex> lock(*mu_);
+  for (auto& [seq, rv] : pending_) rv->completion_.drop();
 }
 
 std::uint64_t CollectiveEngine::drain_lost(const std::vector<int>& lost) {
@@ -419,52 +409,40 @@ std::uint64_t CollectiveEngine::drain_lost(const std::vector<int>& lost) {
   // never unwind while their peers bounce to the new epoch and replay from
   // the first phase — and the stale expectation would poison the reused
   // communicator's sequence ledger.
-  std::uint64_t cancelled = 0;
-  for (auto& [seq, rv] : pending_) {
-    if (rv->done() || rv->failed() || rv->started()) continue;
-    if (!lost_members.empty()) {
-      rv->cancel(std::make_exception_ptr(
-          RankLostError(fault::describe_rank_loss(rv->desc().op, backend_name_, lost_members))));
-    } else {
-      rv->cancel(std::make_exception_ptr(RankLostError(
-          "epoch quiesce: " + std::string(op_name(rv->desc().op)) + " on backend '" +
-          backend_name_ + "' cancelled by membership change")));
-    }
-    ++cancelled;
-  }
-  // Re-sequence, exactly like the grow path: a cancelled rendezvous consumed
-  // sequence numbers only on the ranks that had already joined it, so the
-  // counters disagree across the membership — and a replayed composite may
-  // issue a *different* sub-op at the reused number. Started rendezvous keep
-  // completing off the table (reclaim is identity-checked); every replay
-  // joins fresh from sequence zero.
-  pending_.clear();
-  std::fill(next_seq_.begin(), next_seq_.end(), 0);
-  return cancelled;
+  return cancel_and_resequence([&](OpType op) {
+    if (!lost_members.empty()) return fault::describe_rank_loss(op, backend_name_, lost_members);
+    return "epoch quiesce: " + std::string(op_name(op)) + " on backend '" + backend_name_ +
+           "' cancelled by membership change";
+  });
 }
 
 std::uint64_t CollectiveEngine::drain_rejoined(const std::vector<int>& rejoined) {
   std::lock_guard<std::recursive_mutex> lock(*mu_);
-  bool member_rejoined = false;
-  for (int g : global_ranks_) {
-    if (std::find(rejoined.begin(), rejoined.end(), g) != rejoined.end()) {
-      member_rejoined = true;
-      break;
-    }
-  }
+  const bool member_rejoined = std::any_of(global_ranks_.begin(), global_ranks_.end(), [&](int g) {
+    return std::find(rejoined.begin(), rejoined.end(), g) != rejoined.end();
+  });
   if (!member_rejoined) return 0;
+  return cancel_and_resequence([&](OpType op) {
+    return "grow re-sequence: " + std::string(op_name(op)) + " on backend '" + backend_name_ +
+           "' cancelled for replay on the grown communicator";
+  });
+}
+
+std::uint64_t CollectiveEngine::cancel_and_resequence(
+    const std::function<std::string(OpType)>& why) {
   std::uint64_t cancelled = 0;
   for (auto& [seq, rv] : pending_) {
     if (rv->done() || rv->failed() || rv->started()) continue;
-    rv->cancel(std::make_exception_ptr(RankLostError(
-        "grow re-sequence: " + std::string(op_name(rv->desc().op)) + " on backend '" +
-        backend_name_ + "' cancelled for replay on the grown communicator")));
+    rv->cancel(std::make_exception_ptr(RankLostError(why(rv->desc().op))));
     ++cancelled;
   }
-  // Re-sequence: survivors consumed sequence numbers on doomed joins while
-  // the rejoined rank was dead, so the counters disagree across the
-  // membership. Started rendezvous keep completing off the table (reclaim is
-  // identity-checked); every replay joins fresh from sequence zero.
+  // Re-sequence: a cancelled rendezvous consumed sequence numbers only on
+  // the ranks that had already joined it (and survivors consumed numbers on
+  // doomed joins a dead rank never made), so the counters disagree across
+  // the membership — and a replayed composite may issue a *different*
+  // sub-op at the reused number. Started rendezvous keep completing off the
+  // table (reclaim is identity-checked); every replay joins fresh from
+  // sequence zero.
   pending_.clear();
   std::fill(next_seq_.begin(), next_seq_.end(), 0);
   return cancelled;
@@ -588,12 +566,10 @@ std::shared_ptr<Rendezvous> CollectiveEngine::join(int idx, const OpDesc& desc,
 
 P2pOp::P2pOp(sim::Scheduler* sched, std::function<SimTime()> duration_fn,
              std::shared_ptr<std::recursive_mutex> mu)
-    : sched_(sched),
-      mu_(mu ? std::move(mu) : std::make_shared<std::recursive_mutex>()),
+    : HostOp(sched, std::move(mu)),
       duration_fn_(std::move(duration_fn)),
       send_gate_(std::make_shared<sim::StreamGate>(sched)),
-      recv_gate_(std::make_shared<sim::StreamGate>(sched)),
-      done_cond_(sched) {}
+      recv_gate_(std::make_shared<sim::StreamGate>(sched)) {}
 
 void P2pOp::set_send(Tensor t) {
   std::lock_guard<std::recursive_mutex> lock(*mu_);
@@ -621,30 +597,14 @@ void P2pOp::mark_recv_ready() {
   maybe_finish();
 }
 
-void P2pOp::doom(std::exception_ptr err) {
-  MCRDL_CHECK(err != nullptr);
-  std::lock_guard<std::recursive_mutex> lock(*mu_);
-  if (done_ || error_) return;
-  error_ = std::move(err);
-  // A doomed op never completes: drop its completion callbacks so they do
-  // not pin their captured Works (and this op) until teardown.
-  completion_callbacks_.clear();
-  done_cond_.notify_all();
-}
-
-void P2pOp::cancel(std::exception_ptr err) {
-  std::lock_guard<std::recursive_mutex> lock(*mu_);
-  if (done_ || error_) return;
-  error_ = std::move(err);
+void P2pOp::open_gates() {
   send_gate_->open();
   recv_gate_->open();
-  completion_callbacks_.clear();
-  done_cond_.notify_all();
 }
 
 void P2pOp::maybe_finish() {
   // Callers hold mu_ (recursive).
-  if (!send_ready_ || !recv_ready_ || done_ || error_) return;
+  if (!send_ready_ || !recv_ready_ || completion_.fired() || error_) return;
   const SimTime duration = duration_fn_();
   exec_start_ = sched_->now();
   complete_time_ = sched_->now() + duration;
@@ -654,38 +614,11 @@ void P2pOp::maybe_finish() {
         send_tensor_.materialized()) {
       recv_tensor_.copy_from(send_tensor_);
     }
-    done_ = true;
-    send_gate_->open();
-    recv_gate_->open();
-    auto callbacks = std::move(completion_callbacks_);
-    completion_callbacks_.clear();
+    auto callbacks = completion_.fire();
+    open_gates();
     for (auto& fn : callbacks) fn();
     done_cond_.notify_all();
   });
-}
-
-void P2pOp::wait_done() {
-  done_cond_.wait([&] {
-    std::lock_guard<std::recursive_mutex> lock(*mu_);
-    return done_ || error_ != nullptr;
-  });
-  std::unique_lock<std::recursive_mutex> lock(*mu_);
-  if (error_ && !done_) {
-    auto err = error_;
-    lock.unlock();
-    std::rethrow_exception(err);
-  }
-}
-
-void P2pOp::on_complete(std::function<void()> fn) {
-  {
-    std::lock_guard<std::recursive_mutex> lock(*mu_);
-    if (!done_) {
-      completion_callbacks_.push_back(std::move(fn));
-      return;
-    }
-  }
-  fn();
 }
 
 P2pEngine::P2pEngine(sim::Scheduler* sched, net::CostModel cost_model,
@@ -711,30 +644,34 @@ P2pEngine::P2pEngine(sim::Scheduler* sched, net::CostModel cost_model,
 P2pEngine::~P2pEngine() {
   if (faults_ != nullptr && drain_id_ != 0) faults_->recovery().unregister_drain(drain_id_);
   if (faults_ != nullptr && grow_id_ != 0) faults_->recovery().unregister_grow(grow_id_);
+  std::lock_guard<std::recursive_mutex> lock(*mu_);
+  for (auto* table : {&pending_sends_, &pending_recvs_}) {
+    for (auto& [key, queue] : *table) {
+      for (auto& op : queue) op->completion_.drop();
+    }
+  }
+}
+
+std::vector<int> P2pEngine::endpoints_in(std::int64_t key, const std::vector<int>& ranks) const {
+  const auto size = static_cast<std::int64_t>(global_ranks_.size());
+  const int g_src = global_ranks_[static_cast<std::size_t>(key / size)];
+  const int g_dst = global_ranks_[static_cast<std::size_t>(key % size)];
+  const auto in = [&](int g) { return std::find(ranks.begin(), ranks.end(), g) != ranks.end(); };
+  std::vector<int> out;
+  if (in(g_src)) out.push_back(g_src);
+  if (g_dst != g_src && in(g_dst)) out.push_back(g_dst);
+  return out;
 }
 
 std::uint64_t P2pEngine::drain_lost(const std::vector<int>& lost) {
   std::lock_guard<std::recursive_mutex> lock(*mu_);
-  const int size = static_cast<int>(global_ranks_.size());
-  const auto involved = [&](std::int64_t key) {
-    const int g_src = global_ranks_[static_cast<std::size_t>(key / size)];
-    const int g_dst = global_ranks_[static_cast<std::size_t>(key % size)];
-    return std::find(lost.begin(), lost.end(), g_src) != lost.end() ||
-           std::find(lost.begin(), lost.end(), g_dst) != lost.end();
-  };
   std::uint64_t cancelled = 0;
   for (auto* table : {&pending_sends_, &pending_recvs_}) {
     for (auto& [key, queue] : *table) {
-      if (!involved(key)) continue;
+      const std::vector<int> lost_endpoints = endpoints_in(key, lost);
+      if (lost_endpoints.empty()) continue;
       for (auto& op : queue) {
-        if (op->done() || op->doomed()) continue;
-        std::vector<int> lost_endpoints;
-        const int g_src = global_ranks_[static_cast<std::size_t>(key / size)];
-        const int g_dst = global_ranks_[static_cast<std::size_t>(key % size)];
-        if (std::find(lost.begin(), lost.end(), g_src) != lost.end())
-          lost_endpoints.push_back(g_src);
-        if (g_dst != g_src && std::find(lost.begin(), lost.end(), g_dst) != lost.end())
-          lost_endpoints.push_back(g_dst);
+        if (op->done() || op->failed()) continue;
         op->cancel(std::make_exception_ptr(RankLostError(
             fault::describe_rank_loss(OpType::Send, backend_name_, lost_endpoints))));
         ++cancelled;
@@ -746,23 +683,16 @@ std::uint64_t P2pEngine::drain_lost(const std::vector<int>& lost) {
 
 std::uint64_t P2pEngine::drain_rejoined(const std::vector<int>& rejoined) {
   std::lock_guard<std::recursive_mutex> lock(*mu_);
-  const int size = static_cast<int>(global_ranks_.size());
-  const auto involved = [&](std::int64_t key) {
-    const int g_src = global_ranks_[static_cast<std::size_t>(key / size)];
-    const int g_dst = global_ranks_[static_cast<std::size_t>(key % size)];
-    return std::find(rejoined.begin(), rejoined.end(), g_src) != rejoined.end() ||
-           std::find(rejoined.begin(), rejoined.end(), g_dst) != rejoined.end();
-  };
   std::uint64_t cancelled = 0;
   for (auto* table : {&pending_sends_, &pending_recvs_}) {
     for (auto& [key, queue] : *table) {
-      if (!involved(key)) continue;
+      if (endpoints_in(key, rejoined).empty()) continue;
       // Stale entries — typically doomed ops queued while the rank was dead,
       // whose counterpart stale-rejected instead of matching — must not pair
       // with fresh post-rejoin traffic.
       for (auto& op : queue) {
         if (!op->done()) ++cancelled;
-        if (op->done() || op->doomed()) continue;
+        if (op->done() || op->failed()) continue;
         op->cancel(std::make_exception_ptr(RankLostError(
             "grow re-sequence: p2p on backend '" + backend_name_ +
             "' cancelled for replay on the grown communicator")));
@@ -796,16 +726,16 @@ std::shared_ptr<P2pOp> P2pEngine::match(int src, int dst, bool is_send, std::siz
     // attempt. Transient specs match p2p pairs through OpType::Send.
     if (const std::vector<int> lost = faults_->lost_members({g_src, g_dst}); !lost.empty()) {
       faults_->note_rank_loss_rejection();
-      op->doom(std::make_exception_ptr(
+      op->fail(std::make_exception_ptr(
           RankLostError(fault::describe_rank_loss(OpType::Send, backend_name_, lost))));
     } else if (faults_->backend_unavailable(backend_name_)) {
       faults_->note_outage_rejection();
-      op->doom(std::make_exception_ptr(BackendUnavailable(
+      op->fail(std::make_exception_ptr(BackendUnavailable(
           "backend '" + backend_name_ + "' is out of service (injected outage); rejected " +
           std::string(is_send ? "send" : "recv"))));
     } else if (faults_->should_fail(backend_name_, OpType::Send)) {
       faults_->note_transient();
-      op->doom(std::make_exception_ptr(TransientFault(
+      op->fail(std::make_exception_ptr(TransientFault(
           "injected transient fault: p2p " + std::string(is_send ? "send" : "recv") +
           " on backend '" + backend_name_ + "'")));
     }
@@ -818,7 +748,7 @@ std::shared_ptr<P2pOp> P2pEngine::post_send(int src, int dst, const Tensor& t) {
   std::lock_guard<std::recursive_mutex> lock(*mu_);
   auto op = match(src, dst, /*is_send=*/true, t.bytes());
   op->set_send(t);
-  if (op->doomed()) std::rethrow_exception(op->error());
+  if (op->failed()) std::rethrow_exception(op->error());
   return op;
 }
 
@@ -826,7 +756,7 @@ std::shared_ptr<P2pOp> P2pEngine::post_recv(int dst, int src, Tensor t) {
   std::lock_guard<std::recursive_mutex> lock(*mu_);
   auto op = match(src, dst, /*is_send=*/false, t.bytes());
   op->set_recv(std::move(t));
-  if (op->doomed()) std::rethrow_exception(op->error());
+  if (op->failed()) std::rethrow_exception(op->error());
   return op;
 }
 

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/completion.h"
 #include "src/fault/injector.h"
 #include "src/net/cost.h"
 #include "src/sim/device.h"
@@ -69,15 +70,85 @@ inline constexpr std::size_t kWireSerializeThreshold = 64 * 1024;
 // accounting for channel contention.
 using ChannelFn = std::function<SimTime(SimTime, SimTime, std::size_t)>;
 
-// Thread safety (DESIGN.md §11): a rendezvous is shared cross-rank state —
+// The host-visible lifecycle Rendezvous and P2pOp share: an operation that
+// ends exactly once, completing (its Completion fires) or failing (it is
+// dropped; src/common/completion.h).
+//
+// Thread safety (DESIGN.md §11): an operation is shared cross-rank state —
 // under ParallelShards different shards post/mark_ready concurrently while
 // completion fires on the controller. Every mutating method and stateful
-// accessor locks `mu_`, a recursive mutex shared with the owning
-// CollectiveEngine (recursive because completion callbacks re-enter the
-// engine to reclaim the pending-table entry, and because the channel
-// contention hook reads engine state from inside mark_ready). Under the
-// serial baton the locks are uncontended and change nothing.
-class Rendezvous : public std::enable_shared_from_this<Rendezvous> {
+// accessor locks `mu_`, a recursive mutex shared with the owning engine
+// (recursive because completion callbacks re-enter the engine to reclaim the
+// pending-table entry, and because the channel contention hook reads engine
+// state from inside mark_ready). Under the serial baton the locks are
+// uncontended and change nothing.
+class HostOp {
+ public:
+  virtual ~HostOp() = default;
+  HostOp(const HostOp&) = delete;
+  HostOp& operator=(const HostOp&) = delete;
+
+  bool done() const {
+    std::lock_guard<std::recursive_mutex> lock(*mu_);
+    return completion_.fired();
+  }
+  SimTime complete_time() const {
+    std::lock_guard<std::recursive_mutex> lock(*mu_);
+    return complete_time_;
+  }
+  // When the wire time actually began (all participants ready + channel
+  // free).
+  SimTime exec_start_time() const {
+    std::lock_guard<std::recursive_mutex> lock(*mu_);
+    return exec_start_;
+  }
+  bool failed() const {
+    std::lock_guard<std::recursive_mutex> lock(*mu_);
+    return error_ != nullptr;
+  }
+  std::exception_ptr error() const {
+    std::lock_guard<std::recursive_mutex> lock(*mu_);
+    return error_;
+  }
+  // Host-side block until completion (MPI discipline). Rethrows the stored
+  // error if the operation failed instead of completing.
+  void wait_done();
+  // Runs fn (under the baton) at completion, or inline if already complete.
+  void on_complete(std::function<void()> fn);
+
+  // --- fault injection (src/fault/) ----------------------------------------
+  // Marks the operation failed: stores the error and wakes host waiters so
+  // wait_done() rethrows it from actor context. Safe to call from a
+  // timed-event callback (never throws; gates stay closed; no data effects
+  // are applied). No-op once done or already failed.
+  void fail(std::exception_ptr err);
+  // Like fail(), but also opens the operation's stream gates — the
+  // ncclCommAbort model used by the elastic-recovery quiesce: parked
+  // communication streams unwedge while host waiters still observe the
+  // error.
+  void cancel(std::exception_ptr err);
+
+ protected:
+  HostOp(sim::Scheduler* sched, std::shared_ptr<std::recursive_mutex> mu);
+
+  sim::Scheduler* sched_;
+  std::shared_ptr<std::recursive_mutex> mu_;
+  SimTime exec_start_ = 0.0;
+  SimTime complete_time_ = 0.0;
+  Completion completion_;
+  sim::SimCondition done_cond_;
+  std::exception_ptr error_;
+
+ private:
+  // The engines drop the operations they still hold at teardown.
+  friend class CollectiveEngine;
+  friend class P2pEngine;
+  void terminate(std::exception_ptr err, bool open_gates);
+  virtual void open_gates() = 0;
+};
+
+// An all-ranks collective at one sequence position of a communicator.
+class Rendezvous : public HostOp, public std::enable_shared_from_this<Rendezvous> {
  public:
   Rendezvous(sim::Scheduler* sched, int expected, OpDesc desc,
              std::function<SimTime()> duration_fn, ChannelFn channel_fn = {},
@@ -96,51 +167,12 @@ class Rendezvous : public std::enable_shared_from_this<Rendezvous> {
   // it opens at the completion time.
   const std::shared_ptr<sim::StreamGate>& gate(int idx);
 
-  bool done() const {
-    std::lock_guard<std::recursive_mutex> lock(*mu_);
-    return done_;
-  }
-  SimTime complete_time() const {
-    std::lock_guard<std::recursive_mutex> lock(*mu_);
-    return complete_time_;
-  }
-  // When the wire time actually began (all ranks ready + channel free).
-  SimTime exec_start_time() const {
-    std::lock_guard<std::recursive_mutex> lock(*mu_);
-    return wire_start_;
-  }
-  // Host-side block until completion (MPI discipline). Rethrows the stored
-  // error if the rendezvous failed instead of completing.
-  void wait_done();
-
-  // Invoked (under the baton) at completion, after data application.
-  void on_complete(std::function<void()> fn);
-
-  // --- fault injection (src/fault/) ----------------------------------------
-  // Marks the rendezvous failed: stores the error and wakes host waiters so
-  // wait_done()/join() rethrow it from actor context. Safe to call from a
-  // timed-event callback (never throws; gates stay closed; no data effects
-  // are applied). No-op once done or already failed.
-  void fail(std::exception_ptr err);
-  // Like fail(), but also opens every already-created stream gate — the
-  // ncclCommAbort model used by the elastic-recovery quiesce: parked
-  // communication streams unwedge while host waiters still observe the
-  // error. No data effects are applied.
-  void cancel(std::exception_ptr err);
   // True once every participant has signalled readiness — the wire phase
   // has begun and completion is already scheduled. Quiesce drains skip
   // started rendezvous: packets in flight deliver, consistently everywhere.
   bool started() const {
     std::lock_guard<std::recursive_mutex> lock(*mu_);
     return ready_ >= expected_;
-  }
-  bool failed() const {
-    std::lock_guard<std::recursive_mutex> lock(*mu_);
-    return error_ != nullptr;
-  }
-  std::exception_ptr error() const {
-    std::lock_guard<std::recursive_mutex> lock(*mu_);
-    return error_;
   }
   int posted_count() const {
     std::lock_guard<std::recursive_mutex> lock(*mu_);
@@ -152,27 +184,22 @@ class Rendezvous : public std::enable_shared_from_this<Rendezvous> {
   std::vector<int> missing_indices() const;
 
  private:
+  // Applies the data effect, runs the completion callbacks, then opens the
+  // gates and wakes host waiters.
   void finish();
+  void open_gates() override;
 
-  sim::Scheduler* sched_;
-  std::shared_ptr<std::recursive_mutex> mu_;
   OpDesc desc_;
   int expected_;
   int posted_ = 0;
   int ready_ = 0;
-  bool done_ = false;
   SimTime ready_time_ = 0.0;
-  SimTime wire_start_ = 0.0;
-  SimTime complete_time_ = 0.0;
   std::function<SimTime()> duration_fn_;
   ChannelFn channel_fn_;
   std::vector<ArrivalSlot> slots_;
   std::vector<bool> slot_posted_;
   std::vector<bool> slot_ready_;
   std::vector<std::shared_ptr<sim::StreamGate>> gates_;
-  std::vector<std::function<void()>> completion_callbacks_;
-  sim::SimCondition done_cond_;
-  std::exception_ptr error_;
 };
 
 // Per-communicator collective sequencing: each rank's n-th call joins the
@@ -189,7 +216,7 @@ class CollectiveEngine {
   CollectiveEngine(sim::Scheduler* sched, net::CostModel cost_model, net::CommShape shape,
                    int size, std::vector<int> global_ranks = {},
                    fault::FaultInjector* faults = nullptr, std::string backend_name = "");
-  ~CollectiveEngine();  // unregisters the recovery drain/grow hooks
+  ~CollectiveEngine();  // unregisters its hooks, drops still-pending rendezvous
   CollectiveEngine(const CollectiveEngine&) = delete;
   CollectiveEngine& operator=(const CollectiveEngine&) = delete;
 
@@ -216,6 +243,10 @@ class CollectiveEngine {
   // whole membership re-sequences together on the grown epoch. Returns the
   // number of rendezvous cancelled.
   std::uint64_t drain_rejoined(const std::vector<int>& rejoined);
+  // Both drains: cancels every pending rendezvous whose wire phase has not
+  // started (`why` words the error), clears the table and restarts every
+  // rank's sequence at zero. Called with mu_ held.
+  std::uint64_t cancel_and_resequence(const std::function<std::string(OpType)>& why);
 
   sim::Scheduler* sched_;
   // Shared with every Rendezvous this engine creates: join/post, the channel
@@ -235,10 +266,13 @@ class CollectiveEngine {
   std::uint64_t grow_id_ = 0;
 };
 
-// A matched send/recv pair (two-party rendezvous). Thread safety mirrors
-// Rendezvous: both endpoints may live on different shards, so state is
-// guarded by a recursive mutex shared with the owning P2pEngine.
-class P2pOp : public std::enable_shared_from_this<P2pOp> {
+// A matched send/recv pair (two-party rendezvous). Both endpoints may live
+// on different shards; the mutex is shared with the owning P2pEngine.
+//
+// Fault injection: a failed op is still enqueued for FIFO matching (both
+// sides of the pair must observe the same failed attempt) but never
+// transfers data; post_send/post_recv rethrow its error.
+class P2pOp : public HostOp, public std::enable_shared_from_this<P2pOp> {
  public:
   P2pOp(sim::Scheduler* sched, std::function<SimTime()> duration_fn,
         std::shared_ptr<std::recursive_mutex> mu = nullptr);
@@ -251,53 +285,15 @@ class P2pOp : public std::enable_shared_from_this<P2pOp> {
   const std::shared_ptr<sim::StreamGate>& send_gate() { return send_gate_; }
   const std::shared_ptr<sim::StreamGate>& recv_gate() { return recv_gate_; }
 
-  bool done() const {
-    std::lock_guard<std::recursive_mutex> lock(*mu_);
-    return done_;
-  }
-  SimTime complete_time() const {
-    std::lock_guard<std::recursive_mutex> lock(*mu_);
-    return complete_time_;
-  }
-  SimTime exec_start_time() const {
-    std::lock_guard<std::recursive_mutex> lock(*mu_);
-    return exec_start_;
-  }
-  void wait_done();
-  void on_complete(std::function<void()> fn);
-
-  // Fault injection: a doomed op is still enqueued for FIFO matching (both
-  // sides of the pair must observe the same failed attempt) but never
-  // transfers data; post_send/post_recv rethrow its error.
-  void doom(std::exception_ptr err);
-  // Like doom(), but opens both gates so a stream parked behind the pair
-  // unwedges (recovery quiesce; see Rendezvous::cancel).
-  void cancel(std::exception_ptr err);
-  bool doomed() const {
-    std::lock_guard<std::recursive_mutex> lock(*mu_);
-    return error_ != nullptr;
-  }
-  std::exception_ptr error() const {
-    std::lock_guard<std::recursive_mutex> lock(*mu_);
-    return error_;
-  }
-
  private:
   void maybe_finish();
+  void open_gates() override;
 
-  sim::Scheduler* sched_;
-  std::shared_ptr<std::recursive_mutex> mu_;
   std::function<SimTime()> duration_fn_;
   Tensor send_tensor_, recv_tensor_;
   bool have_send_ = false, have_recv_ = false;
   bool send_ready_ = false, recv_ready_ = false;
-  bool done_ = false;
-  SimTime complete_time_ = 0.0;
-  SimTime exec_start_ = 0.0;
   std::shared_ptr<sim::StreamGate> send_gate_, recv_gate_;
-  std::vector<std::function<void()>> completion_callbacks_;
-  sim::SimCondition done_cond_;
-  std::exception_ptr error_;
 };
 
 // FIFO tag-matching of sends and recvs per (src, dst) pair.
@@ -309,7 +305,7 @@ class P2pEngine {
  public:
   P2pEngine(sim::Scheduler* sched, net::CostModel cost_model, std::vector<int> global_ranks,
             fault::FaultInjector* faults = nullptr, std::string backend_name = "");
-  ~P2pEngine();  // unregisters the recovery drain/grow hooks
+  ~P2pEngine();  // unregisters its hooks, drops still-unmatched ops
   P2pEngine(const P2pEngine&) = delete;
   P2pEngine& operator=(const P2pEngine&) = delete;
 
@@ -320,6 +316,8 @@ class P2pEngine {
 
  private:
   std::shared_ptr<P2pOp> match(int src, int dst, bool is_send, std::size_t bytes);
+  // The global ranks of a queue key's (src, dst) pair that are in `ranks`.
+  std::vector<int> endpoints_in(std::int64_t key, const std::vector<int>& ranks) const;
   // Recovery quiesce hook: cancels unmatched queued ops whose endpoint is a
   // lost rank. Matched pairs are in flight and left to complete.
   std::uint64_t drain_lost(const std::vector<int>& lost);

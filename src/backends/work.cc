@@ -16,33 +16,16 @@ void StreamWork::synchronize() { done_event_->synchronize(); }
 
 SimTime StreamWork::complete_time() const { return done_event_->completion_time(); }
 
-HostWork::HostWork(std::shared_ptr<backends_detail::Rendezvous> rendezvous)
-    : rendezvous_(std::move(rendezvous)) {}
+HostWork::HostWork(std::shared_ptr<backends_detail::HostOp> op) : op_(std::move(op)) {}
 
-HostWork::HostWork(std::shared_ptr<backends_detail::P2pOp> p2p) : p2p_(std::move(p2p)) {}
+bool HostWork::test() const { return op_->done(); }
 
-bool HostWork::test() const { return rendezvous_ ? rendezvous_->done() : p2p_->done(); }
+void HostWork::wait() { op_->wait_done(); }
 
-void HostWork::wait() {
-  if (rendezvous_) {
-    rendezvous_->wait_done();
-  } else {
-    p2p_->wait_done();
-  }
-}
-
-SimTime HostWork::complete_time() const {
-  return rendezvous_ ? rendezvous_->complete_time() : p2p_->complete_time();
-}
+SimTime HostWork::complete_time() const { return op_->complete_time(); }
 
 void StreamWork::on_complete(std::function<void()> fn) { done_event_->on_complete(std::move(fn)); }
 
-void HostWork::on_complete(std::function<void()> fn) {
-  if (rendezvous_) {
-    rendezvous_->on_complete(std::move(fn));
-  } else {
-    p2p_->on_complete(std::move(fn));
-  }
-}
+void HostWork::on_complete(std::function<void()> fn) { op_->on_complete(std::move(fn)); }
 
 }  // namespace mcrdl

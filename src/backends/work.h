@@ -39,8 +39,10 @@ class WorkHandle {
   virtual void synchronize() = 0;
   // Virtual time at which the operation completed (valid once test()).
   virtual SimTime complete_time() const = 0;
-  // Runs fn at completion time, under the baton, before waiters resume.
-  // Fusion slice-back and the communication logger hook in here.
+  // Runs fn at completion time, under the baton, before waiters resume, or
+  // inline if the work is already complete. On fail, cancel or teardown fn
+  // is dropped, never run (src/common/completion.h). Fusion slice-back and
+  // the communication logger hook in here.
   virtual void on_complete(std::function<void()> fn) = 0;
 
   OpType op = OpType::Barrier;
@@ -72,15 +74,14 @@ class StreamWork : public WorkHandle {
 };
 
 namespace backends_detail {
-class Rendezvous;
-class P2pOp;
+class HostOp;
 }  // namespace backends_detail
 
-// Completion via a host-side rendezvous flag (MPI request).
+// Completion via a host-side rendezvous flag (MPI request): a collective
+// Rendezvous or a p2p pair.
 class HostWork : public WorkHandle {
  public:
-  explicit HostWork(std::shared_ptr<backends_detail::Rendezvous> rendezvous);
-  explicit HostWork(std::shared_ptr<backends_detail::P2pOp> p2p);
+  explicit HostWork(std::shared_ptr<backends_detail::HostOp> op);
 
   bool test() const override;
   void wait() override;  // MPI_Wait: blocks the host
@@ -89,8 +90,7 @@ class HostWork : public WorkHandle {
   void on_complete(std::function<void()> fn) override;
 
  private:
-  std::shared_ptr<backends_detail::Rendezvous> rendezvous_;
-  std::shared_ptr<backends_detail::P2pOp> p2p_;
+  std::shared_ptr<backends_detail::HostOp> op_;
 };
 
 }  // namespace mcrdl

@@ -20,48 +20,46 @@ ChainWork::ChainWork(OverlapScheduler* owner, int rank, std::uint64_t epoch,
 
 void ChainWork::wait() {
   if (done_.load(std::memory_order_acquire)) return;
+  std::mutex& mu = owner_->slot(rank_).mu;
   try {
-    owner_->drive(rank_, shared_from_this());
-    return;
-  } catch (const RankLostError&) {
-    std::function<void()> recover;
-    {
-      std::lock_guard<std::mutex> lock(owner_->slot(rank_).mu);
-      recover = std::move(recover_);
-      recover_ = nullptr;
+    try {
+      owner_->drive(rank_, shared_from_this());
+      return;
+    } catch (const RankLostError&) {
+      std::function<void()> recover;
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        recover = std::exchange(recover_, nullptr);
+      }
+      if (!recover) throw;
+      // Re-dispatch the original request synchronously through the full
+      // pipeline; its recover stage parks until the epoch advances, remaps
+      // the group onto the survivors and replays — the casualty's own replay
+      // rethrows there, exactly like a flat op's.
+      recover();
     }
-    if (!recover) throw;
-    // Re-dispatch the original request synchronously through the full
-    // pipeline; its recover stage parks until the epoch advances, remaps the
-    // group onto the survivors and replays — the casualty's own replay
-    // rethrows there, exactly like a flat op's.
-    recover();
+  } catch (...) {
+    // A failed chain whose replay is spent (or never existed) is terminal.
+    std::lock_guard<std::mutex> lock(mu);
+    if (error_ != nullptr) completion_.drop();
+    throw;
   }
-  // The replay completed the operation; transition this handle so callers
-  // and registered completion observers see one finished op.
-  std::vector<std::function<void()>> callbacks;
+  // The replay completed the operation: one finished op for every observer.
+  Completion::Callbacks callbacks;
   {
-    std::lock_guard<std::mutex> lock(owner_->slot(rank_).mu);
-    error_ = nullptr;
-    phases_.clear();
-    finalize_ = nullptr;
-    callbacks = std::move(callbacks_);
-    callbacks_.clear();
-    complete_time_ = owner_->scheduler()->now();
-    done_.store(true, std::memory_order_release);
+    std::lock_guard<std::mutex> lock(mu);
+    callbacks = owner_->complete_locked(*this);
   }
   for (auto& fn : callbacks) fn();
 }
 
 void ChainWork::on_complete(std::function<void()> fn) {
+  Completion::Callback late;
   {
     std::lock_guard<std::mutex> lock(owner_->slot(rank_).mu);
-    if (!done_.load(std::memory_order_relaxed)) {
-      callbacks_.push_back(std::move(fn));
-      return;
-    }
+    late = completion_.add(std::move(fn));
   }
-  fn();  // already complete: fire inline, as every WorkHandle does
+  if (late) late();
 }
 
 void ChainWork::set_recover(std::function<void()> fn) {
@@ -83,20 +81,32 @@ ChainGroupWork::ChainGroupWork(std::vector<std::shared_ptr<ChainWork>> chains)
   MCRDL_REQUIRE(!chains_.empty(), "ChainGroupWork needs at least one chain");
 }
 
+// What a chunk's completion holds of its group. Fired, it counts the chunk
+// done. Dropped unrun (the chunk failed for good, was pruned, or was
+// abandoned at teardown), it drops the group's completion too: the group
+// can then never fire, and its own callbacks may capture it.
+struct ChainGroupWork::ChunkLink {
+  explicit ChunkLink(std::shared_ptr<ChainGroupWork> g) : group(std::move(g)) {}
+  ~ChunkLink() {
+    if (fired) return;
+    std::lock_guard<std::mutex> lock(group->mu_);
+    group->completion_.drop();
+  }
+  std::shared_ptr<ChainGroupWork> group;
+  bool fired = false;
+};
+
 void ChainGroupWork::arm() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    MCRDL_CHECK(self_ == nullptr && remaining_ == 0) << "ChainGroupWork::arm called twice";
+    MCRDL_CHECK(remaining_ == 0 && !done_) << "ChainGroupWork::arm called twice";
     remaining_ = static_cast<int>(chains_.size());
-    self_ = shared_from_this();
   }
-  // Weak captures: the chunk callbacks must not keep the group alive on
-  // their own (the chain would otherwise anchor the group which anchors the
-  // chain list — the self-capture leak shape); self_ is the one deliberate
-  // anchor, cleared on completion.
   for (auto& ch : chains_) {
-    ch->on_complete([weak = std::weak_ptr<ChainGroupWork>(shared_from_this())] {
-      if (auto strong = weak.lock()) strong->part_done();
+    auto link = std::make_shared<ChunkLink>(shared_from_this());
+    ch->on_complete([link] {
+      link->fired = true;
+      link->group->part_done();
     });
   }
 }
@@ -111,18 +121,14 @@ void ChainGroupWork::part_done() {
 }
 
 void ChainGroupWork::complete_now() {
-  std::vector<std::function<void()>> callbacks;
-  std::shared_ptr<ChainGroupWork> anchor;
+  Completion::Callbacks callbacks;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (done_.load(std::memory_order_relaxed)) return;
     for (const auto& ch : chains_) {
       complete_time_ = std::max(complete_time_, ch->complete_time());
     }
-    callbacks = std::move(callbacks_);
-    callbacks_.clear();
-    anchor = std::move(self_);  // released after the lock
-    self_ = nullptr;
+    callbacks = completion_.fire();
     done_.store(true, std::memory_order_release);
   }
   for (auto& fn : callbacks) fn();
@@ -134,14 +140,12 @@ void ChainGroupWork::wait() {
 }
 
 void ChainGroupWork::on_complete(std::function<void()> fn) {
+  Completion::Callback late;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!done_.load(std::memory_order_relaxed)) {
-      callbacks_.push_back(std::move(fn));
-      return;
-    }
+    late = completion_.add(std::move(fn));
   }
-  fn();
+  if (late) late();
 }
 
 // ---------------------------------------------------------------------------
@@ -158,6 +162,13 @@ OverlapScheduler::OverlapScheduler(sim::Scheduler* sched, int world, bool overla
     auto s = std::make_unique<Slot>();
     s->cond = std::make_unique<sim::SimCondition>(sched_);
     slots_.push_back(std::move(s));
+  }
+}
+
+OverlapScheduler::~OverlapScheduler() {
+  for (auto& s : slots_) {
+    std::lock_guard<std::mutex> lock(s->mu);
+    for (auto& ch : s->chains) ch->completion_.drop();
   }
 }
 
@@ -205,8 +216,8 @@ std::size_t OverlapScheduler::live_chains(int rank) const {
 void OverlapScheduler::fail_locked(ChainWork& ch, std::exception_ptr err) {
   if (ch.done_.load(std::memory_order_relaxed) || ch.error_ != nullptr) return;
   ch.error_ = std::move(err);
-  // Unpostable from here on; callbacks_ are kept so a successful elastic
-  // replay (ChainWork::wait's recover path) still fires them.
+  // Unpostable from here on; the completion stays pending so a successful
+  // elastic replay (ChainWork::wait's recover path) still fires it.
   ch.phases_.clear();
   ch.next_phase_ = 0;
   ch.outstanding_ = 0;
@@ -226,9 +237,7 @@ void OverlapScheduler::prune_locked(Slot& s, bool include_errored) {
                            [include_errored](const std::shared_ptr<ChainWork>& ch) {
                              if (ch->done_.load(std::memory_order_relaxed)) return true;
                              if (ch->error_ != nullptr && include_errored) {
-                               // Dropped, not replayed: break the potential
-                               // chain -> callback -> chain cycle.
-                               ch->callbacks_.clear();
+                               ch->completion_.drop();  // dropped, not replayed
                                return true;
                              }
                              return false;
@@ -348,6 +357,17 @@ void OverlapScheduler::post_next_phase(int rank, const std::shared_ptr<ChainWork
   s.cond->notify_all();
 }
 
+Completion::Callbacks OverlapScheduler::complete_locked(ChainWork& ch) {
+  ch.error_ = nullptr;
+  ch.phases_.clear();
+  ch.finalize_ = nullptr;
+  ch.recover_ = nullptr;
+  ch.restore_ = nullptr;
+  ch.complete_time_ = sched_->now();
+  ch.done_.store(true, std::memory_order_release);
+  return ch.completion_.fire();
+}
+
 void OverlapScheduler::part_done(int rank, const std::weak_ptr<ChainWork>& weak) {
   std::shared_ptr<ChainWork> ch = weak.lock();
   if (ch == nullptr) return;
@@ -366,25 +386,15 @@ void OverlapScheduler::part_done(int rank, const std::weak_ptr<ChainWork>& weak)
 
 void OverlapScheduler::maybe_complete(int rank, const std::shared_ptr<ChainWork>& ch) {
   Slot& s = slot(rank);
-  std::vector<std::function<void()>> callbacks;
+  Completion::Callbacks callbacks;
   {
     std::lock_guard<std::mutex> lock(s.mu);
     if (ch->done_.load(std::memory_order_relaxed) || ch->error_ != nullptr) return;
     if (ch->outstanding_ != 0 || ch->next_phase_ < ch->phases_.size()) return;
     // Finalize (slice-back copies — pure data movement, no virtual time)
     // under the lock so no observer sees done before the data is in place.
-    if (ch->finalize_) {
-      auto finalize = std::move(ch->finalize_);
-      ch->finalize_ = nullptr;
-      finalize();
-    }
-    ch->phases_.clear();
-    ch->recover_ = nullptr;
-    ch->restore_ = nullptr;
-    callbacks = std::move(ch->callbacks_);
-    ch->callbacks_.clear();
-    ch->complete_time_ = sched_->now();
-    ch->done_.store(true, std::memory_order_release);
+    if (auto finalize = std::exchange(ch->finalize_, nullptr)) finalize();
+    callbacks = complete_locked(*ch);
     ++s.gen;
   }
   // Completion observers (metrics, logger, tuner, chunk-group counting) fire

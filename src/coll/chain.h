@@ -61,6 +61,7 @@
 #include <vector>
 
 #include "src/backends/work.h"
+#include "src/common/completion.h"
 #include "src/sim/scheduler.h"
 
 namespace mcrdl::coll {
@@ -120,7 +121,7 @@ class ChainWork : public WorkHandle, public std::enable_shared_from_this<ChainWo
   // is executing (so a concurrent driver cannot double-post it).
   int outstanding_ = 0;
   std::function<void()> finalize_;
-  std::vector<std::function<void()>> callbacks_;
+  Completion completion_;
   std::exception_ptr error_;
   std::function<void()> recover_;
   std::function<void()> restore_;
@@ -148,6 +149,8 @@ class ChainGroupWork : public WorkHandle, public std::enable_shared_from_this<Ch
   void on_complete(std::function<void()> fn) override;
 
  private:
+  struct ChunkLink;
+
   void part_done();
   // Idempotent transition to done; also called at the end of wait() so the
   // group completes even when a chunk's part callback was dropped by an
@@ -157,13 +160,9 @@ class ChainGroupWork : public WorkHandle, public std::enable_shared_from_this<Ch
   std::vector<std::shared_ptr<ChainWork>> chains_;
   mutable std::mutex mu_;
   int remaining_ = 0;
-  std::vector<std::function<void()>> callbacks_;
+  Completion completion_;
   std::atomic<bool> done_{false};
   SimTime complete_time_ = 0.0;
-  // Keeps the group alive while part callbacks are armed even if the caller
-  // drops its handle; cleared on completion (see core/composite_work.h for
-  // the leak shape this avoids).
-  std::shared_ptr<ChainGroupWork> self_;
 };
 
 // Per-rank registry and cooperative driver for every live chain. One per
@@ -171,6 +170,8 @@ class ChainGroupWork : public WorkHandle, public std::enable_shared_from_this<Ch
 class OverlapScheduler {
  public:
   OverlapScheduler(sim::Scheduler* sched, int world, bool overlap, int chunks);
+  // Drops the completion of every chain still registered.
+  ~OverlapScheduler();
   OverlapScheduler(const OverlapScheduler&) = delete;
   OverlapScheduler& operator=(const OverlapScheduler&) = delete;
 
@@ -222,6 +223,11 @@ class OverlapScheduler {
   void post_next_phase(int rank, const std::shared_ptr<ChainWork>& ch);
   void part_done(int rank, const std::weak_ptr<ChainWork>& ch);
   void maybe_complete(int rank, const std::shared_ptr<ChainWork>& ch);
+  // The one done-transition (maybe_complete, and ChainWork::wait after a
+  // replay): clears the chain's state and fires its completion. Called with
+  // the slot mutex held; the caller runs the returned callbacks after
+  // releasing it.
+  Completion::Callbacks complete_locked(ChainWork& ch);
   static void fail_locked(ChainWork& ch, std::exception_ptr err);
   static void prune_locked(Slot& slot, bool include_errored);
 

@@ -15,11 +15,8 @@ CompositeWork::CompositeWork(sim::Scheduler* sched, std::vector<Work> parts,
 void CompositeWork::arm() {
   // The self-anchor keeps the composite alive while part callbacks are armed
   // even if the caller drops its handle; every terminal path releases it.
-  // Part callbacks capture a weak_ptr — a shared capture would close a
-  // reference cycle (part holds callback, callback holds composite, composite
-  // holds part) that a part failing or cancelling, which *drops* its callback
-  // list without firing it, could leave uncollectable alongside any
-  // on_complete closure that captures this composite's own handle.
+  // Part callbacks capture a weak_ptr so the anchor is the only owner a
+  // never-completing part can pin.
   self_ = shared_from_this();
   if (parts_.empty()) {
     part_done();  // degenerate composite: finalize immediately
@@ -37,33 +34,30 @@ void CompositeWork::part_done() {
   if (remaining_ > 0 && --remaining_ > 0) return;
   if (done_) return;
   if (finalize_) finalize_();
+  finish(/*fire=*/true);
+}
+
+void CompositeWork::cancel() {
+  if (!done_) finish(/*fire=*/false);
+}
+
+void CompositeWork::finish(bool fire) {
   done_ = true;
   complete_time_ = sched_->now();
-  auto callbacks = std::move(callbacks_);
-  callbacks_.clear();
-  // Terminal path: release everything that could pin memory past completion —
-  // the parts (and the tensors their closures hold), the finalize closure,
-  // and the self-anchor. Destroying the anchor last keeps `this` valid while
-  // the callbacks run even if the caller already dropped its handle.
+  Completion::Callbacks callbacks;
+  if (fire) {
+    callbacks = completion_.fire();
+  } else {
+    completion_.drop();
+  }
+  // Release everything that could pin memory past the terminal state — the
+  // parts (and the tensors their closures hold), the finalize closure, and
+  // the self-anchor. Destroying the anchor last keeps `this` valid while the
+  // callbacks run even if the caller already dropped its handle.
   parts_.clear();
   finalize_ = nullptr;
   auto anchor = std::move(self_);
   for (auto& fn : callbacks) fn();
-  done_cond_.notify_all();
-}
-
-void CompositeWork::cancel() {
-  if (done_) return;
-  done_ = true;
-  complete_time_ = sched_->now();
-  // Mirror the engine's fail/cancel discipline: completion callbacks are
-  // dropped, never fired — clearing the list here breaks the cycle with any
-  // closure capturing this composite's own handle (the finish stage's merged
-  // completion closure does exactly that).
-  callbacks_.clear();
-  parts_.clear();
-  finalize_ = nullptr;
-  auto anchor = std::move(self_);
   done_cond_.notify_all();
 }
 
@@ -72,11 +66,7 @@ void CompositeWork::wait() {
 }
 
 void CompositeWork::on_complete(std::function<void()> fn) {
-  if (done_) {
-    fn();
-    return;
-  }
-  callbacks_.push_back(std::move(fn));
+  if (auto late = completion_.add(std::move(fn))) late();
 }
 
 Work make_composite(sim::Scheduler* sched, std::vector<Work> parts,

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/backends/work.h"
+#include "src/common/completion.h"
 #include "src/sim/scheduler.h"
 
 namespace mcrdl {
@@ -21,12 +22,10 @@ class CompositeWork : public WorkHandle, public std::enable_shared_from_this<Com
   // Registers completion callbacks on the parts; must be called exactly once
   // on a shared_ptr-owned instance.
   void arm();
-  // Terminal without finalisation: drops the registered callbacks (matching
-  // the engines' fail/cancel discipline — they are never fired), releases the
-  // parts and the self-anchor, and wakes waiters. For owners abandoning a
+  // Terminal without finalisation: drops the completion, releases the parts
+  // and the self-anchor, and wakes waiters. For owners abandoning a
   // composite whose parts will never complete (e.g. cancelled by a rank
-  // loss): without it, an on_complete closure capturing this composite's own
-  // handle would keep the never-firing work alive forever.
+  // loss).
   void cancel();
 
   bool test() const override { return done_; }
@@ -37,6 +36,8 @@ class CompositeWork : public WorkHandle, public std::enable_shared_from_this<Com
 
  private:
   void part_done();
+  // The one terminal transition: fires (success) or drops the completion.
+  void finish(bool fire);
 
   sim::Scheduler* sched_;
   std::vector<Work> parts_;
@@ -44,7 +45,7 @@ class CompositeWork : public WorkHandle, public std::enable_shared_from_this<Com
   int remaining_ = 0;
   bool done_ = false;
   SimTime complete_time_ = 0.0;
-  std::vector<std::function<void()>> callbacks_;
+  Completion completion_;
   sim::SimCondition done_cond_;
   // Shared self-reference set by arm() and released on every terminal path;
   // keeps the composite alive while its (weak) part callbacks are armed.

@@ -2,13 +2,16 @@
 
 #include <algorithm>
 
+#include "src/common/completion.h"
+
 namespace mcrdl {
 
 // Shared state between a batch and the Works handed out for its tensors.
 struct FusionManager::PendingFusion {
-  bool flushed = false;
   Work inner;  // the fused collective, set at flush time
-  std::vector<std::function<void()>> deferred_callbacks;
+  // Fired at flush: the callbacks queued so far move onto `inner`, and
+  // later ones are handed straight to it.
+  Completion flush;
   FusionManager* mgr = nullptr;
   Key key;
 };
@@ -21,7 +24,7 @@ class FusionManager::FusionWork : public WorkHandle {
     Work inner;
     {
       std::lock_guard<std::recursive_mutex> lock(pending_->mgr->mu_);
-      if (!pending_->flushed) return false;
+      if (!pending_->flush.fired()) return false;
       inner = pending_->inner;
     }
     return inner->test();
@@ -41,7 +44,7 @@ class FusionManager::FusionWork : public WorkHandle {
       // (0.0 used to leak out here) silently corrupts latency accounting.
       // Callers must observe test() == true, wait(), or ask from an
       // on_complete callback before querying.
-      MCRDL_CHECK(pending_->flushed)
+      MCRDL_CHECK(pending_->flush.fired())
           << "complete_time() queried on an unflushed fusion batch — the fused collective has "
              "not been issued, so no completion timestamp exists yet";
       inner = pending_->inner;
@@ -53,10 +56,8 @@ class FusionManager::FusionWork : public WorkHandle {
     Work inner;
     {
       std::lock_guard<std::recursive_mutex> lock(pending_->mgr->mu_);
-      if (!pending_->flushed) {
-        pending_->deferred_callbacks.push_back(std::move(fn));
-        return;
-      }
+      fn = pending_->flush.add(std::move(fn));
+      if (!fn) return;  // queued until the flush
       inner = pending_->inner;
     }
     inner->on_complete(std::move(fn));
@@ -67,8 +68,8 @@ class FusionManager::FusionWork : public WorkHandle {
   // dependency outranks the timeout). Returns the inner Work to block on.
   Work force_flush() {
     std::lock_guard<std::recursive_mutex> lock(pending_->mgr->mu_);
-    if (!pending_->flushed) pending_->mgr->flush_if_pending(pending_->key);
-    MCRDL_CHECK(pending_->flushed);
+    if (!pending_->flush.fired()) pending_->mgr->flush_if_pending(pending_->key);
+    MCRDL_CHECK(pending_->flush.fired());
     return pending_->inner;
   }
 
@@ -88,6 +89,13 @@ std::uint32_t FusionManager::compute_admit_mask(const FusionConfig& config) {
 FusionManager::FusionManager(ClusterContext* cluster, FusionConfig config)
     : cluster_(cluster), config_(std::move(config)) {
   admit_mask_.store(compute_admit_mask(config_), std::memory_order_release);
+}
+
+FusionManager::~FusionManager() {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
+  for (auto& [key, batch] : batches_) {
+    if (batch.pending != nullptr) batch.pending->flush.drop();
+  }
 }
 
 void FusionManager::set_config(FusionConfig config) {
@@ -264,10 +272,8 @@ void FusionManager::flush_locked(const Key& key, Batch& batch) {
       offset += t.numel();
     }
   });
-  pending->flushed = true;
   pending->inner = inner;
-  for (auto& fn : pending->deferred_callbacks) inner->on_complete(std::move(fn));
-  pending->deferred_callbacks.clear();
+  for (auto& fn : pending->flush.fire()) inner->on_complete(std::move(fn));
 }
 
 void FusionManager::flush_all(int rank) {

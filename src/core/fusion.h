@@ -41,6 +41,8 @@ struct FusionConfig {
 class FusionManager {
  public:
   FusionManager(ClusterContext* cluster, FusionConfig config);
+  // Drops the completion of every batch still unflushed.
+  ~FusionManager();
 
   const FusionConfig& config() const { return config_; }
   void set_config(FusionConfig config);
@@ -128,10 +130,10 @@ class FusionManager {
   std::atomic<std::uint32_t> admit_mask_{0};
   std::atomic<std::uint32_t> version_{0};
   // Guards batches_, the statistics counters, and each PendingFusion's
-  // flushed/inner/deferred_callbacks (which FusionWork reads from other
-  // actors). Recursive because flush paths nest (wait -> force_flush ->
-  // flush_if_pending). Never held across a virtual-time block: flush_locked
-  // posts the fused collective asynchronously and returns.
+  // inner/flush (which FusionWork reads from other actors). Recursive
+  // because flush paths nest (wait -> force_flush -> flush_if_pending).
+  // Never held across a virtual-time block: flush_locked posts the fused
+  // collective asynchronously and returns.
   mutable std::recursive_mutex mu_;
   std::map<Key, Batch> batches_;
   int flush_count_ = 0;

@@ -211,10 +211,9 @@ class FinishStage : public OpStage {
     // One merged completion callback instead of three: a single closure
     // allocation carries the latency observation, the optional tuner
     // feedback and the optional trace record. Capturing the shared handle
-    // keeps it alive until completion; every completion path — finish as
-    // well as fail/cancel — clears the callback list, so the self-reference
-    // cannot keep a never-firing Work alive.
-    Completion done;
+    // keeps it alive until completion; the completion ownership rule
+    // (src/common/completion.h) frees a never-firing Work.
+    FinishRecord done;
     done.w = w;
     done.latency = latency;
     done.tuner = tuner;
@@ -264,7 +263,7 @@ class FinishStage : public OpStage {
     obs::Counter* ops = nullptr;
     obs::Histogram* latency = nullptr;
   };
-  struct Completion {
+  struct FinishRecord {
     Work w;
     obs::Histogram* latency = nullptr;
     tune::OnlineTuner* tuner = nullptr;

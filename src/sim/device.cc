@@ -9,29 +9,22 @@ namespace mcrdl::sim {
 // ---------------------------------------------------------------------------
 
 void Event::synchronize() {
-  host_waiters_.wait([&] { return complete_; });
+  host_waiters_.wait([&] { return complete(); });
 }
 
 void Event::reset() {
   MCRDL_CHECK(stream_waiters_.empty()) << "reset of an Event with stalled stream waiters";
-  complete_ = false;
+  completion_.reset();
   completion_time_ = 0.0;
 }
 
 void Event::on_complete(std::function<void()> fn) {
-  if (complete_) {
-    fn();
-    return;
-  }
-  callbacks_.push_back(std::move(fn));
+  if (auto late = completion_.add(std::move(fn))) late();
 }
 
 void Event::mark_complete(SimTime t) {
-  complete_ = true;
   completion_time_ = t;
-  auto callbacks = std::move(callbacks_);
-  callbacks_.clear();
-  for (auto& fn : callbacks) fn();
+  for (auto& fn : completion_.fire()) fn();
   host_waiters_.notify_all();
   std::vector<Stream*> waiters;
   waiters.swap(stream_waiters_);
@@ -58,13 +51,8 @@ Stream::Stream(Scheduler* sched, Device* device, std::string name)
     : sched_(sched), device_(device), name_(std::move(name)), quiescent_(sched) {}
 
 Stream::~Stream() {
-  // Ops still queued at teardown will never execute, so their Record events
-  // will never complete. Those events' callbacks often close over the Work
-  // that owns the event (Event -> callback -> Work -> Event), a cycle only
-  // completion would break — drop the callbacks so a program that ends with
-  // an undrained stream does not leak its in-flight completion chains.
   for (Op& op : queue_) {
-    if (op.event != nullptr && !op.event->complete()) op.event->drop_callbacks();
+    if (op.event != nullptr) op.event->completion_.drop();
   }
 }
 

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/completion.h"
 #include "src/common/status.h"
 #include "src/common/units.h"
 #include "src/sim/scheduler.h"
@@ -36,7 +37,7 @@ class Event {
   Event(const Event&) = delete;
   Event& operator=(const Event&) = delete;
 
-  bool complete() const { return complete_; }
+  bool complete() const { return completion_.fired(); }
   // Virtual time at which the event completed; only valid when complete().
   SimTime completion_time() const { return completion_time_; }
 
@@ -50,24 +51,18 @@ class Event {
   // under the baton, before host waiters resume.
   void on_complete(std::function<void()> fn);
 
-  // Discards pending callbacks without running them. Teardown-only: a
-  // never-completed event will never fire them, and a callback capturing the
-  // Work that owns this event (the dispatch layer's completion closures do)
-  // forms a reference cycle only completion would break — a program that
-  // drops in-flight work and tears down would leak it otherwise.
-  void drop_callbacks() { callbacks_.clear(); }
-
   // --- stream-internal interface ---
   void mark_complete(SimTime t);
   void add_stream_waiter(Stream* s) { stream_waiters_.push_back(s); }
 
  private:
+  friend class Stream;  // drops the completion of events it never reached
+
   Scheduler* sched_;
-  bool complete_ = false;
+  Completion completion_;
   SimTime completion_time_ = 0.0;
   SimCondition host_waiters_;
   std::vector<Stream*> stream_waiters_;
-  std::vector<std::function<void()>> callbacks_;
 };
 
 // A gate a stream can be told to wait behind; collective rendezvous objects
@@ -95,9 +90,8 @@ class Device;
 class Stream {
  public:
   Stream(Scheduler* sched, Device* device, std::string name);
-  // Drops the callbacks of events still queued for Record: they can never
-  // complete once the stream is gone, and their callbacks may close over the
-  // Works that own them (see Event::drop_callbacks).
+  // Drops the completion of every event still queued: those events can
+  // never complete once the stream is gone (src/common/completion.h).
   ~Stream();
   Stream(const Stream&) = delete;
   Stream& operator=(const Stream&) = delete;

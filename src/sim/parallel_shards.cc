@@ -70,7 +70,12 @@ void ParallelShards::run() {
     event_phase();
   }
 
-  for (auto& a : actors_) a->thread.join();
+  for (auto& a : actors_) {
+    a->thread.join();
+    a->shard = 0;  // every run has a shard 0 for a stale token to lock
+    retired_.push_back(std::move(a));
+  }
+  actors_.clear();
   running_.store(false);
   std::exception_ptr err;
   {

@@ -112,6 +112,8 @@ class ParallelShards final : public ExecutionModel {
   const int requested_threads_;
   int shard_count_ = 1;
   std::vector<std::unique_ptr<detail::Actor>> actors_;
+  // Actors joined by an earlier run(); see SerialBaton::retired_.
+  std::vector<std::unique_ptr<detail::Actor>> retired_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   // Timed-event queue; guarded by events_mu_ (actors schedule concurrently,

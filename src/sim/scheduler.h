@@ -60,8 +60,9 @@ class Scheduler {
     impl_->spawn(std::move(name), std::move(fn));
   }
 
-  // Runs the simulation until every actor returns. Rethrows the first actor
-  // exception (including DeadlockError) after all threads have unwound.
+  // Runs the actors spawned since the last run() until every one returns.
+  // Rethrows the first actor exception (including DeadlockError) after all
+  // threads have unwound.
   void run() { impl_->run(); }
 
   // Current virtual time in microseconds.

@@ -39,7 +39,11 @@ void SerialBaton::run() {
     current_->cv.notify_one();
     main_cv_.wait(lock, [&] { return live_actors_ == 0; });
   }
-  for (auto& a : actors_) a->thread.join();
+  for (auto& a : actors_) {
+    a->thread.join();
+    retired_.push_back(std::move(a));
+  }
+  actors_.clear();
   running_ = false;
   if (first_error_) {
     auto err = first_error_;

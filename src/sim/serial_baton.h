@@ -74,6 +74,10 @@ class SerialBaton final : public ExecutionModel {
   std::condition_variable main_cv_;
 
   std::vector<std::unique_ptr<detail::Actor>> actors_;
+  // Actors joined by an earlier run(): never started again, but kept
+  // allocated because stale wait tokens (a force-woken wait, a pending
+  // sleep timer) may still point at them.
+  std::vector<std::unique_ptr<detail::Actor>> retired_;
   std::deque<detail::Actor*> run_queue_;
   std::priority_queue<std::shared_ptr<detail::TimedEvent>,
                       std::vector<std::shared_ptr<detail::TimedEvent>>, detail::TimedEventOrder>

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "src/core/mcr_dl.h"
 
@@ -111,6 +112,77 @@ TEST(FailureInjection, FusionPendingAtFailureDoesNotCrashTeardown) {
                }),
                BackendStateError);
   // The context tears down with tensors still parked — no crash, no UB.
+}
+
+// Works issued into a run that never finishes them must be freed with the
+// context. Each is pinned by a cycle (the operation's completion callbacks
+// capture the Work that owns the operation) that only the engine still
+// holding the pending operation can break, by dropping its completion at
+// teardown. These fail without a sanitizer: the weak handles stay alive.
+class WorkLifetime : public ::testing::Test {
+ protected:
+  void expect_all_freed() {
+    ASSERT_FALSE(issued_.empty());
+    for (std::size_t i = 0; i < issued_.size(); ++i) {
+      EXPECT_TRUE(issued_[i].expired()) << "work " << i << " outlived its ClusterContext";
+    }
+  }
+
+  std::vector<std::weak_ptr<WorkHandle>> issued_;
+};
+
+TEST_F(WorkLifetime, MissingParticipantDeadlockFreesIssuedWorks) {
+  {
+    ClusterContext cluster(net::SystemConfig::lassen(1));
+    McrDl mcr(&cluster);
+    mcr.init({"mv2-gdr"});
+    EXPECT_THROW(cluster.run_spmd([&](int rank) {
+                   if (rank == 0) return;  // never joins
+                   Api api = mcr.on(rank);
+                   Tensor t = Tensor::full({4}, DType::F32, 1.0, cluster.device(rank));
+                   issued_.push_back(api.all_reduce("mv2-gdr", t, ReduceOp::Sum, true));
+                   api.synchronize();
+                 }),
+                 DeadlockError);
+  }
+  expect_all_freed();
+}
+
+TEST_F(WorkLifetime, UnmatchedHostWaitRecvFreesIssuedWork) {
+  {
+    ClusterContext cluster(net::SystemConfig::lassen(1));
+    McrDl mcr(&cluster);
+    mcr.init({"mv2-gdr"});
+    EXPECT_THROW(cluster.run_spmd(2, [&](int rank) {
+                   if (rank == 0) return;  // never sends
+                   Api api = mcr.on(rank);
+                   Tensor t = Tensor::zeros({4}, DType::F32, cluster.device(rank));
+                   Work w = api.recv("mv2-gdr", t, 0, true);
+                   issued_.push_back(w);
+                   w->wait();
+                 }),
+                 DeadlockError);
+  }
+  expect_all_freed();
+}
+
+TEST_F(WorkLifetime, RankThrowingMidCollectiveFreesIssuedWorks) {
+  {
+    ClusterContext cluster(net::SystemConfig::lassen(1));
+    McrDl mcr(&cluster);
+    mcr.init({"mv2-gdr", "nccl"});
+    EXPECT_THROW(cluster.run_spmd([&](int rank) {
+                   Api api = mcr.on(rank);
+                   Tensor x = Tensor::full({4}, DType::F32, 1.0, cluster.device(rank));
+                   Tensor y = Tensor::full({4}, DType::F32, 1.0, cluster.device(rank));
+                   issued_.push_back(api.all_reduce("mv2-gdr", x, ReduceOp::Sum, true));
+                   issued_.push_back(api.all_reduce("nccl", y, ReduceOp::Sum, true));
+                   if (rank == 2) throw InvalidArgument("simulated rank failure");
+                   api.synchronize();
+                 }),
+                 InvalidArgument);
+  }
+  expect_all_freed();
 }
 
 TEST(FailureInjection, RootOutOfRangeRejected) {

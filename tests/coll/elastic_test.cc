@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -317,6 +318,44 @@ TEST_P(ElasticCollTest, ShrinkThenRejoinAcrossComposites) {
   EXPECT_GE(mcr_->recovery().stats().epochs, 2u);  // shrink + grow
   EXPECT_EQ(mcr_->recovery().survivors(),
             (std::vector<int>{0, 1, 2, 3}));
+}
+
+// The casualty abandons its overlapped composite mid-flight: its chunk
+// chains fail for good, so the chunk-group can never complete, yet the
+// finish stage's closure on the group captures the group itself. Every work
+// issued must still be freed with the runtime.
+TEST_P(ElasticCollTest, AbandonedOverlappedCompositeWorksAreFreed) {
+  McrDlOptions opts = elastic_opts(/*overlap=*/true);
+  add_loss(opts.fault.plan, /*rank=*/1, /*at=*/2500.0);
+  make(2, opts);
+  mcr_->init({"mv2-gdr"});
+  std::mutex mu;  // same-instant actors run concurrently under shards
+  std::vector<std::weak_ptr<WorkHandle>> issued;
+  cluster_->run_spmd([&](int rank) {
+    Api api = mcr_->on(rank);
+    Tensor t = Tensor::full({64}, DType::F32, 1.0, cluster_->device(rank));
+    for (int i = 0; i < 10 && !cluster_->faults().rank_lost(rank); ++i) {
+      try {
+        Work w = api.all_reduce(kAlgo, t, ReduceOp::Sum, /*async_op=*/true);
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          issued.push_back(w);
+        }
+        w->wait();
+      } catch (const RankLostError&) {
+        return;
+      }
+      cluster_->scheduler().sleep_for(400.0);
+    }
+    api.synchronize();
+  });
+  EXPECT_EQ(mcr_->recovery().stats().ranks_lost, 1u);
+  mcr_.reset();
+  cluster_.reset();
+  ASSERT_FALSE(issued.empty());
+  for (std::size_t i = 0; i < issued.size(); ++i) {
+    EXPECT_TRUE(issued[i].expired()) << "work " << i << " outlived its runtime";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, ElasticCollTest,

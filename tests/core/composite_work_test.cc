@@ -15,40 +15,35 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/completion.h"
 #include "src/sim/scheduler.h"
 
 namespace mcrdl {
 namespace {
 
 // A part whose completion is driven by hand: fire() runs the registered
-// callbacks (normal completion), drop_callbacks() discards them without
-// firing — exactly what Rendezvous::fail()/cancel() do on rank loss.
+// callbacks (normal completion), drop() discards them without firing —
+// exactly what Rendezvous::fail()/cancel() do on rank loss.
 class ManualWork : public WorkHandle {
  public:
-  bool test() const override { return done_; }
+  bool test() const override { return completion_.fired(); }
   void wait() override {}
   void synchronize() override {}
   SimTime complete_time() const override { return 0.0; }
   void on_complete(std::function<void()> fn) override {
-    if (done_) {
-      fn();
-      return;
-    }
-    callbacks_.push_back(std::move(fn));
+    ++registered_;
+    if (auto late = completion_.add(std::move(fn))) late();
   }
 
   void fire() {
-    done_ = true;
-    auto cbs = std::move(callbacks_);
-    callbacks_.clear();
-    for (auto& fn : cbs) fn();
+    for (auto& fn : completion_.fire()) fn();
   }
-  void drop_callbacks() { callbacks_.clear(); }
-  std::size_t armed_callbacks() const { return callbacks_.size(); }
+  void drop() { completion_.drop(); }
+  int registered() const { return registered_; }
 
  private:
-  bool done_ = false;
-  std::vector<std::function<void()>> callbacks_;
+  Completion completion_;
+  int registered_ = 0;
 };
 
 TEST(CompositeWork, FinalizeRunsOnceBeforeCompletionCallbacks) {
@@ -92,7 +87,7 @@ TEST(CompositeWork, CancelAfterPartsDropCallbacksFreesTheComposite) {
   auto a = std::make_shared<ManualWork>();
   auto b = std::make_shared<ManualWork>();
   Work w = make_composite(&sched, {a, b});
-  ASSERT_EQ(a->armed_callbacks(), 1u);
+  ASSERT_EQ(a->registered(), 1);
   auto* raw = static_cast<CompositeWork*>(w.get());
   std::weak_ptr<WorkHandle> weak = w;
   w->on_complete([w] { (void)w; });  // self-cycle, as registered by finish
@@ -100,8 +95,8 @@ TEST(CompositeWork, CancelAfterPartsDropCallbacksFreesTheComposite) {
 
   // Rank loss: the engines drop the part callbacks without firing them. The
   // composite can now never complete on its own...
-  a->drop_callbacks();
-  b->drop_callbacks();
+  a->drop();
+  b->drop();
   EXPECT_FALSE(weak.expired());
 
   // ...so an owner abandoning it must be able to sever the cycle.

@@ -124,6 +124,49 @@ TEST_F(DeviceTest, EventResetAllowsReRecord) {
   });
 }
 
+TEST_F(DeviceTest, EventResetRearmsCompletionCallbacks) {
+  run_host([&](Device& dev) {
+    Stream* s = dev.default_stream();
+    auto ev = std::make_shared<Event>(&sched_);
+    std::vector<SimTime> first, second;
+    ev->on_complete([&] { first.push_back(sched_.now()); });
+    s->launch_kernel(10.0);
+    s->record_event(ev);
+    s->synchronize();
+    ev->reset();
+    // Re-armed: a new callback waits for the next Record instead of running
+    // inline, and the first one does not run again.
+    ev->on_complete([&] { second.push_back(sched_.now()); });
+    EXPECT_TRUE(second.empty());
+    s->launch_kernel(10.0);
+    s->record_event(ev);
+    s->synchronize();
+    EXPECT_EQ(first, (std::vector<SimTime>{10.0}));
+    EXPECT_EQ(second, (std::vector<SimTime>{20.0}));
+    ev->on_complete([&] { second.push_back(-1.0); });  // complete: runs inline
+    EXPECT_EQ(second, (std::vector<SimTime>{20.0, -1.0}));
+  });
+}
+
+TEST_F(DeviceTest, StreamTeardownDropsCallbacksOfUnreachedEvents) {
+  auto ev = std::make_shared<Event>(&sched_);
+  auto token = std::make_shared<int>(0);
+  std::weak_ptr<int> weak = token;
+  bool ran = false;
+  {
+    Device dev(&sched_, 0, 0, 0);
+    Stream* s = dev.default_stream();
+    s->wait_gate(std::make_shared<StreamGate>(&sched_));  // never opens
+    s->record_event(ev);
+    ev->on_complete([&ran, token] { ran = true; });
+    token.reset();
+    EXPECT_FALSE(weak.expired());
+  }
+  EXPECT_TRUE(weak.expired()) << "the stream's teardown must drop the event's callbacks";
+  EXPECT_FALSE(ran);
+  EXPECT_FALSE(ev->complete());
+}
+
 TEST_F(DeviceTest, GateStallsStreamUntilOpened) {
   run_host([&](Device& dev) {
     Stream* s = dev.default_stream();

@@ -264,6 +264,24 @@ TEST_P(ExecutionModelTest, ManyActorsManySleepsStress) {
   EXPECT_DOUBLE_EQ(sched.now(), 3.0 * kRounds);  // slowest actor: 3us rounds
 }
 
+TEST_P(ExecutionModelTest, SecondRunRunsOnlyNewlySpawnedActors) {
+  Scheduler sched(config());
+  std::atomic<int> a_runs{0}, b_runs{0};
+  sched.spawn("a", [&] {
+    sched.sleep_for(3.0);
+    a_runs.fetch_add(1);
+  });
+  sched.run();
+  sched.spawn("b", [&] {
+    sched.sleep_for(5.0);
+    b_runs.fetch_add(1);
+  });
+  sched.run();
+  EXPECT_EQ(a_runs.load(), 1) << "a joined actor must not run again in a later run()";
+  EXPECT_EQ(b_runs.load(), 1);
+  EXPECT_DOUBLE_EQ(sched.now(), 8.0);
+}
+
 INSTANTIATE_TEST_SUITE_P(Engines, ExecutionModelTest,
                          ::testing::Values(ExecutionConfig::serial(),
                                            ExecutionConfig::parallel(2),

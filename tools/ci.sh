@@ -213,22 +213,19 @@ echo "== bench_export smoke: hier perf trajectory =="
 timeout 600 "${build_dir}/tools/bench_export" --experiment hier --quick --out "${bench_dir}"
 "${build_dir}/tools/bench_export" --check "${bench_dir}/BENCH_hier.json"
 
-# Memory-check the dispatch hot path: rebuild the core suite (facade,
-# pipeline, fusion/bucketing, logging) with -fsanitize=address and run it by
-# label. The arena recycles OpRequests and the bucketing layer slices fused
-# buffers back through completion closures — exactly the lifetime games ASan
-# catches (use-after-release into the arena, a leaked flush timer's closure,
-# a completion callback outliving its Work). Leak detection stays on.
-echo "== asan smoke: core dispatch suite under -fsanitize=address =="
+# Memory- and UB-check the whole suite: rebuild everything with
+# -fsanitize=address,undefined and run the full ctest. Leak detection stays
+# on, so a Work pinned by its own completion callback on a deadlock, abort or
+# rank-loss path fails the run (src/common/completion.h), as does any UBSan
+# report.
+echo "== asan+ubsan: full suite under -fsanitize=address,undefined =="
 asan_dir="${build_dir}-asan"
 rm -rf "${asan_dir}"
-cmake -B "${asan_dir}" -S "${repo_root}" -DMCRDL_SANITIZE=address
-cmake --build "${asan_dir}" -j "${jobs}" --target \
-    core_api_test core_fusion_test core_bucketing_test core_pipeline_test \
-    core_golden_trace_test core_logger_test core_compression_hook_test \
-    core_emulation_test core_trace_test core_persistent_test \
-    core_process_groups_test core_composite_work_test
-( cd "${asan_dir}" && ctest --output-on-failure -j "${jobs}" -L core )
+cmake -B "${asan_dir}" -S "${repo_root}" -DMCRDL_SANITIZE=address,undefined
+cmake --build "${asan_dir}" -j "${jobs}"
+( cd "${asan_dir}" && ASAN_OPTIONS=detect_leaks=1 \
+    UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ctest --output-on-failure -j "${jobs}" )
 
 # Race-check the parallel engine for real: rebuild the sim/sched suites with
 # -fsanitize=thread and run them (the execution-model tests drive both
