@@ -1,10 +1,11 @@
 // The ExecutionModel seam (DESIGN.md §11): the Scheduler facade delegates to
 // one of two interchangeable execution engines.
 //
-//   SerialBaton    — the original baton-passing engine. Exactly one actor
-//                    executes at any instant; all simulated state is
-//                    implicitly protected by the baton. This is the
-//                    golden-trace referee and the default.
+//   SerialBaton    — the baton-passing engine. Every actor is a fiber on
+//                    the thread that calls run(), and exactly one executes
+//                    at any instant; all simulated state is implicitly
+//                    protected by the baton. This is the golden-trace
+//                    referee and the default.
 //   ParallelShards — actors are partitioned into per-shard run queues that
 //                    execute concurrently. Virtual time advances in lockstep
 //                    epochs: a serialized event phase (the controller thread
@@ -52,9 +53,8 @@ struct Actor {
 
   std::string name;
   std::function<void()> fn;
+  // Index in spawn order among the actors of one run().
   int id = -1;
-  std::thread thread;
-  std::condition_variable cv;
   ActorState state = ActorState::Runnable;
   bool done = false;
   WakeReason wake_reason = WakeReason::Normal;
@@ -64,6 +64,10 @@ struct Actor {
   std::uint64_t wait_gen = 0;
 
   // --- ParallelShards only -----------------------------------------------
+  // SerialBaton runs every actor as a fiber on the thread that calls run();
+  // under shards each actor is an OS thread parked on its own cv.
+  std::thread thread;
+  std::condition_variable cv;
   // Owning shard (fixed at run(); actor id modulo shard count).
   int shard = 0;
   // True between prepare_wait() and commit_wait(). Under the serial engine

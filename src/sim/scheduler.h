@@ -3,18 +3,20 @@
 //
 // Model
 // -----
-// Every simulated rank (and nothing else) is an *actor*: an OS thread that
-// runs user code. The Scheduler is a thin facade over an ExecutionModel
-// engine (execution_model.h, DESIGN.md §11):
+// Every simulated rank (and nothing else) is an *actor*: a suspendable
+// context that runs user code. The Scheduler is a thin facade over an
+// ExecutionModel engine (execution_model.h, DESIGN.md §11):
 //
-//   SerialBaton (default) — exactly one actor executes at any instant; a
-//   "baton" is handed from actor to actor, so all simulated state is
+//   SerialBaton (default) — every actor is a fiber on the thread that calls
+//   run(), and exactly one executes at any instant; a "baton" is handed from
+//   actor to actor by a direct context switch, so all simulated state is
 //   implicitly protected by the baton and every run is deterministic.
 //
-//   ParallelShards — actors are partitioned into per-shard run queues that
-//   execute concurrently under a conservative virtual-time barrier; shared
-//   simulated state (engines, metrics, traces) is made shard-safe
-//   explicitly. Default-config output is byte-identical to SerialBaton.
+//   ParallelShards — every actor is an OS thread; actors are partitioned
+//   into per-shard run queues that execute concurrently under a conservative
+//   virtual-time barrier; shared simulated state (engines, metrics, traces)
+//   is made shard-safe explicitly. Default-config output is byte-identical
+//   to SerialBaton.
 //
 // Virtual time only advances when every actor is blocked: the engine drains
 // the timed-event queue (device kernel completions, fusion timeouts, link
@@ -24,11 +26,13 @@
 // property that lets the mixed-backend tests distinguish naive
 // synchronisation (which deadlocks) from MCR-DL's ordering (which doesn't).
 //
-// Threading contract: Scheduler public methods are callable from actor
-// threads or from timed-event callbacks (which run serialized — under the
-// baton, or on the ParallelShards controller thread between actor phases).
-// Timed-event callbacks must not block. Code outside run() may only call
-// spawn()/run().
+// Threading contract: Scheduler public methods are callable from actors or
+// from timed-event callbacks (which run serialized — under the baton, or on
+// the ParallelShards controller thread between actor phases). Timed-event
+// callbacks must not block. Code outside run() may only call spawn()/run().
+// No code may hold a host mutex across a scheduler wait: under SerialBaton
+// every actor shares one OS thread, so the next actor to take that mutex
+// self-deadlocks (or silently re-enters a recursive_mutex).
 #pragma once
 
 #include <cstdint>
@@ -62,7 +66,7 @@ class Scheduler {
 
   // Runs the actors spawned since the last run() until every one returns.
   // Rethrows the first actor exception (including DeadlockError) after all
-  // threads have unwound.
+  // actors have unwound.
   void run() { impl_->run(); }
 
   // Current virtual time in microseconds.
@@ -100,9 +104,9 @@ class Scheduler {
   // Cancels a pending event; no-op if it already fired.
   void cancel(std::uint64_t event_id) { impl_->cancel(event_id); }
 
-  // Name of the actor executing on the calling thread ("" outside actor
-  // context). Returned by value: a reference into actor state would dangle
-  // or race once shards run concurrently.
+  // Name of the calling actor ("" outside actor context). Returned by
+  // value: a reference into actor state would dangle or race once shards run
+  // concurrently.
   std::string current_actor_name() const { return impl_->current_actor_name(); }
   // Index of the current actor in spawn order (-1 outside actor context).
   int current_actor_id() const { return impl_->current_actor_id(); }

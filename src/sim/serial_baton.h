@@ -1,25 +1,31 @@
-// SerialBaton — the original baton-passing execution engine (DESIGN.md §11).
+// SerialBaton — the baton-passing execution engine (DESIGN.md §11).
 //
-// Every actor is an OS thread, but exactly one executes at any instant: a
-// "baton" is handed from actor to actor, so all simulated state is
-// implicitly protected and every run is deterministic. Virtual time only
-// advances when every actor is blocked: the blocking actor drains the timed
-// event queue until some actor becomes runnable again; if none can, the
-// system has genuinely deadlocked and every actor is woken with
-// DeadlockError.
+// Every actor is a fiber: a ucontext with its own mmap'd, guard-paged stack,
+// and all of them run on the thread that calls run(). Exactly one executes
+// at any instant: a "baton" is handed from actor to actor by a direct
+// context switch, so all simulated state is implicitly protected and every
+// run is deterministic. Virtual time only advances when every actor is
+// blocked: the blocking actor drains the timed event queue until some actor
+// becomes runnable again; if none can, the system has genuinely deadlocked
+// and every actor is woken with DeadlockError.
+//
+// Because all actors share one OS thread, no code may hold a host mutex
+// across a scheduler wait: the next actor to take it would self-deadlock, or
+// silently re-enter a recursive_mutex.
 //
 // This engine is the golden-trace referee: ParallelShards must reproduce its
 // default-config output byte for byte.
 #pragma once
 
-#include <condition_variable>
+#include <ucontext.h>
+
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <queue>
 #include <string>
 #include <vector>
@@ -31,7 +37,6 @@ namespace mcrdl::sim {
 class SerialBaton final : public ExecutionModel {
  public:
   SerialBaton() = default;
-  ~SerialBaton() override;
   SerialBaton(const SerialBaton&) = delete;
   SerialBaton& operator=(const SerialBaton&) = delete;
 
@@ -57,27 +62,56 @@ class SerialBaton final : public ExecutionModel {
   std::uint64_t barrier_epochs() const override { return 0; }
 
  private:
-  bool try_wake_locked(const WaitToken& token, WakeReason reason);
-  void force_wake_all_locked(WakeReason reason);
-  void actor_main(detail::Actor* self);
-  // Hands the baton onwards when an actor exits; called with mu_ held.
-  void pass_baton_and_exit(std::unique_lock<std::mutex>& lock);
+  // One execution context: an actor's fiber, or the run() caller's.
+  struct Fiber {
+    Fiber() = default;
+    Fiber(const Fiber&) = delete;
+    Fiber& operator=(const Fiber&) = delete;
+    ~Fiber();  // unmaps the stack, if this fiber has one
+
+    ucontext_t ctx{};
+    // The whole stack mapping, guard page included (null for the caller).
+    void* map = nullptr;
+    std::size_t map_size = 0;
+    // This context's copy of the thread's C++ exception state (libstdc++'s
+    // __cxa_eh_globals), which is per thread, not per fiber.
+    void* eh_caught = nullptr;
+    unsigned int eh_uncaught = 0;
+    // Sanitizer bookkeeping; unused in plain builds.
+    const void* stack_bottom = nullptr;
+    std::size_t stack_size = 0;
+    void* asan_fake_stack = nullptr;
+    void* tsan_fiber = nullptr;
+  };
+
+  static void fiber_entry(unsigned hi, unsigned lo);
+  void actor_main();
+  // Hands the baton onwards (or back to run()) when the current actor exits.
+  [[noreturn]] void pass_baton_and_exit();
+  // Saves `from`'s context and resumes `to`; returns when some other
+  // context resumes `from`. An exiting fiber never returns from it.
+  void switch_fiber(Fiber& from, Fiber& to, bool from_exits = false);
+  Fiber& fiber_of(const detail::Actor* a) { return fibers_[static_cast<std::size_t>(a->id)]; }
+
+  void force_wake_all(WakeReason reason);
   // Drains timed events until some actor is runnable; declares deadlock if
   // the system is exhausted while live actors remain blocked.
-  void dispatch_until_runnable_locked(std::unique_lock<std::mutex>& lock, bool exiting);
-  void declare_deadlock_locked();
+  void dispatch_until_runnable(bool exiting);
+  void declare_deadlock();
   // Rebuilds events_ without its cancelled tombstones once they dominate the
-  // queue; called with mu_ held.
-  void maybe_purge_cancelled_locked();
-
-  mutable std::mutex mu_;
-  std::condition_variable main_cv_;
+  // queue.
+  void maybe_purge_cancelled();
 
   std::vector<std::unique_ptr<detail::Actor>> actors_;
   // Actors joined by an earlier run(): never started again, but kept
   // allocated because stale wait tokens (a force-woken wait, a pending
   // sleep timer) may still point at them.
   std::vector<std::unique_ptr<detail::Actor>> retired_;
+  // One fiber per actor of the current run(), indexed by actor id (its
+  // position in actors_). Sized once before any context is captured, since
+  // a ucontext_t points into itself and must not move.
+  std::vector<Fiber> fibers_;
+  Fiber caller_;
   std::deque<detail::Actor*> run_queue_;
   std::priority_queue<std::shared_ptr<detail::TimedEvent>,
                       std::vector<std::shared_ptr<detail::TimedEvent>>, detail::TimedEventOrder>

@@ -3,6 +3,9 @@
 // refactor is most likely to disturb — cancel-after-fire, FIFO ordering of
 // simultaneous timed events, stale wait-token rejection, and deadlock
 // detection — plus the cross-time ordering guarantees both engines share.
+// The serial engine runs its actors as fibers on one thread, so the suite
+// also pins what a fiber must keep per actor (C++ exception state, a
+// thread-sized stack) and that every run() frees the stacks it mapped.
 //
 // Under ParallelShards, actors that are runnable at the same virtual instant
 // execute concurrently, so these tests only assert orderings across distinct
@@ -10,7 +13,13 @@
 // same-instant actors with a mutex.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <cinttypes>
+#include <cstdio>
+#include <exception>
+#include <fstream>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -29,6 +38,26 @@ std::string config_name(const ::testing::TestParamInfo<ExecutionConfig>& info) {
   return info.param.kind == ExecutionModelKind::SerialBaton
              ? "serial"
              : "parallel" + std::to_string(info.param.threads);
+}
+
+bool is_serial(const ExecutionConfig& config) {
+  return config.kind == ExecutionModelKind::SerialBaton;
+}
+
+// True if some mapping in /proc/self/maps contains `addr`. Serial actors
+// record their frame address to check that run() unmapped their stacks.
+bool is_mapped(const void* addr) {
+  std::ifstream maps("/proc/self/maps");
+  const auto a = reinterpret_cast<std::uintptr_t>(addr);
+  std::string line;
+  while (std::getline(maps, line)) {
+    std::uintptr_t lo = 0, hi = 0;
+    if (std::sscanf(line.c_str(), "%" SCNxPTR "-%" SCNxPTR, &lo, &hi) == 2 && lo <= a &&
+        a < hi) {
+      return true;
+    }
+  }
+  return false;
 }
 
 TEST_P(ExecutionModelTest, ActorsRunAndTimeAdvances) {
@@ -159,8 +188,11 @@ TEST_P(ExecutionModelTest, DeadlockIsDetectedAndNamesBlockedActors) {
   Scheduler sched(config());
   SimCondition never(&sched);
   std::atomic<int> deadlocked{0};
-  for (const char* name : {"alpha", "beta"}) {
-    sched.spawn(name, [&] {
+  const std::array<const char*, 2> names{"alpha", "beta"};
+  std::array<const void*, 2> frames{};
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    sched.spawn(names[i], [&, i] {
+      frames[i] = __builtin_frame_address(0);
       try {
         never.wait();
         ADD_FAILURE() << "wait returned without a wake";
@@ -174,6 +206,9 @@ TEST_P(ExecutionModelTest, DeadlockIsDetectedAndNamesBlockedActors) {
   }
   EXPECT_THROW(sched.run(), DeadlockError);
   EXPECT_EQ(deadlocked.load(), 2);
+  if (is_serial(config())) {
+    for (const void* frame : frames) EXPECT_FALSE(is_mapped(frame)) << "fiber stack left mapped";
+  }
 }
 
 TEST_P(ExecutionModelTest, DeadlockAfterProgressReportsCurrentTime) {
@@ -215,12 +250,31 @@ TEST_P(ExecutionModelTest, ConditionWakesAllWaiters) {
 
 TEST_P(ExecutionModelTest, ActorExceptionPropagatesFromRun) {
   Scheduler sched(config());
+  struct Unwound {
+    std::atomic<bool>* flag;
+    ~Unwound() { flag->store(true); }
+  };
+  std::atomic<bool> bystander_unwound{false};
+  const void* boom_frame = nullptr;
   sched.spawn("boom", [&] {
+    boom_frame = __builtin_frame_address(0);
     sched.sleep_for(5.0);
     throw std::runtime_error("actor failed");
   });
-  sched.spawn("bystander", [&] { sched.sleep_for(500.0); });
-  EXPECT_THROW(sched.run(), std::runtime_error);
+  sched.spawn("bystander", [&] {
+    Unwound guard{&bystander_unwound};
+    sched.sleep_for(500.0);
+  });
+  try {
+    sched.run();
+    FAIL() << "expected the actor's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "actor failed");
+  }
+  EXPECT_TRUE(bystander_unwound.load()) << "the bystander must unwind, not be abandoned";
+  if (is_serial(config())) {
+    EXPECT_FALSE(is_mapped(boom_frame)) << "fiber stack left mapped";
+  }
 }
 
 TEST_P(ExecutionModelTest, IntrospectionReportsTheModel) {
@@ -282,11 +336,129 @@ TEST_P(ExecutionModelTest, SecondRunRunsOnlyNewlySpawnedActors) {
   EXPECT_DOUBLE_EQ(sched.now(), 8.0);
 }
 
+// libstdc++ keeps the caught-exception chain and the uncaught count per
+// thread, and serial actors share one thread. A suspends inside its handler
+// while B is first mid-unwind (t=10), then inside its own handler (t=30); A's
+// `throw;` must still rethrow A's exception, and neither actor may see the
+// other's exception in flight.
+TEST_P(ExecutionModelTest, ExceptionStateIsPerActor) {
+  struct ErrorA {};
+  struct ErrorB {};
+  struct SleepWhileUnwinding {
+    Scheduler* sched;
+    int* uncaught;
+    ~SleepWhileUnwinding() {
+      *uncaught = std::uncaught_exceptions();
+      sched->sleep_until(15.0);
+    }
+  };
+  Scheduler sched(config());
+  int a_uncaught_mid = -1, a_uncaught_late = -1, b_uncaught_unwinding = -1,
+      b_uncaught_handler = -1;
+  bool a_rethrew_own = false, b_rethrew_own = false;
+  sched.spawn("a", [&] {
+    try {
+      throw ErrorA{};
+    } catch (const ErrorA&) {
+      sched.sleep_until(10.0);
+      a_uncaught_mid = std::uncaught_exceptions();
+      sched.sleep_until(30.0);
+      a_uncaught_late = std::uncaught_exceptions();
+      try {
+        throw;
+      } catch (const ErrorA&) {
+        a_rethrew_own = true;
+      } catch (...) {
+      }
+    }
+  });
+  sched.spawn("b", [&] {
+    sched.sleep_until(5.0);
+    try {
+      SleepWhileUnwinding guard{&sched, &b_uncaught_unwinding};
+      throw ErrorB{};
+    } catch (const ErrorB&) {
+      sched.sleep_until(40.0);
+      b_uncaught_handler = std::uncaught_exceptions();
+      try {
+        throw;
+      } catch (const ErrorB&) {
+        b_rethrew_own = true;
+      } catch (...) {
+      }
+    }
+  });
+  sched.run();
+  EXPECT_TRUE(a_rethrew_own);
+  EXPECT_TRUE(b_rethrew_own);
+  EXPECT_EQ(a_uncaught_mid, 0);
+  EXPECT_EQ(a_uncaught_late, 0);
+  EXPECT_EQ(b_uncaught_unwinding, 1);
+  EXPECT_EQ(b_uncaught_handler, 0);
+}
+
+// Actors keep the stack depth they had as threads: a 1 MiB frame that stays
+// live across a suspension must fit.
+TEST_P(ExecutionModelTest, ActorStackHoldsAMebibyteAcrossAWait) {
+  Scheduler sched(config());
+  std::uint64_t sum = 0;
+  sched.spawn("deep", [&] {
+    std::array<volatile unsigned char, std::size_t{1} << 20> buf;
+    for (std::size_t i = 0; i < buf.size(); ++i) buf[i] = static_cast<unsigned char>(i);
+    sched.sleep_for(1.0);
+    for (std::size_t i = 0; i < buf.size(); ++i) sum += buf[i];
+  });
+  sched.run();
+  EXPECT_EQ(sum, std::uint64_t{4096} * (255 * 256 / 2));
+}
+
 INSTANTIATE_TEST_SUITE_P(Engines, ExecutionModelTest,
                          ::testing::Values(ExecutionConfig::serial(),
                                            ExecutionConfig::parallel(2),
                                            ExecutionConfig::parallel(4)),
                          config_name);
+
+// 2048 actors pass a token round a ring twice, each handoff a SimCondition
+// wait plus a 1us sleep, so the run ends at exactly one microsecond per hop.
+TEST(SerialFibers, TwoThousandActorRingHandsOffInOrder) {
+  constexpr int kActors = 2048;
+  constexpr int kLaps = 2;
+  Scheduler sched;
+  std::vector<std::unique_ptr<SimCondition>> turn_changed;
+  for (int i = 0; i < kActors; ++i) turn_changed.push_back(std::make_unique<SimCondition>(&sched));
+  int turn = 0;
+  for (int i = 0; i < kActors; ++i) {
+    sched.spawn("r" + std::to_string(i), [&, i] {
+      for (int lap = 0; lap < kLaps; ++lap) {
+        const int mine = lap * kActors + i;
+        turn_changed[i]->wait([&] { return turn == mine; });
+        sched.sleep_for(1.0);
+        ++turn;
+        turn_changed[(i + 1) % kActors]->notify_all();
+      }
+    });
+  }
+  sched.run();
+  EXPECT_EQ(turn, kActors * kLaps);
+  EXPECT_DOUBLE_EQ(sched.now(), 1.0 * kActors * kLaps);
+}
+
+TEST(SerialFibers, EachRunUnmapsItsActorStacks) {
+  Scheduler sched;
+  for (int r = 0; r < 2; ++r) {
+    const void* frame = nullptr;
+    bool mapped_while_running = false;
+    sched.spawn("run" + std::to_string(r), [&] {
+      frame = __builtin_frame_address(0);
+      sched.sleep_for(1.0);
+      mapped_while_running = is_mapped(frame);
+    });
+    sched.run();
+    EXPECT_TRUE(mapped_while_running);
+    EXPECT_FALSE(is_mapped(frame)) << "run " << r << " left its actor stack mapped";
+  }
+  EXPECT_DOUBLE_EQ(sched.now(), 2.0);
+}
 
 }  // namespace
 }  // namespace mcrdl::sim

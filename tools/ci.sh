@@ -229,7 +229,10 @@ cmake --build "${asan_dir}" -j "${jobs}"
 
 # Race-check the parallel engine for real: rebuild the sim/sched suites with
 # -fsanitize=thread and run them (the execution-model tests drive both
-# engines, the serve suite drives the harness on top). A data race fails the
+# engines, the serve suite drives the harness on top). The serial cases
+# (Engines/*/serial and the rest) run SerialBaton's fibers, so the leg also
+# checks the fiber switch: each switch goes through TSan's fiber API, which
+# orders one fiber's accesses before the next's. A data race fails the
 # test binary's exit code, which fails ctest. Deadlock (lock-order) detection
 # is off: nested rendezvous completion chains legitimately take two
 # rendezvous mutexes in either order, but only ever from the serialized
