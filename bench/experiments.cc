@@ -6,7 +6,6 @@
 #include <map>
 #include <optional>
 #include <sstream>
-#include <thread>
 
 #include "src/coll/spec.h"
 #include "src/common/status.h"
@@ -166,7 +165,6 @@ BenchReport run_scaling(const std::string& experiment, const ScalingOptions& opt
   models::HarnessOptions hopts;
   hopts.warmup_steps = opts.warmup_steps;
   hopts.measured_steps = opts.measured_steps;
-  hopts.execution = opts.execution;
 
   BenchReport report;
   report.experiment = experiment;
@@ -225,111 +223,6 @@ BenchReport run_fig9(const ScalingOptions& options) {
       /*gpus_per_node=*/8, &net::SystemConfig::theta_gpu,
       {256u << 10, 1u << 20, 4u << 20, 8u << 20, 16u << 20},
       [](const net::SystemConfig& sys) { return models::DLRMModel(models::DLRMConfig{}, sys); });
-}
-
-// --- execution-engine scaling -----------------------------------------------
-
-BenchReport run_scale(const ScaleOptions& options) {
-  ScaleOptions opts = options;
-  if (opts.thread_counts.empty()) opts.thread_counts = {1, 2, 4};
-  if (opts.scales.empty()) opts.scales = {32, 64, 128, 256};
-  if (opts.quick) {
-    opts.scales = {16};
-    opts.warmup_steps = 0;
-    opts.measured_steps = 1;
-  }
-  std::sort(opts.thread_counts.begin(), opts.thread_counts.end());
-  MCRDL_REQUIRE(opts.thread_counts.front() <= 1,
-                "scale needs the serial engine (threads<=1) as the baseline");
-
-  // One fixed workload for every engine: the DS-MoE model under the mixed
-  // plan, which exercises both backends without the (serial) tuning-suite
-  // preamble the tuned plan would need.
-  const models::CommPlan plan = models::CommPlan::mcr_dl_mixed();
-
-  BenchReport report;
-  report.experiment = "scale";
-  for (int threads : opts.thread_counts) {
-    BenchSeries series;
-    series.name = threads <= 1 ? "serial" : "threads" + std::to_string(threads);
-    series.backend =
-        sim::execution_model_name(sim::ExecutionConfig::from_threads(threads).kind);
-    report.series.push_back(std::move(series));
-  }
-  BenchSeries speedup;
-  speedup.name = "speedup";
-  speedup.backend = "derived";
-
-  // Wall-clock numbers are only meaningful relative to the host they were
-  // taken on, so the report carries the core count the OS exposed: on a
-  // single-core machine the expected speedup is ~1.0 (the run degenerates
-  // into an engine-overhead comparison), and the >1 readings need at least
-  // as many cores as shards.
-  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-  BenchSeries host;
-  host.name = "host-cores";
-  host.backend = "meta";
-  {
-    BenchPoint p;
-    p.world = 0;
-    p.bytes = cores;
-    p.items_per_s = static_cast<double>(cores);
-    host.points.push_back(p);
-  }
-  report.series.push_back(std::move(host));
-
-  for (int gpus : opts.scales) {
-    MCRDL_REQUIRE(gpus % 4 == 0, "scale runs DS-MoE on Lassen (4 GPUs per node)");
-    const net::SystemConfig sys = net::SystemConfig::lassen(gpus / 4);
-    models::TrainingHarness harness(sys);
-    const models::DSMoEModel model(models::DSMoEConfig{}, sys);
-
-    double serial_wall_s = 0.0;
-    double last_wall_s = 0.0;
-    double reference_step_us = -1.0;
-    for (std::size_t i = 0; i < opts.thread_counts.size(); ++i) {
-      const int threads = opts.thread_counts[i];
-      models::HarnessOptions hopts;
-      hopts.warmup_steps = opts.warmup_steps;
-      hopts.measured_steps = opts.measured_steps;
-      hopts.execution = sim::ExecutionConfig::from_threads(threads);
-
-      const auto wall_start = std::chrono::steady_clock::now();
-      const models::RunResult result =
-          harness.run(model, plan, models::FrameworkModel::raw(), hopts);
-      const double wall_s =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start)
-              .count();
-
-      // The engines must agree on virtual time exactly — the traces are
-      // byte-identical, so the derived step time is too. Any drift here is
-      // a determinism bug, not measurement noise.
-      if (reference_step_us < 0.0) {
-        reference_step_us = result.step_time_us;
-      } else {
-        MCRDL_REQUIRE(result.step_time_us == reference_step_us,
-                      "execution engines disagree on virtual step time");
-      }
-      if (threads <= 1) serial_wall_s = wall_s;
-      last_wall_s = wall_s;
-
-      BenchPoint p;
-      p.world = gpus;
-      p.bytes = static_cast<std::size_t>(std::max(threads, 1));  // thread count
-      p.virtual_us = result.step_time_us;
-      p.items_per_s = wall_s > 0.0 ? opts.measured_steps / wall_s : 0.0;
-      report.series[i].points.push_back(p);
-    }
-
-    BenchPoint ratio;
-    ratio.world = gpus;
-    ratio.bytes = static_cast<std::size_t>(opts.thread_counts.back());
-    ratio.virtual_us = reference_step_us;
-    ratio.items_per_s = last_wall_s > 0.0 ? serial_wall_s / last_wall_s : 0.0;
-    speedup.points.push_back(ratio);
-  }
-  report.series.push_back(std::move(speedup));
-  return report;
 }
 
 // --- online adaptation ------------------------------------------------------
@@ -943,22 +836,13 @@ const std::vector<Experiment>& experiment_registry() {
        [](const ExperimentOptions& o) {
          ScalingOptions options;
          options.quick = o.quick;
-         options.execution = sim::ExecutionConfig::from_threads(o.threads);
          return run_fig8(options);
        }},
       {"fig9", "DLRM scaling across communication plans (paper Figure 9)",
        [](const ExperimentOptions& o) {
          ScalingOptions options;
          options.quick = o.quick;
-         options.execution = sim::ExecutionConfig::from_threads(o.threads);
          return run_fig9(options);
-       }},
-      {"scale", "execution-engine wall-clock scaling, serial vs sharded (DESIGN.md §11)",
-       [](const ExperimentOptions& o) {
-         ScaleOptions options;
-         options.quick = o.quick;
-         if (o.threads > 1) options.thread_counts = {1, o.threads};
-         return run_scale(options);
        }},
       {"adapt", "online tuner rerouting around a mid-run degrade (DESIGN.md §9)",
        [](const ExperimentOptions& o) {

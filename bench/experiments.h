@@ -24,7 +24,6 @@
 
 #include "src/fault/failover.h"
 #include "src/sched/serve.h"
-#include "src/sim/execution_model.h"
 
 namespace mcrdl::bench {
 
@@ -75,31 +74,9 @@ struct ScalingOptions {
   int warmup_steps = -1;                // -1 = the figure's defaults
   int measured_steps = -1;
   bool quick = false;                   // fewest scales/steps for CI
-  // Execution engine for the harness runs (DESIGN.md §11). Virtual-time
-  // results are engine-independent; parallel shards only change wall clock.
-  sim::ExecutionConfig execution = sim::ExecutionConfig::serial();
 };
 BenchReport run_fig8(const ScalingOptions& options = {});
 BenchReport run_fig9(const ScalingOptions& options = {});
-
-// Execution-engine scaling experiment (DESIGN.md §11): the same DS-MoE
-// sweep timed on the host clock under the serial baton and under parallel
-// shards. Unlike every other experiment the quantity of interest is *wall
-// clock*, not virtual time: each series is one engine config ("serial",
-// "threads2", ...; `bytes` holds the thread count), each point one model
-// scale, with `virtual_us` the simulated step time (identical across
-// engines — the run aborts if it ever is not) and `items_per_s` the
-// simulator's wall-clock throughput in measured steps per second. A final
-// "speedup" series reports, per scale, the serial/parallel wall-clock ratio
-// at the largest thread count.
-struct ScaleOptions {
-  std::vector<int> thread_counts;       // empty = {1, 2, 4}
-  std::vector<int> scales;              // GPU counts; empty = {32, 64, 128, 256}
-  int warmup_steps = 1;
-  int measured_steps = 6;
-  bool quick = false;                   // one small scale for CI smoke runs
-};
-BenchReport run_scale(const ScaleOptions& options = {});
 
 // Online-adaptation experiment (DESIGN.md §9): a fixed-size all_reduce loop
 // dispatched on "auto" while the statically-best backend's links degrade
@@ -203,7 +180,7 @@ ResilienceBenchReport run_resilience(const ResilienceOptions& options = {});
 //   "dispatch/bucketed" — fast path with gradient bucketing coalescing the
 //                         small collectives into fused issues
 //
-// Like "scale", the quantity of interest is wall clock: each point is one
+// Unlike the figures, the quantity of interest is wall clock: each point is one
 // message size (`bytes`), `virtual_us` the run's final virtual instant and
 // `items_per_s` the host-clock dispatch throughput in ops/s across all
 // ranks. Slow and fast must agree on virtual time exactly (the golden
@@ -270,12 +247,6 @@ BenchReport run_hier(const HierOptions& options = {});
 // `bench_export --experiment <name>` and `--list` know about it.
 struct ExperimentOptions {
   bool quick = false;  // trim the sweep for CI smoke runs
-  // Execution engine: <=1 runs the serial baton, N>1 runs ParallelShards
-  // with N worker threads. Applies to the harness-driven experiments
-  // (fig8/fig9); for "scale" it sets the largest thread count compared
-  // against serial. fig2/adapt/serve pin the serial referee (the tuning
-  // suite and the online tuner's exploration are calibrated against it).
-  int threads = 1;
 };
 
 struct Experiment {
@@ -284,8 +255,8 @@ struct Experiment {
   std::function<BenchReport(const ExperimentOptions&)> run;
 };
 
-// Registered experiments in a stable order (fig2, fig8, fig9, scale, adapt,
-// serve, resilience, hotpath, hier).
+// Registered experiments in a stable order (fig2, fig8, fig9, adapt, serve,
+// resilience, hotpath, hier).
 const std::vector<Experiment>& experiment_registry();
 // The registry entry for `name`, or nullptr when unknown.
 const Experiment* find_experiment(const std::string& name);

@@ -417,7 +417,6 @@ void Backend::track(int rank, const Work& work) {
 }
 
 Comm* Backend::world() {
-  std::lock_guard<std::mutex> lock(comm_mu_);
   if (!world_) {
     std::vector<int> ranks(static_cast<std::size_t>(cluster_->world_size()));
     for (int r = 0; r < cluster_->world_size(); ++r) ranks[static_cast<std::size_t>(r)] = r;
@@ -427,7 +426,6 @@ Comm* Backend::world() {
 }
 
 Comm* Backend::group(const std::vector<int>& ranks) {
-  std::lock_guard<std::mutex> lock(comm_mu_);
   auto it = groups_.find(ranks);
   if (it == groups_.end()) {
     it = groups_.emplace(ranks, std::make_unique<Comm>(this, ranks)).first;

@@ -19,10 +19,8 @@
 // primitives one level up.
 #pragma once
 
-#include <atomic>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -150,12 +148,8 @@ class Backend {
 
   ClusterContext* cluster_;
   net::BackendProfile profile_;
-  std::atomic<bool> initialized_{false};
-  // Guards lazy communicator creation (world_/groups_) — under the parallel
-  // execution model several actors can request the same group at once. The
-  // outstanding_ vectors need no lock: each rank's actor touches only its
-  // own slot, and the vector itself never resizes after construction.
-  std::mutex comm_mu_;
+  bool initialized_ = false;
+  // Communicators are created lazily, on first use.
   std::unique_ptr<Comm> world_;
   std::map<std::vector<int>, std::unique_ptr<Comm>> groups_;
   std::vector<std::vector<Work>> outstanding_;  // per global rank

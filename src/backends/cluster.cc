@@ -2,8 +2,7 @@
 
 namespace mcrdl {
 
-ClusterContext::ClusterContext(net::SystemConfig config, sim::ExecutionConfig exec)
-    : sched_(exec), topo_(std::move(config)) {
+ClusterContext::ClusterContext(net::SystemConfig config) : topo_(std::move(config)) {
   const int world = topo_.world_size();
   devices_.reserve(world);
   for (int rank = 0; rank < world; ++rank) {

@@ -19,11 +19,10 @@ namespace mcrdl {
 
 class ClusterContext {
  public:
-  // `exec` selects the scheduler's execution model (DESIGN.md §11): serial
-  // baton by default, or ParallelShards via ExecutionConfig::parallel(n) /
-  // from_threads(n).
-  explicit ClusterContext(net::SystemConfig config,
-                          sim::ExecutionConfig exec = sim::ExecutionConfig::serial());
+  // Everything simulated on a ClusterContext runs on the thread that calls
+  // run_spmd(); separate contexts share no state and may run on separate
+  // threads.
+  explicit ClusterContext(net::SystemConfig config);
 
   sim::Scheduler& scheduler() { return sched_; }
   const net::Topology& topology() const { return topo_; }

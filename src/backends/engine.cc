@@ -221,29 +221,15 @@ void apply_collective(const OpDesc& desc, std::vector<ArrivalSlot>& slots) {
 // HostOp
 // ---------------------------------------------------------------------------
 
-HostOp::HostOp(sim::Scheduler* sched, std::shared_ptr<std::recursive_mutex> mu)
-    : sched_(sched),
-      mu_(mu ? std::move(mu) : std::make_shared<std::recursive_mutex>()),
-      done_cond_(sched) {}
+HostOp::HostOp(sim::Scheduler* sched) : sched_(sched), done_cond_(sched) {}
 
 void HostOp::wait_done() {
-  done_cond_.wait([&] {
-    std::lock_guard<std::recursive_mutex> lock(*mu_);
-    return completion_.fired() || error_ != nullptr;
-  });
-  std::unique_lock<std::recursive_mutex> lock(*mu_);
-  if (error_ && !completion_.fired()) {
-    auto err = error_;
-    lock.unlock();
-    std::rethrow_exception(err);
-  }
+  done_cond_.wait([&] { return completion_.fired() || error_ != nullptr; });
+  if (error_ && !completion_.fired()) std::rethrow_exception(error_);
 }
 
 void HostOp::on_complete(std::function<void()> fn) {
-  std::unique_lock<std::recursive_mutex> lock(*mu_);
-  auto late = completion_.add(std::move(fn));
-  lock.unlock();
-  if (late) late();
+  if (auto late = completion_.add(std::move(fn))) late();
 }
 
 void HostOp::fail(std::exception_ptr err) { terminate(std::move(err), /*open_gates=*/false); }
@@ -252,7 +238,6 @@ void HostOp::cancel(std::exception_ptr err) { terminate(std::move(err), /*open_g
 
 void HostOp::terminate(std::exception_ptr err, bool open_gates) {
   MCRDL_CHECK(err != nullptr);
-  std::lock_guard<std::recursive_mutex> lock(*mu_);
   if (completion_.fired() || error_) return;
   error_ = std::move(err);
   if (open_gates) this->open_gates();
@@ -265,9 +250,8 @@ void HostOp::terminate(std::exception_ptr err, bool open_gates) {
 // ---------------------------------------------------------------------------
 
 Rendezvous::Rendezvous(sim::Scheduler* sched, int expected, OpDesc desc,
-                       std::function<SimTime()> duration_fn, ChannelFn channel_fn,
-                       std::shared_ptr<std::recursive_mutex> mu)
-    : HostOp(sched, std::move(mu)),
+                       std::function<SimTime()> duration_fn, ChannelFn channel_fn)
+    : HostOp(sched),
       desc_(desc),
       expected_(expected),
       duration_fn_(std::move(duration_fn)),
@@ -280,7 +264,6 @@ Rendezvous::Rendezvous(sim::Scheduler* sched, int expected, OpDesc desc,
 }
 
 void Rendezvous::post(int idx, ArrivalSlot slot) {
-  std::lock_guard<std::recursive_mutex> lock(*mu_);
   MCRDL_CHECK(idx >= 0 && idx < expected_);
   MCRDL_CHECK(!slot_posted_[static_cast<std::size_t>(idx)])
       << "rank " << idx << " posted twice to one " << op_name(desc_.op) << " rendezvous";
@@ -290,7 +273,6 @@ void Rendezvous::post(int idx, ArrivalSlot slot) {
 }
 
 const std::shared_ptr<sim::StreamGate>& Rendezvous::gate(int idx) {
-  std::lock_guard<std::recursive_mutex> lock(*mu_);
   MCRDL_CHECK(idx >= 0 && idx < expected_);
   auto& g = gates_[static_cast<std::size_t>(idx)];
   if (!g) g = std::make_shared<sim::StreamGate>(sched_);
@@ -298,7 +280,6 @@ const std::shared_ptr<sim::StreamGate>& Rendezvous::gate(int idx) {
 }
 
 void Rendezvous::mark_ready(int idx) {
-  std::lock_guard<std::recursive_mutex> lock(*mu_);
   MCRDL_CHECK(idx >= 0 && idx < expected_);
   // A failed rendezvous never starts its wire phase; a straggler's stream
   // reaching its arrival callback after the watchdog fired must not revive
@@ -318,7 +299,6 @@ void Rendezvous::mark_ready(int idx) {
 }
 
 void Rendezvous::finish() {
-  std::lock_guard<std::recursive_mutex> lock(*mu_);
   apply_collective(desc_, slots_);
   // Callbacks first: they set Work metadata (exec_start) that downstream
   // completion hooks — fired transitively by gate opening — read.
@@ -334,7 +314,6 @@ void Rendezvous::open_gates() {
 }
 
 std::vector<int> Rendezvous::posted_indices() const {
-  std::lock_guard<std::recursive_mutex> lock(*mu_);
   std::vector<int> out;
   for (int i = 0; i < expected_; ++i) {
     if (slot_posted_[static_cast<std::size_t>(i)]) out.push_back(i);
@@ -343,7 +322,6 @@ std::vector<int> Rendezvous::posted_indices() const {
 }
 
 std::vector<int> Rendezvous::missing_indices() const {
-  std::lock_guard<std::recursive_mutex> lock(*mu_);
   std::vector<int> out;
   for (int i = 0; i < expected_; ++i) {
     if (!slot_posted_[static_cast<std::size_t>(i)]) out.push_back(i);
@@ -392,12 +370,10 @@ CollectiveEngine::CollectiveEngine(sim::Scheduler* sched, net::CostModel cost_mo
 CollectiveEngine::~CollectiveEngine() {
   if (faults_ != nullptr && drain_id_ != 0) faults_->recovery().unregister_drain(drain_id_);
   if (faults_ != nullptr && grow_id_ != 0) faults_->recovery().unregister_grow(grow_id_);
-  std::lock_guard<std::recursive_mutex> lock(*mu_);
   for (auto& [seq, rv] : pending_) rv->completion_.drop();
 }
 
 std::uint64_t CollectiveEngine::drain_lost(const std::vector<int>& lost) {
-  std::lock_guard<std::recursive_mutex> lock(*mu_);
   std::vector<int> lost_members;
   for (int g : global_ranks_) {
     if (std::find(lost.begin(), lost.end(), g) != lost.end()) lost_members.push_back(g);
@@ -417,7 +393,6 @@ std::uint64_t CollectiveEngine::drain_lost(const std::vector<int>& lost) {
 }
 
 std::uint64_t CollectiveEngine::drain_rejoined(const std::vector<int>& rejoined) {
-  std::lock_guard<std::recursive_mutex> lock(*mu_);
   const bool member_rejoined = std::any_of(global_ranks_.begin(), global_ranks_.end(), [&](int g) {
     return std::find(rejoined.begin(), rejoined.end(), g) != rejoined.end();
   });
@@ -450,7 +425,6 @@ std::uint64_t CollectiveEngine::cancel_and_resequence(
 
 std::shared_ptr<Rendezvous> CollectiveEngine::join(int idx, const OpDesc& desc,
                                                    ArrivalSlot slot) {
-  std::lock_guard<std::recursive_mutex> lock(*mu_);
   MCRDL_REQUIRE(idx >= 0 && idx < size_, "communicator rank index out of range");
   const std::uint64_t seq = next_seq_[static_cast<std::size_t>(idx)]++;
   auto it = pending_.find(seq);
@@ -465,21 +439,16 @@ std::shared_ptr<Rendezvous> CollectiveEngine::join(int idx, const OpDesc& desc,
         },
         [this](SimTime ready, SimTime duration, std::size_t bytes) {
           if (bytes <= kWireSerializeThreshold) return ready;
-          // Called from mark_ready with mu_ already held (shared mutex);
-          // the recursive lock keeps this safe standalone too.
-          std::lock_guard<std::recursive_mutex> channel_lock(*mu_);
           const SimTime start = std::max(ready, channel_busy_until_);
           channel_busy_until_ = start + duration;
           return start;
-        },
-        mu_);
+        });
     pending_[seq] = rv;
     // Reclaim the table entry once everyone has moved past this op. The
     // identity check matters across grow events: a started pre-grow
     // rendezvous completing after the table was cleared and re-sequenced
     // must not erase a fresh entry that reused its sequence number.
     rv->on_complete([this, seq, weak = std::weak_ptr<Rendezvous>(rv)] {
-      std::lock_guard<std::recursive_mutex> reclaim_lock(*mu_);
       auto entry = pending_.find(seq);
       if (entry != pending_.end() && entry->second == weak.lock()) pending_.erase(entry);
     });
@@ -564,35 +533,30 @@ std::shared_ptr<Rendezvous> CollectiveEngine::join(int idx, const OpDesc& desc,
 // P2P
 // ---------------------------------------------------------------------------
 
-P2pOp::P2pOp(sim::Scheduler* sched, std::function<SimTime()> duration_fn,
-             std::shared_ptr<std::recursive_mutex> mu)
-    : HostOp(sched, std::move(mu)),
+P2pOp::P2pOp(sim::Scheduler* sched, std::function<SimTime()> duration_fn)
+    : HostOp(sched),
       duration_fn_(std::move(duration_fn)),
       send_gate_(std::make_shared<sim::StreamGate>(sched)),
       recv_gate_(std::make_shared<sim::StreamGate>(sched)) {}
 
 void P2pOp::set_send(Tensor t) {
-  std::lock_guard<std::recursive_mutex> lock(*mu_);
   MCRDL_CHECK(!have_send_) << "send side already set";
   send_tensor_ = std::move(t);
   have_send_ = true;
 }
 
 void P2pOp::set_recv(Tensor t) {
-  std::lock_guard<std::recursive_mutex> lock(*mu_);
   MCRDL_CHECK(!have_recv_) << "recv side already set";
   recv_tensor_ = std::move(t);
   have_recv_ = true;
 }
 
 void P2pOp::mark_send_ready() {
-  std::lock_guard<std::recursive_mutex> lock(*mu_);
   send_ready_ = true;
   maybe_finish();
 }
 
 void P2pOp::mark_recv_ready() {
-  std::lock_guard<std::recursive_mutex> lock(*mu_);
   recv_ready_ = true;
   maybe_finish();
 }
@@ -603,13 +567,11 @@ void P2pOp::open_gates() {
 }
 
 void P2pOp::maybe_finish() {
-  // Callers hold mu_ (recursive).
   if (!send_ready_ || !recv_ready_ || completion_.fired() || error_) return;
   const SimTime duration = duration_fn_();
   exec_start_ = sched_->now();
   complete_time_ = sched_->now() + duration;
   sched_->schedule_at(complete_time_, [this, self = shared_from_this()] {
-    std::lock_guard<std::recursive_mutex> lock(*mu_);
     if (recv_tensor_.defined() && recv_tensor_.materialized() && send_tensor_.defined() &&
         send_tensor_.materialized()) {
       recv_tensor_.copy_from(send_tensor_);
@@ -644,7 +606,6 @@ P2pEngine::P2pEngine(sim::Scheduler* sched, net::CostModel cost_model,
 P2pEngine::~P2pEngine() {
   if (faults_ != nullptr && drain_id_ != 0) faults_->recovery().unregister_drain(drain_id_);
   if (faults_ != nullptr && grow_id_ != 0) faults_->recovery().unregister_grow(grow_id_);
-  std::lock_guard<std::recursive_mutex> lock(*mu_);
   for (auto* table : {&pending_sends_, &pending_recvs_}) {
     for (auto& [key, queue] : *table) {
       for (auto& op : queue) op->completion_.drop();
@@ -664,7 +625,6 @@ std::vector<int> P2pEngine::endpoints_in(std::int64_t key, const std::vector<int
 }
 
 std::uint64_t P2pEngine::drain_lost(const std::vector<int>& lost) {
-  std::lock_guard<std::recursive_mutex> lock(*mu_);
   std::uint64_t cancelled = 0;
   for (auto* table : {&pending_sends_, &pending_recvs_}) {
     for (auto& [key, queue] : *table) {
@@ -682,7 +642,6 @@ std::uint64_t P2pEngine::drain_lost(const std::vector<int>& lost) {
 }
 
 std::uint64_t P2pEngine::drain_rejoined(const std::vector<int>& rejoined) {
-  std::lock_guard<std::recursive_mutex> lock(*mu_);
   std::uint64_t cancelled = 0;
   for (auto* table : {&pending_sends_, &pending_recvs_}) {
     for (auto& [key, queue] : *table) {
@@ -704,8 +663,6 @@ std::uint64_t P2pEngine::drain_rejoined(const std::vector<int>& rejoined) {
 }
 
 std::shared_ptr<P2pOp> P2pEngine::match(int src, int dst, bool is_send, std::size_t bytes) {
-  // Callers (post_send/post_recv) hold mu_; the lock here is recursive.
-  std::lock_guard<std::recursive_mutex> lock(*mu_);
   const int size = static_cast<int>(global_ranks_.size());
   MCRDL_REQUIRE(src >= 0 && src < size && dst >= 0 && dst < size, "p2p peer out of range");
   const std::int64_t key = static_cast<std::int64_t>(src) * size + dst;
@@ -718,8 +675,7 @@ std::shared_ptr<P2pOp> P2pEngine::match(int src, int dst, bool is_send, std::siz
   const int g_src = global_ranks_[static_cast<std::size_t>(src)];
   const int g_dst = global_ranks_[static_cast<std::size_t>(dst)];
   auto op = std::make_shared<P2pOp>(
-      sched_, [this, bytes, g_src, g_dst] { return cost_model_.p2p_cost(bytes, g_src, g_dst); },
-      mu_);
+      sched_, [this, bytes, g_src, g_dst] { return cost_model_.p2p_cost(bytes, g_src, g_dst); });
   if (faults_ != nullptr && faults_->enabled()) {
     // Classified once per pair, by the first-arriving side; the doomed op
     // still enters the FIFO so the counterpart matches (and fails) the same
@@ -745,7 +701,6 @@ std::shared_ptr<P2pOp> P2pEngine::match(int src, int dst, bool is_send, std::siz
 }
 
 std::shared_ptr<P2pOp> P2pEngine::post_send(int src, int dst, const Tensor& t) {
-  std::lock_guard<std::recursive_mutex> lock(*mu_);
   auto op = match(src, dst, /*is_send=*/true, t.bytes());
   op->set_send(t);
   if (op->failed()) std::rethrow_exception(op->error());
@@ -753,7 +708,6 @@ std::shared_ptr<P2pOp> P2pEngine::post_send(int src, int dst, const Tensor& t) {
 }
 
 std::shared_ptr<P2pOp> P2pEngine::post_recv(int dst, int src, Tensor t) {
-  std::lock_guard<std::recursive_mutex> lock(*mu_);
   auto op = match(src, dst, /*is_send=*/false, t.bytes());
   op->set_recv(std::move(t));
   if (op->failed()) std::rethrow_exception(op->error());

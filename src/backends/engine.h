@@ -20,7 +20,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -73,43 +72,19 @@ using ChannelFn = std::function<SimTime(SimTime, SimTime, std::size_t)>;
 // The host-visible lifecycle Rendezvous and P2pOp share: an operation that
 // ends exactly once, completing (its Completion fires) or failing (it is
 // dropped; src/common/completion.h).
-//
-// Thread safety (DESIGN.md §11): an operation is shared cross-rank state —
-// under ParallelShards different shards post/mark_ready concurrently while
-// completion fires on the controller. Every mutating method and stateful
-// accessor locks `mu_`, a recursive mutex shared with the owning engine
-// (recursive because completion callbacks re-enter the engine to reclaim the
-// pending-table entry, and because the channel contention hook reads engine
-// state from inside mark_ready). Under the serial baton the locks are
-// uncontended and change nothing.
 class HostOp {
  public:
   virtual ~HostOp() = default;
   HostOp(const HostOp&) = delete;
   HostOp& operator=(const HostOp&) = delete;
 
-  bool done() const {
-    std::lock_guard<std::recursive_mutex> lock(*mu_);
-    return completion_.fired();
-  }
-  SimTime complete_time() const {
-    std::lock_guard<std::recursive_mutex> lock(*mu_);
-    return complete_time_;
-  }
+  bool done() const { return completion_.fired(); }
+  SimTime complete_time() const { return complete_time_; }
   // When the wire time actually began (all participants ready + channel
   // free).
-  SimTime exec_start_time() const {
-    std::lock_guard<std::recursive_mutex> lock(*mu_);
-    return exec_start_;
-  }
-  bool failed() const {
-    std::lock_guard<std::recursive_mutex> lock(*mu_);
-    return error_ != nullptr;
-  }
-  std::exception_ptr error() const {
-    std::lock_guard<std::recursive_mutex> lock(*mu_);
-    return error_;
-  }
+  SimTime exec_start_time() const { return exec_start_; }
+  bool failed() const { return error_ != nullptr; }
+  std::exception_ptr error() const { return error_; }
   // Host-side block until completion (MPI discipline). Rethrows the stored
   // error if the operation failed instead of completing.
   void wait_done();
@@ -129,10 +104,9 @@ class HostOp {
   void cancel(std::exception_ptr err);
 
  protected:
-  HostOp(sim::Scheduler* sched, std::shared_ptr<std::recursive_mutex> mu);
+  explicit HostOp(sim::Scheduler* sched);
 
   sim::Scheduler* sched_;
-  std::shared_ptr<std::recursive_mutex> mu_;
   SimTime exec_start_ = 0.0;
   SimTime complete_time_ = 0.0;
   Completion completion_;
@@ -151,8 +125,7 @@ class HostOp {
 class Rendezvous : public HostOp, public std::enable_shared_from_this<Rendezvous> {
  public:
   Rendezvous(sim::Scheduler* sched, int expected, OpDesc desc,
-             std::function<SimTime()> duration_fn, ChannelFn channel_fn = {},
-             std::shared_ptr<std::recursive_mutex> mu = nullptr);
+             std::function<SimTime()> duration_fn, ChannelFn channel_fn = {});
 
   const OpDesc& desc() const { return desc_; }
 
@@ -170,14 +143,8 @@ class Rendezvous : public HostOp, public std::enable_shared_from_this<Rendezvous
   // True once every participant has signalled readiness — the wire phase
   // has begun and completion is already scheduled. Quiesce drains skip
   // started rendezvous: packets in flight deliver, consistently everywhere.
-  bool started() const {
-    std::lock_guard<std::recursive_mutex> lock(*mu_);
-    return ready_ >= expected_;
-  }
-  int posted_count() const {
-    std::lock_guard<std::recursive_mutex> lock(*mu_);
-    return posted_;
-  }
+  bool started() const { return ready_ >= expected_; }
+  int posted_count() const { return posted_; }
   // Group-rank indices that did / did not reach the rendezvous (for the
   // watchdog's who-arrived diagnostic).
   std::vector<int> posted_indices() const;
@@ -245,14 +212,10 @@ class CollectiveEngine {
   std::uint64_t drain_rejoined(const std::vector<int>& rejoined);
   // Both drains: cancels every pending rendezvous whose wire phase has not
   // started (`why` words the error), clears the table and restarts every
-  // rank's sequence at zero. Called with mu_ held.
+  // rank's sequence at zero.
   std::uint64_t cancel_and_resequence(const std::function<std::string(OpType)>& why);
 
   sim::Scheduler* sched_;
-  // Shared with every Rendezvous this engine creates: join/post, the channel
-  // contention hook, completion reclaim, and the recovery drain all mutate
-  // engine+rendezvous state as one critical section.
-  std::shared_ptr<std::recursive_mutex> mu_ = std::make_shared<std::recursive_mutex>();
   net::CostModel cost_model_;
   net::CommShape shape_;
   int size_;
@@ -266,16 +229,14 @@ class CollectiveEngine {
   std::uint64_t grow_id_ = 0;
 };
 
-// A matched send/recv pair (two-party rendezvous). Both endpoints may live
-// on different shards; the mutex is shared with the owning P2pEngine.
+// A matched send/recv pair (two-party rendezvous).
 //
 // Fault injection: a failed op is still enqueued for FIFO matching (both
 // sides of the pair must observe the same failed attempt) but never
 // transfers data; post_send/post_recv rethrow its error.
 class P2pOp : public HostOp, public std::enable_shared_from_this<P2pOp> {
  public:
-  P2pOp(sim::Scheduler* sched, std::function<SimTime()> duration_fn,
-        std::shared_ptr<std::recursive_mutex> mu = nullptr);
+  P2pOp(sim::Scheduler* sched, std::function<SimTime()> duration_fn);
 
   void set_send(Tensor t);
   void set_recv(Tensor t);
@@ -328,8 +289,6 @@ class P2pEngine {
   std::uint64_t drain_rejoined(const std::vector<int>& rejoined);
 
   sim::Scheduler* sched_;
-  // Shared with every P2pOp this engine creates (see Rendezvous).
-  std::shared_ptr<std::recursive_mutex> mu_ = std::make_shared<std::recursive_mutex>();
   net::CostModel cost_model_;
   std::vector<int> global_ranks_;
   fault::FaultInjector* faults_;

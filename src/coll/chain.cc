@@ -19,18 +19,13 @@ ChainWork::ChainWork(OverlapScheduler* owner, int rank, std::uint64_t epoch,
 }
 
 void ChainWork::wait() {
-  if (done_.load(std::memory_order_acquire)) return;
-  std::mutex& mu = owner_->slot(rank_).mu;
+  if (done_) return;
   try {
     try {
       owner_->drive(rank_, shared_from_this());
       return;
     } catch (const RankLostError&) {
-      std::function<void()> recover;
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        recover = std::exchange(recover_, nullptr);
-      }
+      std::function<void()> recover = std::exchange(recover_, nullptr);
       if (!recover) throw;
       // Re-dispatch the original request synchronously through the full
       // pipeline; its recover stage parks until the epoch advances, remaps
@@ -40,37 +35,20 @@ void ChainWork::wait() {
     }
   } catch (...) {
     // A failed chain whose replay is spent (or never existed) is terminal.
-    std::lock_guard<std::mutex> lock(mu);
     if (error_ != nullptr) completion_.drop();
     throw;
   }
   // The replay completed the operation: one finished op for every observer.
-  Completion::Callbacks callbacks;
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    callbacks = owner_->complete_locked(*this);
-  }
-  for (auto& fn : callbacks) fn();
+  for (auto& fn : owner_->complete(*this)) fn();
 }
 
 void ChainWork::on_complete(std::function<void()> fn) {
-  Completion::Callback late;
-  {
-    std::lock_guard<std::mutex> lock(owner_->slot(rank_).mu);
-    late = completion_.add(std::move(fn));
-  }
-  if (late) late();
+  if (auto late = completion_.add(std::move(fn))) late();
 }
 
-void ChainWork::set_recover(std::function<void()> fn) {
-  std::lock_guard<std::mutex> lock(owner_->slot(rank_).mu);
-  recover_ = std::move(fn);
-}
+void ChainWork::set_recover(std::function<void()> fn) { recover_ = std::move(fn); }
 
-void ChainWork::set_restore(std::function<void()> fn) {
-  std::lock_guard<std::mutex> lock(owner_->slot(rank_).mu);
-  restore_ = std::move(fn);
-}
+void ChainWork::set_restore(std::function<void()> fn) { restore_ = std::move(fn); }
 
 // ---------------------------------------------------------------------------
 // ChainGroupWork
@@ -88,20 +66,15 @@ ChainGroupWork::ChainGroupWork(std::vector<std::shared_ptr<ChainWork>> chains)
 struct ChainGroupWork::ChunkLink {
   explicit ChunkLink(std::shared_ptr<ChainGroupWork> g) : group(std::move(g)) {}
   ~ChunkLink() {
-    if (fired) return;
-    std::lock_guard<std::mutex> lock(group->mu_);
-    group->completion_.drop();
+    if (!fired) group->completion_.drop();
   }
   std::shared_ptr<ChainGroupWork> group;
   bool fired = false;
 };
 
 void ChainGroupWork::arm() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    MCRDL_CHECK(remaining_ == 0 && !done_) << "ChainGroupWork::arm called twice";
-    remaining_ = static_cast<int>(chains_.size());
-  }
+  MCRDL_CHECK(remaining_ == 0 && !done_) << "ChainGroupWork::arm called twice";
+  remaining_ = static_cast<int>(chains_.size());
   for (auto& ch : chains_) {
     auto link = std::make_shared<ChunkLink>(shared_from_this());
     ch->on_complete([link] {
@@ -112,25 +85,16 @@ void ChainGroupWork::arm() {
 }
 
 void ChainGroupWork::part_done() {
-  bool last = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (remaining_ > 0) last = (--remaining_ == 0);
-  }
-  if (last) complete_now();
+  if (remaining_ > 0 && --remaining_ == 0) complete_now();
 }
 
 void ChainGroupWork::complete_now() {
-  Completion::Callbacks callbacks;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (done_.load(std::memory_order_relaxed)) return;
-    for (const auto& ch : chains_) {
-      complete_time_ = std::max(complete_time_, ch->complete_time());
-    }
-    callbacks = completion_.fire();
-    done_.store(true, std::memory_order_release);
+  if (done_) return;
+  for (const auto& ch : chains_) {
+    complete_time_ = std::max(complete_time_, ch->complete_time());
   }
+  Completion::Callbacks callbacks = completion_.fire();
+  done_ = true;
   for (auto& fn : callbacks) fn();
 }
 
@@ -140,12 +104,7 @@ void ChainGroupWork::wait() {
 }
 
 void ChainGroupWork::on_complete(std::function<void()> fn) {
-  Completion::Callback late;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    late = completion_.add(std::move(fn));
-  }
-  if (late) late();
+  if (auto late = completion_.add(std::move(fn))) late();
 }
 
 // ---------------------------------------------------------------------------
@@ -167,7 +126,6 @@ OverlapScheduler::OverlapScheduler(sim::Scheduler* sched, int world, bool overla
 
 OverlapScheduler::~OverlapScheduler() {
   for (auto& s : slots_) {
-    std::lock_guard<std::mutex> lock(s->mu);
     for (auto& ch : s->chains) ch->completion_.drop();
   }
 }
@@ -184,11 +142,8 @@ std::shared_ptr<ChainWork> OverlapScheduler::make_chain(int rank, std::uint64_t 
   auto ch = std::make_shared<ChainWork>(this, rank, epoch, std::move(phases),
                                         std::move(finalize));
   Slot& s = slot(rank);
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    s.chains.push_back(ch);
-    ++s.gen;
-  }
+  s.chains.push_back(ch);
+  ++s.gen;
   // Zero-phase degenerate case (single-rank composite): complete on the spot.
   maybe_complete(rank, ch);
   return ch;
@@ -198,23 +153,16 @@ void OverlapScheduler::drain(int rank) { drive(rank, nullptr); }
 
 std::uint64_t OverlapScheduler::poke() {
   for (auto& s : slots_) {
-    {
-      std::lock_guard<std::mutex> lock(s->mu);
-      ++s->gen;
-    }
+    ++s->gen;
     s->cond->notify_all();
   }
   return 0;
 }
 
-std::size_t OverlapScheduler::live_chains(int rank) const {
-  Slot& s = slot(rank);
-  std::lock_guard<std::mutex> lock(s.mu);
-  return s.chains.size();
-}
+std::size_t OverlapScheduler::live_chains(int rank) const { return slot(rank).chains.size(); }
 
-void OverlapScheduler::fail_locked(ChainWork& ch, std::exception_ptr err) {
-  if (ch.done_.load(std::memory_order_relaxed) || ch.error_ != nullptr) return;
+void OverlapScheduler::fail(ChainWork& ch, std::exception_ptr err) {
+  if (ch.done_ || ch.error_ != nullptr) return;
   ch.error_ = std::move(err);
   // Unpostable from here on; the completion stays pending so a successful
   // elastic replay (ChainWork::wait's recover path) still fires it.
@@ -232,10 +180,10 @@ void OverlapScheduler::fail_locked(ChainWork& ch, std::exception_ptr err) {
   }
 }
 
-void OverlapScheduler::prune_locked(Slot& s, bool include_errored) {
+void OverlapScheduler::prune(Slot& s, bool include_errored) {
   auto it = std::remove_if(s.chains.begin(), s.chains.end(),
                            [include_errored](const std::shared_ptr<ChainWork>& ch) {
-                             if (ch->done_.load(std::memory_order_relaxed)) return true;
+                             if (ch->done_) return true;
                              if (ch->error_ != nullptr && include_errored) {
                                ch->completion_.drop();  // dropped, not replayed
                                return true;
@@ -248,46 +196,37 @@ void OverlapScheduler::prune_locked(Slot& s, bool include_errored) {
 void OverlapScheduler::drive(int rank, const std::shared_ptr<ChainWork>& target) {
   Slot& s = slot(rank);
   for (;;) {
-    std::vector<std::shared_ptr<ChainWork>> to_post;
-    std::uint64_t seen = 0;
-    bool block = false;
-    {
-      std::lock_guard<std::mutex> lock(s.mu);
-      if (target != nullptr) {
-        if (target->error_ != nullptr) break;  // rethrown below, outside the lock
-        if (target->done_.load(std::memory_order_acquire)) {
-          prune_locked(s, /*include_errored=*/false);
-          return;
-        }
-      }
-      // An epoch bump failed-and-cancelled every in-flight sub-op of the old
-      // epoch's chains; their completion callbacks will never fire, so fail
-      // the chains here for replay instead of blocking forever.
-      const std::uint64_t epoch = current_epoch();
-      for (auto& ch : s.chains) {
-        if (ch->epoch_ != epoch) {
-          fail_locked(*ch, std::make_exception_ptr(RankLostError(
-                               "composite chain stamped epoch " + std::to_string(ch->epoch_) +
-                               " bounced at epoch " + std::to_string(epoch) +
-                               " after rank loss; replay on the new communicator")));
-        }
-      }
-      if (target != nullptr && target->error_ != nullptr) break;
-      prune_locked(s, /*include_errored=*/target == nullptr);
-      if (target == nullptr && s.chains.empty()) return;
-      for (auto& ch : s.chains) {
-        if (ch->error_ != nullptr) continue;
-        if (target != nullptr && !overlap_ && ch != target) continue;
-        if (ch->outstanding_ == 0 && ch->next_phase_ < ch->phases_.size()) {
-          to_post.push_back(ch);
-        }
-      }
-      if (to_post.empty()) {
-        seen = s.gen;
-        block = true;
+    if (target != nullptr) {
+      if (target->error_ != nullptr) break;  // rethrown below
+      if (target->done_) {
+        prune(s, /*include_errored=*/false);
+        return;
       }
     }
-    if (!block) {
+    // An epoch bump failed-and-cancelled every in-flight sub-op of the old
+    // epoch's chains; their completion callbacks will never fire, so fail
+    // the chains here for replay instead of blocking forever.
+    const std::uint64_t epoch = current_epoch();
+    for (auto& ch : s.chains) {
+      if (ch->epoch_ != epoch) {
+        fail(*ch, std::make_exception_ptr(RankLostError(
+                      "composite chain stamped epoch " + std::to_string(ch->epoch_) +
+                      " bounced at epoch " + std::to_string(epoch) +
+                      " after rank loss; replay on the new communicator")));
+      }
+    }
+    if (target != nullptr && target->error_ != nullptr) break;
+    prune(s, /*include_errored=*/target == nullptr);
+    if (target == nullptr && s.chains.empty()) return;
+    std::vector<std::shared_ptr<ChainWork>> to_post;
+    for (auto& ch : s.chains) {
+      if (ch->error_ != nullptr) continue;
+      if (target != nullptr && !overlap_ && ch != target) continue;
+      if (ch->outstanding_ == 0 && ch->next_phase_ < ch->phases_.size()) {
+        to_post.push_back(ch);
+      }
+    }
+    if (!to_post.empty()) {
       for (auto& ch : to_post) {
         try {
           post_next_phase(rank, ch);
@@ -300,56 +239,39 @@ void OverlapScheduler::drive(int rank, const std::shared_ptr<ChainWork>& target)
       }
       continue;
     }
-    s.cond->wait([&s, seen] {
-      std::lock_guard<std::mutex> lock(s.mu);
-      return s.gen != seen;
-    });
+    const std::uint64_t seen = s.gen;
+    s.cond->wait([&s, seen] { return s.gen != seen; });
   }
-  std::exception_ptr err;
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    err = target->error_;
-    s.chains.erase(std::remove(s.chains.begin(), s.chains.end(), target), s.chains.end());
-  }
+  std::exception_ptr err = target->error_;
+  s.chains.erase(std::remove(s.chains.begin(), s.chains.end(), target), s.chains.end());
   MCRDL_CHECK(err != nullptr) << "drive broke out without a stored error";
   std::rethrow_exception(err);
 }
 
 void OverlapScheduler::post_next_phase(int rank, const std::shared_ptr<ChainWork>& ch) {
   Slot& s = slot(rank);
-  ChainPhase phase;
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    if (ch->done_.load(std::memory_order_relaxed) || ch->error_ != nullptr ||
-        ch->outstanding_ != 0 || ch->next_phase_ >= ch->phases_.size()) {
-      return;
-    }
-    phase = std::move(ch->phases_[ch->next_phase_]);
-    ch->outstanding_ = kPosting;
+  if (ch->done_ || ch->error_ != nullptr || ch->outstanding_ != 0 ||
+      ch->next_phase_ >= ch->phases_.size()) {
+    return;
   }
+  ChainPhase phase = std::move(ch->phases_[ch->next_phase_]);
+  ch->outstanding_ = kPosting;
   std::vector<Work> works;
   try {
-    // Actor context, slot mutex released: the phase posts async sub-ops and
-    // may legitimately block (launch-delay injection sleeps in submit).
+    // Actor context: the phase posts async sub-ops and may legitimately
+    // block (launch-delay injection sleeps in submit).
     works = phase();
   } catch (...) {
-    {
-      std::lock_guard<std::mutex> lock(s.mu);
-      ch->outstanding_ = 0;
-      fail_locked(*ch, std::current_exception());
-      ++s.gen;
-    }
+    ch->outstanding_ = 0;
+    fail(*ch, std::current_exception());
+    ++s.gen;
     s.cond->notify_all();
     throw;
   }
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    ++ch->next_phase_;
-    ch->outstanding_ = static_cast<int>(works.size());
-    ++s.gen;
-  }
-  // Registered without the mutex: a sub-op that already completed fires the
-  // callback inline on this thread, and the callback itself takes the mutex.
+  ++ch->next_phase_;
+  ch->outstanding_ = static_cast<int>(works.size());
+  ++s.gen;
+  // A sub-op that already completed fires its callback inline, here.
   for (auto& w : works) {
     w->on_complete([this, rank, weak = std::weak_ptr<ChainWork>(ch)] { part_done(rank, weak); });
   }
@@ -357,14 +279,14 @@ void OverlapScheduler::post_next_phase(int rank, const std::shared_ptr<ChainWork
   s.cond->notify_all();
 }
 
-Completion::Callbacks OverlapScheduler::complete_locked(ChainWork& ch) {
+Completion::Callbacks OverlapScheduler::complete(ChainWork& ch) {
   ch.error_ = nullptr;
   ch.phases_.clear();
   ch.finalize_ = nullptr;
   ch.recover_ = nullptr;
   ch.restore_ = nullptr;
   ch.complete_time_ = sched_->now();
-  ch.done_.store(true, std::memory_order_release);
+  ch.done_ = true;
   return ch.completion_.fire();
 }
 
@@ -372,33 +294,23 @@ void OverlapScheduler::part_done(int rank, const std::weak_ptr<ChainWork>& weak)
   std::shared_ptr<ChainWork> ch = weak.lock();
   if (ch == nullptr) return;
   Slot& s = slot(rank);
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    if (!ch->done_.load(std::memory_order_relaxed) && ch->error_ == nullptr &&
-        ch->outstanding_ > 0) {
-      --ch->outstanding_;
-    }
-    ++s.gen;
-  }
+  if (!ch->done_ && ch->error_ == nullptr && ch->outstanding_ > 0) --ch->outstanding_;
+  ++s.gen;
   maybe_complete(rank, ch);
   s.cond->notify_all();
 }
 
 void OverlapScheduler::maybe_complete(int rank, const std::shared_ptr<ChainWork>& ch) {
   Slot& s = slot(rank);
-  Completion::Callbacks callbacks;
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    if (ch->done_.load(std::memory_order_relaxed) || ch->error_ != nullptr) return;
-    if (ch->outstanding_ != 0 || ch->next_phase_ < ch->phases_.size()) return;
-    // Finalize (slice-back copies — pure data movement, no virtual time)
-    // under the lock so no observer sees done before the data is in place.
-    if (auto finalize = std::exchange(ch->finalize_, nullptr)) finalize();
-    callbacks = complete_locked(*ch);
-    ++s.gen;
-  }
-  // Completion observers (metrics, logger, tuner, chunk-group counting) fire
-  // outside the lock; they may re-enter on_complete of other works.
+  if (ch->done_ || ch->error_ != nullptr) return;
+  if (ch->outstanding_ != 0 || ch->next_phase_ < ch->phases_.size()) return;
+  // Finalize (slice-back copies — pure data movement, no virtual time)
+  // first, so no observer sees done before the data is in place.
+  if (auto finalize = std::exchange(ch->finalize_, nullptr)) finalize();
+  Completion::Callbacks callbacks = complete(*ch);
+  ++s.gen;
+  // Completion observers (metrics, logger, tuner, chunk-group counting) may
+  // re-enter on_complete of other works.
   for (auto& fn : callbacks) fn();
   s.cond->notify_all();
 }

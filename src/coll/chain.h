@@ -20,15 +20,10 @@
 // programs wait in a consistent order, so this cannot deadlock across
 // ranks).
 //
-// Lock discipline (the part that keeps virtual time deadlock-free):
-//   * each rank has one slot {mutex, chain list, generation, SimCondition};
-//   * sub-ops are posted with the slot mutex RELEASED — posting can block in
-//     actor context, and completion callbacks take the same mutex;
-//   * completion callbacks are registered without the mutex held (they may
-//     fire inline when the sub-op already completed);
-//   * waiting uses a generation counter: the driver snapshots `gen` under
-//     the lock, and blocks on "gen changed" — SimCondition's re-check after
-//     token registration closes the lost-wakeup window.
+// Wake discipline (the part that keeps virtual time deadlock-free): each
+// rank has one slot {chain list, generation, SimCondition}. Every state
+// change bumps `gen` and notifies the condition; a driver with nothing to
+// post blocks until `gen` moves.
 //
 // Failure: a sub-op posting that throws (stale-epoch bounce, exhausted
 // retries) stores the error on the chain. The waited-on chain rethrows it
@@ -53,11 +48,9 @@
 // epoch bump — can never write the user payload behind that restore.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "src/backends/work.h"
@@ -76,12 +69,11 @@ using ChainPhase = std::function<std::vector<Work>()>;
 class ChainWork : public WorkHandle, public std::enable_shared_from_this<ChainWork> {
  public:
   // Use OverlapScheduler::make_chain(); the constructor is public only for
-  // make_shared. All mutable state is guarded by the owning scheduler's
-  // per-rank slot mutex.
+  // make_shared.
   ChainWork(OverlapScheduler* owner, int rank, std::uint64_t epoch,
             std::vector<ChainPhase> phases, std::function<void()> finalize);
 
-  bool test() const override { return done_.load(std::memory_order_acquire); }
+  bool test() const override { return done_; }
   // Drives this rank's chains until this one completes. Rethrows a stored
   // failure — unless a recover closure is installed, in which case the
   // original request is re-dispatched synchronously and the chain completes
@@ -114,11 +106,10 @@ class ChainWork : public WorkHandle, public std::enable_shared_from_this<ChainWo
   int rank_;
   std::uint64_t epoch_;
 
-  // --- guarded by the owner's slot mutex for rank_ -------------------------
   std::vector<ChainPhase> phases_;
   std::size_t next_phase_ = 0;
   // Incomplete sub-ops of the posted phase; kPosting while a phase closure
-  // is executing (so a concurrent driver cannot double-post it).
+  // is executing (so it cannot be posted twice).
   int outstanding_ = 0;
   std::function<void()> finalize_;
   Completion completion_;
@@ -126,7 +117,7 @@ class ChainWork : public WorkHandle, public std::enable_shared_from_this<ChainWo
   std::function<void()> recover_;
   std::function<void()> restore_;
 
-  std::atomic<bool> done_{false};
+  bool done_ = false;
   SimTime complete_time_ = 0.0;
 };
 
@@ -142,7 +133,7 @@ class ChainGroupWork : public WorkHandle, public std::enable_shared_from_this<Ch
   // shared_ptr-owned instance.
   void arm();
 
-  bool test() const override { return done_.load(std::memory_order_acquire); }
+  bool test() const override { return done_; }
   void wait() override;
   void synchronize() override { wait(); }
   SimTime complete_time() const override { return complete_time_; }
@@ -158,10 +149,9 @@ class ChainGroupWork : public WorkHandle, public std::enable_shared_from_this<Ch
   void complete_now();
 
   std::vector<std::shared_ptr<ChainWork>> chains_;
-  mutable std::mutex mu_;
   int remaining_ = 0;
   Completion completion_;
-  std::atomic<bool> done_{false};
+  bool done_ = false;
   SimTime complete_time_ = 0.0;
 };
 
@@ -210,7 +200,6 @@ class OverlapScheduler {
   static constexpr int kPosting = -1;
 
   struct Slot {
-    mutable std::mutex mu;
     std::vector<std::shared_ptr<ChainWork>> chains;
     std::uint64_t gen = 0;
     std::unique_ptr<sim::SimCondition> cond;
@@ -224,12 +213,11 @@ class OverlapScheduler {
   void part_done(int rank, const std::weak_ptr<ChainWork>& ch);
   void maybe_complete(int rank, const std::shared_ptr<ChainWork>& ch);
   // The one done-transition (maybe_complete, and ChainWork::wait after a
-  // replay): clears the chain's state and fires its completion. Called with
-  // the slot mutex held; the caller runs the returned callbacks after
-  // releasing it.
-  Completion::Callbacks complete_locked(ChainWork& ch);
-  static void fail_locked(ChainWork& ch, std::exception_ptr err);
-  static void prune_locked(Slot& slot, bool include_errored);
+  // replay): clears the chain's state and fires its completion; the caller
+  // runs the returned callbacks.
+  Completion::Callbacks complete(ChainWork& ch);
+  static void fail(ChainWork& ch, std::exception_ptr err);
+  static void prune(Slot& slot, bool include_errored);
 
   sim::Scheduler* sched_;
   bool overlap_;

@@ -1,7 +1,6 @@
 #include "src/coll/composite.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -226,10 +225,10 @@ Work launch(const LaunchContext& ctx, const CompositeSpec& spec, int rank,
     // recover stage parks, remaps and replays. The flag makes the replay
     // fire exactly once when several chunk chains failed; the later chunks'
     // wait() then just completes their handles against the replayed data.
-    auto replayed = std::make_shared<std::atomic<bool>>(false);
+    auto replayed = std::make_shared<bool>(false);
     recover = [redispatch = ctx.redispatch, spec, rank, members, payload, rop = req.rop,
                replayed] {
-      if (replayed->exchange(true)) return;
+      if (std::exchange(*replayed, true)) return;
       OpRequest r;
       r.op = OpType::AllReduce;
       r.backend = spec.text;

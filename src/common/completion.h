@@ -10,9 +10,9 @@
 // scheduler's chain slots, the fusion manager's open buckets. A callback
 // runs exactly once or never, and never outlives its operation.
 //
-// The type takes no lock. Owners guard it with their own mutex and choose
-// where callbacks run: fire() and add() hand them back rather than running
-// them, so an owner can release its lock or open its gates first.
+// Owners choose where callbacks run: fire() and add() hand them back rather
+// than running them, so an owner can finish its own state change or open its
+// gates first.
 #pragma once
 
 #include <functional>

@@ -8,7 +8,6 @@
 // the default stream before the operation posts.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
 #include "src/backends/backend.h"
@@ -30,11 +29,11 @@ class CompressionLayer {
   const CompressionConfig& config() const { return config_; }
   void set_config(CompressionConfig config) {
     config_ = config;
-    version_.fetch_add(1, std::memory_order_acq_rel);
+    ++version_;
   }
   // Bumped by every set_config; the pipeline recompiles its stage plans when
   // this moves.
-  std::uint32_t config_version() const { return version_.load(std::memory_order_acquire); }
+  std::uint32_t config_version() const { return version_; }
 
   // True if `op` has a compressed implementation at all — a static property
   // of the layer (movement ops with a contiguous payload), independent of
@@ -51,7 +50,7 @@ class CompressionLayer {
   Work all_gather(Comm& comm, int rank, Tensor output, Tensor input, bool async_op);
   Work all_to_all_single(Comm& comm, int rank, Tensor output, Tensor input, bool async_op);
 
-  int compressed_op_count() const { return compressed_op_count_.load(); }
+  int compressed_op_count() const { return compressed_op_count_; }
 
  private:
   // Compressed image of `t` as a U8 tensor of exactly `bytes` bytes
@@ -63,10 +62,9 @@ class CompressionLayer {
 
   ClusterContext* cluster_;
   CompressionConfig config_;
-  std::atomic<std::uint32_t> version_{0};
+  std::uint32_t version_ = 0;
   compress::ZfpCodec codec_;
-  // Atomic: incremented by every rank's actor under the parallel engine.
-  std::atomic<int> compressed_op_count_{0};
+  int compressed_op_count_ = 0;
 };
 
 }  // namespace mcrdl

@@ -20,54 +20,33 @@ class FusionManager::FusionWork : public WorkHandle {
  public:
   explicit FusionWork(std::shared_ptr<PendingFusion> pending) : pending_(std::move(pending)) {}
 
-  bool test() const override {
-    Work inner;
-    {
-      std::lock_guard<std::recursive_mutex> lock(pending_->mgr->mu_);
-      if (!pending_->flush.fired()) return false;
-      inner = pending_->inner;
-    }
-    return inner->test();
-  }
+  bool test() const override { return pending_->flush.fired() && pending_->inner->test(); }
 
-  // The manager lock is released before blocking on the inner Work so other
-  // actors (and timeout events) can keep flushing while this one waits.
   void wait() override { force_flush()->wait(); }
 
   void synchronize() override { force_flush()->synchronize(); }
 
   SimTime complete_time() const override {
-    Work inner;
-    {
-      std::lock_guard<std::recursive_mutex> lock(pending_->mgr->mu_);
-      // An unflushed batch has no completion instant yet; returning one
-      // (0.0 used to leak out here) silently corrupts latency accounting.
-      // Callers must observe test() == true, wait(), or ask from an
-      // on_complete callback before querying.
-      MCRDL_CHECK(pending_->flush.fired())
-          << "complete_time() queried on an unflushed fusion batch — the fused collective has "
-             "not been issued, so no completion timestamp exists yet";
-      inner = pending_->inner;
-    }
-    return inner->complete_time();
+    // An unflushed batch has no completion instant yet; returning one
+    // (0.0 used to leak out here) silently corrupts latency accounting.
+    // Callers must observe test() == true, wait(), or ask from an
+    // on_complete callback before querying.
+    MCRDL_CHECK(pending_->flush.fired())
+        << "complete_time() queried on an unflushed fusion batch — the fused collective has "
+           "not been issued, so no completion timestamp exists yet";
+    return pending_->inner->complete_time();
   }
 
   void on_complete(std::function<void()> fn) override {
-    Work inner;
-    {
-      std::lock_guard<std::recursive_mutex> lock(pending_->mgr->mu_);
-      fn = pending_->flush.add(std::move(fn));
-      if (!fn) return;  // queued until the flush
-      inner = pending_->inner;
-    }
-    inner->on_complete(std::move(fn));
+    fn = pending_->flush.add(std::move(fn));
+    if (!fn) return;  // queued until the flush
+    pending_->inner->on_complete(std::move(fn));
   }
 
  private:
   // Waiting on a not-yet-flushed fusion forces the flush (the data
   // dependency outranks the timeout). Returns the inner Work to block on.
   Work force_flush() {
-    std::lock_guard<std::recursive_mutex> lock(pending_->mgr->mu_);
     if (!pending_->flush.fired()) pending_->mgr->flush_if_pending(pending_->key);
     MCRDL_CHECK(pending_->flush.fired());
     return pending_->inner;
@@ -87,26 +66,19 @@ std::uint32_t FusionManager::compute_admit_mask(const FusionConfig& config) {
 }
 
 FusionManager::FusionManager(ClusterContext* cluster, FusionConfig config)
-    : cluster_(cluster), config_(std::move(config)) {
-  admit_mask_.store(compute_admit_mask(config_), std::memory_order_release);
-}
+    : cluster_(cluster), config_(std::move(config)), admit_mask_(compute_admit_mask(config_)) {}
 
 FusionManager::~FusionManager() {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   for (auto& [key, batch] : batches_) {
     if (batch.pending != nullptr) batch.pending->flush.drop();
   }
 }
 
 void FusionManager::set_config(FusionConfig config) {
-  const std::uint32_t mask = compute_admit_mask(config);
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  admit_mask_ = compute_admit_mask(config);
   config_ = std::move(config);
-  admit_mask_.store(mask, std::memory_order_release);
-  // Bump last: a pipeline seeing the new version recompiles against the new
-  // mask; one seeing the old version at worst runs one more dispatch on the
-  // old plan, whose fusion stage re-checks eligible() anyway.
-  version_.fetch_add(1, std::memory_order_acq_rel);
+  // A pipeline seeing the new version recompiles its stage plans.
+  ++version_;
 }
 
 bool FusionManager::eligible(OpType op, const Tensor& t) const {
@@ -116,7 +88,6 @@ bool FusionManager::eligible(OpType op, const Tensor& t) const {
 Work FusionManager::submit(Comm* comm, int rank, OpType op, Tensor t, ReduceOp rop, int root) {
   MCRDL_REQUIRE(comm != nullptr, "fusion needs a communicator");
   MCRDL_REQUIRE(eligible(op, t), "tensor is not eligible for fusion");
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   // Unrooted ops normalize root to -1 so every caller lands in one bucket;
   // rooted ops key on it so different roots never coalesce.
   if (op == OpType::AllReduce) root = -1;
@@ -133,7 +104,7 @@ Work FusionManager::submit(Comm* comm, int rank, OpType op, Tensor t, ReduceOp r
     batch.pending = std::make_shared<PendingFusion>();
     batch.pending->mgr = this;
     batch.pending->key = key;
-    // Arm the T timeout from the first tensor's arrival; flush_locked
+    // Arm the T timeout from the first tensor's arrival; flush_batch
     // cancels it, so a size-triggered flush leaves no stale closure behind
     // in the scheduler's event queue.
     batch.timer_armed = true;
@@ -151,19 +122,17 @@ Work FusionManager::submit(Comm* comm, int rank, OpType op, Tensor t, ReduceOp r
   w->backend_name = comm->backend()->name();
   w->posted_at = cluster_->scheduler().now();
   batch.posted.push_back(w->posted_at);
-  if (batch.bytes >= config_.buffer_bytes) flush_locked(key, batch);
+  if (batch.bytes >= config_.buffer_bytes) flush_batch(key, batch);
   return w;
 }
 
 void FusionManager::flush_if_pending(const Key& key) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   auto it = batches_.find(key);
   if (it == batches_.end() || it->second.pending == nullptr) return;
-  flush_locked(key, it->second);
+  flush_batch(key, it->second);
 }
 
 void FusionManager::on_timeout(const Key& key, std::uint64_t generation) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   auto it = batches_.find(key);
   if (it == batches_.end() || it->second.pending == nullptr ||
       it->second.generation != generation) {
@@ -171,7 +140,7 @@ void FusionManager::on_timeout(const Key& key, std::uint64_t generation) {
   }
   ++timeout_flush_count_;
   const int rank = it->second.rank;
-  flush_locked(key, it->second);
+  flush_batch(key, it->second);
   if (!config_.cross_backend_overlap) return;
   // The buffer timed out before filling — bandwidth is unsaturated, so
   // flush other backends' pending buffers for this rank to overlap them.
@@ -183,21 +152,19 @@ void FusionManager::on_timeout(const Key& key, std::uint64_t generation) {
     auto oit = batches_.find(k);
     if (oit != batches_.end() && oit->second.pending != nullptr) {
       ++overlap_flush_count_;
-      flush_locked(k, oit->second);
+      flush_batch(k, oit->second);
     }
   }
 }
 
-void FusionManager::flush_locked(const Key& key, Batch& batch) {
+void FusionManager::flush_batch(const Key& key, Batch& batch) {
   (void)key;  // retained for symmetry with the other per-key entry points
   MCRDL_CHECK(batch.pending != nullptr);
   // Retire the armed timeout. Harmless if this flush IS the timeout firing
   // (cancel of a fired event is a no-op); essential for size-triggered
   // flushes, whose timer closure would otherwise sit in the scheduler's
   // queue as a dead generation-guarded tombstone until its deadline —
-  // unboundedly many of them on bucket-heavy workloads. Both engines run
-  // timed-event callbacks with their queue lock released, so cancelling from
-  // under mu_ cannot deadlock.
+  // unboundedly many of them on bucket-heavy workloads.
   if (batch.timer_armed) cluster_->scheduler().cancel(batch.timer_id);
   auto pending = batch.pending;
   std::vector<Tensor> tensors;
@@ -277,7 +244,6 @@ void FusionManager::flush_locked(const Key& key, Batch& batch) {
 }
 
 void FusionManager::flush_all(int rank) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   std::vector<Key> keys;
   for (auto& [key, batch] : batches_) {
     if (batch.pending != nullptr && batch.rank == rank) keys.push_back(key);

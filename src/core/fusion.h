@@ -14,11 +14,9 @@
 // from the caller side; this is the runtime-side equivalent.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -47,16 +45,12 @@ class FusionManager {
   const FusionConfig& config() const { return config_; }
   void set_config(FusionConfig config);
 
-  // True if `op` is in the configured bucketable set. Lock-free (atomic bit
-  // mask): read by the pipeline's plan compiler and by every dispatch.
-  bool admits(OpType op) const {
-    return (admit_mask_.load(std::memory_order_acquire) >> static_cast<unsigned>(op)) & 1u;
-  }
+  // True if `op` is in the configured bucketable set (a bit mask read by
+  // the pipeline's plan compiler and by every dispatch).
+  bool admits(OpType op) const { return (admit_mask_ >> static_cast<unsigned>(op)) & 1u; }
   // Bumped by every set_config; the pipeline recompiles its stage plans when
   // this moves.
-  std::uint32_t config_version() const {
-    return version_.load(std::memory_order_acquire);
-  }
+  std::uint32_t config_version() const { return version_; }
 
   // True if this (op, tensor) should go through a fusion bucket.
   bool eligible(OpType op, const Tensor& t) const;
@@ -76,22 +70,10 @@ class FusionManager {
   void flush_all(int rank);
 
   // --- statistics -----------------------------------------------------------
-  int flush_count() const {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
-    return flush_count_;
-  }
-  int timeout_flush_count() const {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
-    return timeout_flush_count_;
-  }
-  int fused_tensor_count() const {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
-    return fused_tensor_count_;
-  }
-  int overlap_flush_count() const {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
-    return overlap_flush_count_;
-  }
+  int flush_count() const { return flush_count_; }
+  int timeout_flush_count() const { return timeout_flush_count_; }
+  int fused_tensor_count() const { return fused_tensor_count_; }
+  int overlap_flush_count() const { return overlap_flush_count_; }
 
  private:
   struct PendingFusion;
@@ -119,22 +101,16 @@ class FusionManager {
   };
 
   static std::uint32_t compute_admit_mask(const FusionConfig& config);
-  void flush_locked(const Key& key, Batch& batch);
+  void flush_batch(const Key& key, Batch& batch);
   void flush_if_pending(const Key& key);
   void on_timeout(const Key& key, std::uint64_t generation);
 
   ClusterContext* cluster_;
   FusionConfig config_;
-  // Lock-free mirrors of config_ for the dispatch hot path: the admitted-op
-  // bit mask (OpType fits in 32 bits) and the config version counter.
-  std::atomic<std::uint32_t> admit_mask_{0};
-  std::atomic<std::uint32_t> version_{0};
-  // Guards batches_, the statistics counters, and each PendingFusion's
-  // inner/flush (which FusionWork reads from other actors). Recursive
-  // because flush paths nest (wait -> force_flush -> flush_if_pending).
-  // Never held across a virtual-time block: flush_locked posts the fused
-  // collective asynchronously and returns.
-  mutable std::recursive_mutex mu_;
+  // Mirror of config_.ops for the dispatch hot path: the admitted-op bit
+  // mask (OpType fits in 32 bits).
+  std::uint32_t admit_mask_ = 0;
+  std::uint32_t version_ = 0;
   std::map<Key, Batch> batches_;
   int flush_count_ = 0;
   int timeout_flush_count_ = 0;

@@ -6,17 +6,14 @@ namespace mcrdl {
 
 void CommLogger::record(CommRecord record) {
   if (!enabled_) return;
-  std::lock_guard<std::mutex> lock(mu_);
   by_rank_[record.rank].push_back(std::move(record));
 }
 
 void CommLogger::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
   by_rank_.clear();
 }
 
 std::vector<CommRecord> CommLogger::records() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<CommRecord> merged;
   std::size_t total = 0;
   for (const auto& [rank, bucket] : by_rank_) total += bucket.size();
@@ -49,7 +46,6 @@ SimTime CommLogger::interval_union(std::vector<std::pair<SimTime, SimTime>> inte
 }
 
 SimTime CommLogger::comm_time(int rank) const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::pair<SimTime, SimTime>> intervals;
   auto it = by_rank_.find(rank);
   if (it != by_rank_.end()) {
@@ -59,7 +55,6 @@ SimTime CommLogger::comm_time(int rank) const {
 }
 
 std::map<std::string, SimTime> CommLogger::time_by_op(int rank) const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::map<std::string, SimTime> out;
   auto it = by_rank_.find(rank);
   if (it != by_rank_.end()) {
@@ -69,7 +64,6 @@ std::map<std::string, SimTime> CommLogger::time_by_op(int rank) const {
 }
 
 std::map<std::string, SimTime> CommLogger::time_by_backend(int rank) const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::map<std::string, SimTime> out;
   auto it = by_rank_.find(rank);
   if (it != by_rank_.end()) {
@@ -79,7 +73,6 @@ std::map<std::string, SimTime> CommLogger::time_by_backend(int rank) const {
 }
 
 std::size_t CommLogger::bytes_moved(int rank) const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::size_t total = 0;
   auto it = by_rank_.find(rank);
   if (it != by_rank_.end()) {
@@ -89,7 +82,6 @@ std::size_t CommLogger::bytes_moved(int rank) const {
 }
 
 int CommLogger::op_count(int rank) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = by_rank_.find(rank);
   return it == by_rank_.end() ? 0 : static_cast<int>(it->second.size());
 }

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,13 +36,10 @@ struct CommRecord {
   bool recovered = false;   // replayed on a shrunk communicator after rank loss
 };
 
-// Records are bucketed per rank so concurrent shards (DESIGN.md §11) never
-// contend on one append vector and so the exported order is canonical:
+// Records are bucketed per rank so the exported order is canonical:
 // records() merges buckets in ascending rank order, preserving each rank's
 // completion order within its bucket. Per-rank completion order is a pure
-// function of virtual time, so the merged sequence is identical under the
-// serial and parallel execution models (the golden-trace and
-// parallel-identity tests pin this).
+// function of virtual time (the golden-trace tests pin this).
 class CommLogger {
  public:
   void set_enabled(bool enabled) { enabled_ = enabled; }
@@ -70,7 +66,6 @@ class CommLogger {
 
  private:
   bool enabled_ = false;
-  mutable std::mutex mu_;
   std::map<int, std::vector<CommRecord>> by_rank_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <shared_mutex>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -281,19 +280,14 @@ class FinishStage : public OpStage {
   // path. Backend names are SSO-short, so cache lookups do not allocate.
   const Handles& cached(const std::string& backend, OpType op, obs::MetricsRegistry& metrics) {
     const std::pair<std::string, int> key{backend, static_cast<int>(op)};
-    {
-      std::shared_lock<std::shared_mutex> lock(mu_);
-      auto it = cache_.find(key);
-      if (it != cache_.end()) return it->second;
-    }
+    auto it = cache_.find(key);
+    if (it != cache_.end()) return it->second;
     const obs::Labels labels{{"backend", backend}, {"op", op_name(op)}};
     Handles h{&metrics.counter("pipeline_ops", labels),
               &metrics.histogram("op_latency_us", labels)};
-    std::unique_lock<std::shared_mutex> lock(mu_);
     return cache_.emplace(key, h).first->second;
   }
 
-  std::shared_mutex mu_;
   std::map<std::pair<std::string, int>, Handles> cache_;
 };
 
@@ -730,8 +724,7 @@ Work OpPipeline::execute(int rank, const std::vector<int>& group, OpRequest req)
 
 // Resolves the `pipeline_stage_us{stage=...}` histogram of every stage up
 // front (registry references are stable). Runs at construction and after
-// each insert_* — setup-time only, so invoke() reads the vector with no
-// lock even when every rank's actor executes the pipeline concurrently.
+// each insert_*, so invoke() never looks a histogram up.
 void OpPipeline::rebuild_stage_histograms() {
   stage_hist_.assign(stages_.size(), nullptr);
   for (std::size_t i = 0; i < stages_.size(); ++i) {
@@ -792,8 +785,7 @@ std::uint64_t OpPipeline::config_version() const {
 
 const OpPipeline::PlanTable* OpPipeline::plan_table() {
   const std::uint64_t version = config_version();
-  const PlanTable* table = plans_.load(std::memory_order_acquire);
-  if (table != nullptr && table->config_version == version) return table;
+  if (plans_ != nullptr && plans_->config_version == version) return plans_;
   return recompile_plans(version);
 }
 
@@ -803,9 +795,6 @@ const OpPipeline::PlanTable* OpPipeline::plan_table() {
 // bumps its version. Superseded tables are retired, not freed, so plan
 // pointers held by in-flight calls stay valid across a recompile.
 const OpPipeline::PlanTable* OpPipeline::recompile_plans(std::uint64_t version) {
-  std::lock_guard<std::mutex> lock(plan_mu_);
-  const PlanTable* current = plans_.load(std::memory_order_acquire);
-  if (current != nullptr && current->config_version == version) return current;
   auto table = std::make_unique<PlanTable>();
   table->config_version = version;
   table->full.seq.resize(stages_.size());
@@ -833,10 +822,9 @@ const OpPipeline::PlanTable* OpPipeline::recompile_plans(std::uint64_t version) 
       }
     }
   }
-  const PlanTable* out = table.get();
+  plans_ = table.get();
   plan_history_.push_back(std::move(table));
-  plans_.store(out, std::memory_order_release);
-  return out;
+  return plans_;
 }
 
 std::vector<std::string> OpPipeline::active_stage_names(OpType op) {
@@ -857,7 +845,7 @@ OpCall* OpPipeline::arena_acquire(int rank) {
   if (rank < 0 || static_cast<std::size_t>(rank) >= pool_count_) return new OpCall();
   RankPool& pool = pools_[static_cast<std::size_t>(rank)];
   if (pool.free.empty()) {
-    pool.created.fetch_add(1, std::memory_order_relaxed);
+    ++pool.created;
     return new OpCall();
   }
   OpCall* call = pool.free.back().release();
@@ -877,7 +865,7 @@ void OpPipeline::arena_release(int rank, OpCall* call) {
 std::size_t OpPipeline::arena_slots() const {
   std::size_t total = 0;
   for (std::size_t r = 0; r < pool_count_; ++r) {
-    total += pools_[r].created.load(std::memory_order_relaxed);
+    total += pools_[r].created;
   }
   return total;
 }
@@ -907,8 +895,7 @@ void OpPipeline::insert_before(const std::string& name, std::unique_ptr<OpStage>
   rebuild_stage_histograms();
   // Stage indices moved: invalidate compiled plans (in-flight calls keep
   // their retired tables; this is a setup-time API).
-  std::lock_guard<std::mutex> lock(plan_mu_);
-  plans_.store(nullptr, std::memory_order_release);
+  plans_ = nullptr;
 }
 
 void OpPipeline::insert_after(const std::string& name, std::unique_ptr<OpStage> stage) {
@@ -917,8 +904,7 @@ void OpPipeline::insert_after(const std::string& name, std::unique_ptr<OpStage> 
   stages_.insert(stages_.begin() + static_cast<std::ptrdiff_t>(index_of(name)) + 1,
                  std::move(stage));
   rebuild_stage_histograms();
-  std::lock_guard<std::mutex> lock(plan_mu_);
-  plans_.store(nullptr, std::memory_order_release);
+  plans_ = nullptr;
 }
 
 }  // namespace mcrdl

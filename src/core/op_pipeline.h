@@ -44,10 +44,8 @@
 // have recorded — so per-stage metrics are identical under both shapes.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -195,9 +193,9 @@ class OpPipeline {
   // current configuration (plan introspection for tests and tools).
   std::vector<std::string> active_stage_names(OpType op);
   // Insert a custom stage relative to an existing one (by name); throws
-  // InvalidArgument if no stage has that name. Setup-time API: the stage
-  // list (and its histogram/plan caches) is read lock-free by every rank's
-  // actor, so stages must be in place before operations start flowing.
+  // InvalidArgument if no stage has that name. Setup-time API: calls in
+  // flight keep the plan they started with, so stages must be in place
+  // before operations start flowing.
   void insert_before(const std::string& name, std::unique_ptr<OpStage> stage);
   void insert_after(const std::string& name, std::unique_ptr<OpStage> stage);
 
@@ -219,7 +217,7 @@ class OpPipeline {
   class ArenaLease;
   struct RankPool {
     std::vector<std::unique_ptr<OpCall>> free;
-    std::atomic<std::uint64_t> created{0};
+    std::uint64_t created = 0;
   };
 
   static constexpr std::size_t kOpCount = static_cast<std::size_t>(OpType::Barrier) + 1;
@@ -248,20 +246,17 @@ class OpPipeline {
   std::vector<std::unique_ptr<OpStage>> stages_;
   // `pipeline_stage_us{stage=...}` histogram per stage, parallel to stages_;
   // resolved eagerly at construction/insert time (registry references are
-  // stable) so the per-invocation read takes no lock.
+  // stable) so the per-invocation read is a vector index.
   std::vector<obs::Histogram*> stage_hist_;
 
-  // Published plan table (lock-free reads); plan_mu_ serialises recompiles
-  // and plan_history_ keeps superseded tables alive for in-flight calls.
-  std::atomic<const PlanTable*> plans_{nullptr};
-  std::mutex plan_mu_;
+  // Current plan table; plan_history_ keeps superseded tables alive for
+  // in-flight calls.
+  const PlanTable* plans_ = nullptr;
   std::vector<std::unique_ptr<const PlanTable>> plan_history_;
 
   // Per-rank OpCall recycling pools, sized once at construction. A rank's
-  // pool is touched only by that rank's actor (reentrant dispatch nests on
-  // the same thread), so the free lists need no lock even under
-  // ParallelShards; `created` is atomic only for the arena_slots()
-  // diagnostic. Ranks outside [0, pool_count_) — impossible in a fixed
+  // pool is touched only by that rank's actor (reentrant dispatch nests in
+  // the same actor). Ranks outside [0, pool_count_) — impossible in a fixed
   // world, conceivable under exotic elastic configs — dispatch with an
   // unpooled heap OpCall instead.
   std::unique_ptr<RankPool[]> pools_;

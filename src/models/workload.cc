@@ -20,7 +20,7 @@ RunResult TrainingHarness::run(const Model& model, const CommPlan& plan,
   net::SystemConfig sys = system_;
   sys.num_nodes = (world + sys.gpus_per_node - 1) / sys.gpus_per_node;
 
-  ClusterContext cluster(sys, options.execution);
+  ClusterContext cluster(sys);
   cluster.contention() = options.contention;
   McrDlOptions mcr_opts = options.mcr_options;
   mcr_opts.logging_enabled = true;

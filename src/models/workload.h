@@ -49,10 +49,6 @@ struct HarnessOptions {
   int warmup_steps = 1;
   int measured_steps = 3;
   McrDlOptions mcr_options;  // fusion/compression settings for the run
-  // Execution engine for the run's cluster (DESIGN.md §11). Serial is the
-  // golden-trace referee; parallel(N) shards the ranks across N worker
-  // threads for wall-clock speed at identical virtual-time results.
-  sim::ExecutionConfig execution = sim::ExecutionConfig::serial();
   // Bandwidth-sharing factors from co-scheduled tenants, installed on the
   // run's cluster before any operation issues (src/sched/ measures each job
   // under the load the serving scheduler computed). Identity by default.

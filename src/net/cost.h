@@ -11,7 +11,6 @@
 // models; `tests/net/calibration_test.cc` pins the orderings.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -19,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/shard_slot.h"
 #include "src/common/units.h"
 #include "src/net/comm_types.h"
 #include "src/net/topology.h"
@@ -140,12 +138,6 @@ struct ContentionScale {
 // link-utilization gauges at snapshot time. `ops` counts cost-model
 // evaluations (one per collective rendezvous or p2p transfer), `busy_us`
 // the virtual time those transfers occupied the link class.
-//
-// Writes are striped per execution-model shard slot (shard_slot.h) so
-// concurrent shards never touch the same counters; reads merge the stripes.
-// Like the metrics stripes, merged reads are exact at quiescent points
-// (between scheduler phases or after run()) — the only places snapshots are
-// taken.
 struct LinkUsage {
   struct ClassUsage {
     std::uint64_t ops = 0;
@@ -153,38 +145,21 @@ struct LinkUsage {
     double busy_us = 0.0;
   };
 
-  void record_intra(std::uint64_t bytes, double busy_us) {
-    record(intra_slots_, bytes, busy_us);
-  }
-  void record_inter(std::uint64_t bytes, double busy_us) {
-    record(inter_slots_, bytes, busy_us);
-  }
+  void record_intra(std::uint64_t bytes, double busy_us) { record(intra_, bytes, busy_us); }
+  void record_inter(std::uint64_t bytes, double busy_us) { record(inter_, bytes, busy_us); }
 
-  // Merged totals across all shard stripes.
-  ClassUsage intra() const { return merge(intra_slots_); }
-  ClassUsage inter() const { return merge(inter_slots_); }
+  const ClassUsage& intra() const { return intra_; }
+  const ClassUsage& inter() const { return inter_; }
 
  private:
-  using Slots = std::array<ClassUsage, kShardSlots>;
-
-  static void record(Slots& slots, std::uint64_t bytes, double busy_us) {
-    ClassUsage& u = slots[static_cast<std::size_t>(shard_slot())];
+  static void record(ClassUsage& u, std::uint64_t bytes, double busy_us) {
     ++u.ops;
     u.bytes += bytes;
     u.busy_us += busy_us;
   }
-  static ClassUsage merge(const Slots& slots) {
-    ClassUsage total;
-    for (const ClassUsage& u : slots) {
-      total.ops += u.ops;
-      total.bytes += u.bytes;
-      total.busy_us += u.busy_us;
-    }
-    return total;
-  }
 
-  Slots intra_slots_{};  // NVLink traffic within a node
-  Slots inter_slots_{};  // NIC traffic crossing nodes
+  ClassUsage intra_;  // NVLink traffic within a node
+  ClassUsage inter_;  // NIC traffic crossing nodes
 };
 
 // Evaluates operation costs for one backend over one topology.

@@ -1,7 +1,6 @@
 #include "src/obs/metrics.h"
 
 #include <algorithm>
-#include <mutex>
 #include <sstream>
 
 #include "src/common/status.h"
@@ -14,35 +13,14 @@ Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   MCRDL_REQUIRE(std::is_sorted(bounds_.begin(), bounds_.end()) &&
                     std::adjacent_find(bounds_.begin(), bounds_.end()) == bounds_.end(),
                 "histogram bounds must be strictly increasing");
-  for (Slot& slot : slots_) slot.counts.assign(bounds_.size() + 1, 0);
+  counts_.assign(bounds_.size() + 1, 0);
 }
 
 void Histogram::observe(double value) {
-  Slot& slot = slots_[shard_slot()];
   auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  ++slot.counts[static_cast<std::size_t>(it - bounds_.begin())];
-  ++slot.count;
-  slot.sum += value;
-}
-
-std::uint64_t Histogram::count() const {
-  std::uint64_t total = 0;
-  for (const Slot& slot : slots_) total += slot.count;
-  return total;
-}
-
-double Histogram::sum() const {
-  double total = 0.0;
-  for (const Slot& slot : slots_) total += slot.sum;
-  return total;
-}
-
-std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::vector<std::uint64_t> merged(bounds_.size() + 1, 0);
-  for (const Slot& slot : slots_) {
-    for (std::size_t i = 0; i < merged.size(); ++i) merged[i] += slot.counts[i];
-  }
-  return merged;
+  ++counts_[static_cast<std::size_t>(it - bounds_.begin())];
+  ++count_;
+  sum_ += value;
 }
 
 std::vector<double> Histogram::default_latency_bounds_us() {
@@ -53,36 +31,16 @@ std::vector<double> Histogram::default_latency_bounds_us() {
 }
 
 Counter& MetricsRegistry::counter(const std::string& name, const Labels& labels) {
-  const Key key{name, labels};
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    auto it = counters_.find(key);
-    if (it != counters_.end()) return it->second;
-  }
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  return counters_[key];
+  return counters_[Key{name, labels}];
 }
 
 Gauge& MetricsRegistry::gauge(const std::string& name, const Labels& labels) {
-  const Key key{name, labels};
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    auto it = gauges_.find(key);
-    if (it != gauges_.end()) return it->second;
-  }
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  return gauges_[key];
+  return gauges_[Key{name, labels}];
 }
 
 Histogram& MetricsRegistry::histogram(const std::string& name, const Labels& labels,
                                       std::vector<double> bounds) {
   const Key key{name, labels};
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    auto it = histograms_.find(key);
-    if (it != histograms_.end()) return it->second;
-  }
-  std::unique_lock<std::shared_mutex> lock(mu_);
   auto it = histograms_.find(key);
   if (it == histograms_.end()) {
     if (bounds.empty()) bounds = Histogram::default_latency_bounds_us();
@@ -92,26 +50,22 @@ Histogram& MetricsRegistry::histogram(const std::string& name, const Labels& lab
 }
 
 std::uint64_t MetricsRegistry::counter_value(const std::string& name, const Labels& labels) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
   auto it = counters_.find({name, labels});
   return it == counters_.end() ? 0 : it->second.value();
 }
 
 double MetricsRegistry::gauge_value(const std::string& name, const Labels& labels) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
   auto it = gauges_.find({name, labels});
   return it == gauges_.end() ? 0.0 : it->second.value();
 }
 
 const Histogram* MetricsRegistry::find_histogram(const std::string& name,
                                                  const Labels& labels) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
   auto it = histograms_.find({name, labels});
   return it == histograms_.end() ? nullptr : &it->second;
 }
 
 std::uint64_t MetricsRegistry::counter_total(const std::string& name) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
   std::uint64_t total = 0;
   for (const auto& [key, c] : counters_) {
     if (key.first == name) total += c.value();
@@ -120,12 +74,10 @@ std::uint64_t MetricsRegistry::counter_total(const std::string& name) const {
 }
 
 std::size_t MetricsRegistry::size() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
   return counters_.size() + gauges_.size() + histograms_.size();
 }
 
 void MetricsRegistry::clear() {
-  std::unique_lock<std::shared_mutex> lock(mu_);
   counters_.clear();
   gauges_.clear();
   histograms_.clear();
@@ -157,7 +109,6 @@ void append_labels(std::ostringstream& out, const Labels& labels) {
 }  // namespace
 
 std::string MetricsRegistry::to_json() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
   std::ostringstream out;
   out << "{\"counters\":[";
   bool first = true;
@@ -194,7 +145,7 @@ std::string MetricsRegistry::to_json() const {
       append_number(out, h.bounds()[i]);
     }
     out << "],\"buckets\":[";
-    const std::vector<std::uint64_t> buckets = h.bucket_counts();
+    const std::vector<std::uint64_t>& buckets = h.bucket_counts();
     for (std::size_t i = 0; i < buckets.size(); ++i) {
       if (i > 0) out << ",";
       out << buckets[i];

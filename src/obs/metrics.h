@@ -19,30 +19,14 @@
 // the scheduler, sleeps, or allocates device memory — so enabling metrics
 // cannot move a single virtual-time stamp (the golden-trace tests pin this).
 //
-// Execution models (DESIGN.md §11): under SerialBaton every write happens on
-// the baton, one thread at a time. Under ParallelShards, actors on different
-// shards record concurrently, so counters and histograms stripe their state
-// across kShardSlots per-shard slots (indexed by the thread-local
-// shard_slot(); slot 0 is the serial/controller slot). Each slot has exactly
-// one writer at a time — the shard's single running actor — and the engine's
-// mutex handoffs provide the happens-before edges, so writes need no
-// atomics. Readers merge slots in index order, which keeps snapshots
-// reproducible for a fixed (model, threads) configuration; counters and
-// bucket counts are integer-exact across configurations, while histogram
-// sums may differ in final ULPs from the serial engine because floating
-// point addition is reassociated. Instrument *creation* mutates the registry
-// maps and is the one place that takes a lock.
+// Single-threaded by construction: every write happens under the
+// scheduler's baton (src/sim/scheduler.h), so instruments are plain fields.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <shared_mutex>
 #include <string>
 #include <vector>
-
-#include "src/common/shard_slot.h"
 
 namespace mcrdl::obs {
 
@@ -50,27 +34,21 @@ using Labels = std::map<std::string, std::string>;
 
 class Counter {
  public:
-  void inc(std::uint64_t delta = 1) { slots_[shard_slot()] += delta; }
-  std::uint64_t value() const {
-    std::uint64_t total = 0;
-    for (std::uint64_t v : slots_) total += v;
-    return total;
-  }
+  void inc(std::uint64_t delta = 1) { value_ += delta; }
+  std::uint64_t value() const { return value_; }
 
  private:
-  std::array<std::uint64_t, kShardSlots> slots_{};
+  std::uint64_t value_ = 0;
 };
 
-// Last-write-wins; the store is atomic so concurrent shards setting the same
-// gauge (rare — gauges are normally per-rank labelled or written outside
-// run()) are a benign race rather than undefined behaviour.
+// Last-write-wins.
 class Gauge {
  public:
-  void set(double value) { value_.store(value, std::memory_order_relaxed); }
-  double value() const { return value_.load(std::memory_order_relaxed); }
+  void set(double value) { value_ = value; }
+  double value() const { return value_; }
 
  private:
-  std::atomic<double> value_{0.0};
+  double value_ = 0.0;
 };
 
 class Histogram {
@@ -81,25 +59,20 @@ class Histogram {
 
   void observe(double value);
 
-  std::uint64_t count() const;
-  double sum() const;
+  std::uint64_t count() const { return count_; }
+  double sum() const { return sum_; }
   const std::vector<double>& bounds() const { return bounds_; }
   // bucket_counts().size() == bounds().size() + 1; the last is overflow.
-  // Merged across shard slots; recomputed on each call.
-  std::vector<std::uint64_t> bucket_counts() const;
+  const std::vector<std::uint64_t>& bucket_counts() const { return counts_; }
 
   // Power-of-two microsecond edges: 1, 2, 4, ..., 2^20 (≈ 1s).
   static std::vector<double> default_latency_bounds_us();
 
  private:
-  struct Slot {
-    std::vector<std::uint64_t> counts;
-    std::uint64_t count = 0;
-    double sum = 0.0;
-  };
-
   std::vector<double> bounds_;
-  std::array<Slot, kShardSlots> slots_;
+  std::vector<std::uint64_t> counts_;
+  std::uint64_t count_ = 0;
+  double sum_ = 0.0;
 };
 
 class MetricsRegistry {
@@ -131,12 +104,6 @@ class MetricsRegistry {
  private:
   using Key = std::pair<std::string, Labels>;
 
-  // Guards map structure only; instrument writes go through the striped
-  // slots and never take it. Reader/writer: find-or-create hits (the steady
-  // state — every instrument exists after the first step) share the lock so
-  // concurrent shards resolve instruments without serializing; only the
-  // first-creation miss path takes it exclusively.
-  mutable std::shared_mutex mu_;
   std::map<Key, Counter> counters_;
   std::map<Key, Gauge> gauges_;
   std::map<Key, Histogram> histograms_;

@@ -1,19 +1,9 @@
 #include "src/sim/scheduler.h"
 
-#include "src/sim/parallel_shards.h"
-#include "src/sim/serial_baton.h"
-
 namespace mcrdl::sim {
 
-std::unique_ptr<ExecutionModel> make_execution_model(const ExecutionConfig& config) {
-  if (config.kind == ExecutionModelKind::ParallelShards) {
-    return std::make_unique<ParallelShards>(config.threads);
-  }
-  return std::make_unique<SerialBaton>();
-}
-
 // ---------------------------------------------------------------------------
-// Engine-agnostic actor-side primitives
+// Actor-side primitives
 // ---------------------------------------------------------------------------
 
 void Scheduler::sleep_until(SimTime t) {
@@ -29,11 +19,7 @@ void Scheduler::yield() { sleep_until(now()); }
 // ---------------------------------------------------------------------------
 
 void SimCondition::wait() {
-  Scheduler::WaitToken token = sched_->prepare_wait();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    waiters_.push_back(token);
-  }
+  waiters_.push_back(sched_->prepare_wait());
   sched_->commit_wait();
 }
 
@@ -41,10 +27,7 @@ void SimCondition::notify_all() {
   // Stale tokens (actors force-woken earlier) fail the generation check
   // inside try_wake and are dropped harmlessly.
   std::vector<Scheduler::WaitToken> waiters;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    waiters.swap(waiters_);
-  }
+  waiters.swap(waiters_);
   for (const auto& token : waiters) sched_->try_wake(token, WakeReason::Normal);
 }
 

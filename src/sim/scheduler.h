@@ -4,19 +4,11 @@
 // Model
 // -----
 // Every simulated rank (and nothing else) is an *actor*: a suspendable
-// context that runs user code. The Scheduler is a thin facade over an
-// ExecutionModel engine (execution_model.h, DESIGN.md §11):
-//
-//   SerialBaton (default) — every actor is a fiber on the thread that calls
-//   run(), and exactly one executes at any instant; a "baton" is handed from
-//   actor to actor by a direct context switch, so all simulated state is
-//   implicitly protected by the baton and every run is deterministic.
-//
-//   ParallelShards — every actor is an OS thread; actors are partitioned
-//   into per-shard run queues that execute concurrently under a conservative
-//   virtual-time barrier; shared simulated state (engines, metrics, traces)
-//   is made shard-safe explicitly. Default-config output is byte-identical
-//   to SerialBaton.
+// context that runs user code. The Scheduler owns one SerialBaton engine
+// (serial_baton.h, DESIGN.md §4): every actor is a fiber on the thread that
+// calls run(), and exactly one executes at any instant; a "baton" is handed
+// from actor to actor by a direct context switch, so all simulated state is
+// implicitly protected by the baton and every run is deterministic.
 //
 // Virtual time only advances when every actor is blocked: the engine drains
 // the timed-event queue (device kernel completions, fusion timeouts, link
@@ -26,25 +18,24 @@
 // property that lets the mixed-backend tests distinguish naive
 // synchronisation (which deadlocks) from MCR-DL's ordering (which doesn't).
 //
-// Threading contract: Scheduler public methods are callable from actors or
-// from timed-event callbacks (which run serialized — under the baton, or on
-// the ParallelShards controller thread between actor phases). Timed-event
-// callbacks must not block. Code outside run() may only call spawn()/run().
-// No code may hold a host mutex across a scheduler wait: under SerialBaton
-// every actor shares one OS thread, so the next actor to take that mutex
-// self-deadlocks (or silently re-enters a recursive_mutex).
+// Threading contract: one Scheduler, and everything simulated on it, lives
+// on one thread. Scheduler public methods are callable from actors or from
+// timed-event callbacks (which run under the baton, between actors).
+// Timed-event callbacks must not block. Code outside run() may only call
+// spawn()/run(). No code may hold a host lock across a scheduler wait: every
+// actor shares one OS thread, so the next actor to take that lock
+// self-deadlocks. Independent Schedulers share nothing and may run on
+// different threads.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "src/common/status.h"
 #include "src/common/units.h"
-#include "src/sim/execution_model.h"
+#include "src/sim/serial_baton.h"
 
 namespace mcrdl::sim {
 
@@ -53,24 +44,22 @@ class Scheduler {
   // Identifies one suspension of one actor; handed to wake sources.
   using WaitToken = sim::WaitToken;
 
-  Scheduler() : Scheduler(ExecutionConfig::serial()) {}
-  explicit Scheduler(const ExecutionConfig& config)
-      : config_(config), impl_(make_execution_model(config)) {}
+  Scheduler() = default;
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
   // Registers an actor. Must be called before run().
   void spawn(std::string name, std::function<void()> fn) {
-    impl_->spawn(std::move(name), std::move(fn));
+    baton_.spawn(std::move(name), std::move(fn));
   }
 
   // Runs the actors spawned since the last run() until every one returns.
   // Rethrows the first actor exception (including DeadlockError) after all
   // actors have unwound.
-  void run() { impl_->run(); }
+  void run() { baton_.run(); }
 
   // Current virtual time in microseconds.
-  SimTime now() const { return impl_->now(); }
+  SimTime now() const { return baton_.now(); }
 
   // --- actor-side blocking primitives ------------------------------------
   void sleep_until(SimTime t);
@@ -85,10 +74,10 @@ class Scheduler {
   // wake source must present; the caller registers the token somewhere and
   // then calls commit_wait(), which blocks until try_wake() is called with a
   // matching token. try_wake returns false for stale tokens.
-  WaitToken prepare_wait() { return impl_->prepare_wait(); }
-  void commit_wait() { impl_->commit_wait(); }
+  WaitToken prepare_wait() { return baton_.prepare_wait(); }
+  void commit_wait() { baton_.commit_wait(); }
   bool try_wake(const WaitToken& token, WakeReason reason) {
-    return impl_->try_wake(token, reason);
+    return baton_.try_wake(token, reason);
   }
 
   // --- timed events -------------------------------------------------------
@@ -96,42 +85,35 @@ class Scheduler {
   // an id usable with cancel(). fn runs serialized with respect to all
   // actors and must not block.
   std::uint64_t schedule_at(SimTime t, std::function<void()> fn) {
-    return impl_->schedule_at(t, std::move(fn));
+    return baton_.schedule_at(t, std::move(fn));
   }
   std::uint64_t schedule_after(SimTime dt, std::function<void()> fn) {
-    return impl_->schedule_at(now() + dt, std::move(fn));
+    return baton_.schedule_at(now() + dt, std::move(fn));
   }
   // Cancels a pending event; no-op if it already fired.
-  void cancel(std::uint64_t event_id) { impl_->cancel(event_id); }
+  void cancel(std::uint64_t event_id) { baton_.cancel(event_id); }
 
-  // Name of the calling actor ("" outside actor context). Returned by
-  // value: a reference into actor state would dangle or race once shards run
-  // concurrently.
-  std::string current_actor_name() const { return impl_->current_actor_name(); }
+  // Name of the calling actor ("" outside actor context).
+  std::string current_actor_name() const { return baton_.current_actor_name(); }
   // Index of the current actor in spawn order (-1 outside actor context).
-  int current_actor_id() const { return impl_->current_actor_id(); }
-  bool running() const { return impl_->running(); }
+  int current_actor_id() const { return baton_.current_actor_id(); }
+  bool running() const { return baton_.running(); }
 
   // Number of timed events that have fired so far (diagnostic).
-  std::uint64_t events_fired() const { return impl_->events_fired(); }
-  // Number of live (not fired, not cancelled) timed events in the queue.
-  std::uint64_t pending_events() const { return impl_->pending_events(); }
-
-  // --- execution-model introspection --------------------------------------
-  const ExecutionConfig& execution_config() const { return config_; }
-  ExecutionModelKind execution_kind() const { return impl_->kind(); }
-  int shard_count() const { return impl_->shard_count(); }
-  std::uint64_t barrier_epochs() const { return impl_->barrier_epochs(); }
+  std::uint64_t events_fired() const { return baton_.events_fired(); }
+  // Live (scheduled, not yet fired, not cancelled) timed events in the
+  // queue. Cancelled tombstones are excluded: regression tests use this to
+  // pin that cancel-heavy workloads (fusion flush timers) do not grow the
+  // queue without bound.
+  std::uint64_t pending_events() const { return baton_.pending_events(); }
 
  private:
-  ExecutionConfig config_;
-  std::unique_ptr<ExecutionModel> impl_;
+  SerialBaton baton_;
 };
 
 // A condition variable in virtual time. wait() suspends the calling actor
 // until another actor (or a timed event) calls notify_all(); the predicate
-// overload loops like std::condition_variable::wait. The waiter list has its
-// own lock so concurrent shards can wait/notify safely.
+// overload re-checks after every wakeup.
 class SimCondition {
  public:
   explicit SimCondition(Scheduler* sched) : sched_(sched) {}
@@ -140,35 +122,17 @@ class SimCondition {
 
   void wait();
 
-  // Predicate form. The predicate is re-checked *after* the wait token is
-  // registered, which closes the lost-wakeup window under ParallelShards: a
-  // notifier that flips the condition between the first check and the
-  // registration is either observed by the re-check (skip the block) or
-  // lands on the registered token (pending-wake / normal wake). Abandoned
-  // tokens are neutralized by the next prepare_wait's generation bump.
   template <typename Pred>
   void wait(Pred pred) {
-    while (!pred()) {
-      Scheduler::WaitToken token = sched_->prepare_wait();
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        waiters_.push_back(token);
-      }
-      if (pred()) continue;
-      sched_->commit_wait();
-    }
+    while (!pred()) wait();
   }
 
   void notify_all();
 
-  bool has_waiters() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return !waiters_.empty();
-  }
+  bool has_waiters() const { return !waiters_.empty(); }
 
  private:
   Scheduler* sched_;
-  mutable std::mutex mu_;
   std::vector<Scheduler::WaitToken> waiters_;
 };
 

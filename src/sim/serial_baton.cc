@@ -157,7 +157,6 @@ void SerialBaton::actor_main() {
     aborting_ = true;
     force_wake_all(WakeReason::Abort);
   }
-  self->done = true;
   --live_actors_;
   pass_baton_and_exit();
 }

@@ -1,4 +1,4 @@
-// SerialBaton — the baton-passing execution engine (DESIGN.md §11).
+// SerialBaton — the simulator's execution engine (DESIGN.md §4).
 //
 // Every actor is a fiber: a ucontext with its own mmap'd, guard-paged stack,
 // and all of them run on the thread that calls run(). Exactly one executes
@@ -9,12 +9,11 @@
 // becomes runnable again; if none can, the system has genuinely deadlocked
 // and every actor is woken with DeadlockError.
 //
-// Because all actors share one OS thread, no code may hold a host mutex
-// across a scheduler wait: the next actor to take it would self-deadlock, or
-// silently re-enter a recursive_mutex.
+// Because all actors share one OS thread, no code may hold a host lock
+// across a scheduler wait: the next actor to take it would self-deadlock.
 //
-// This engine is the golden-trace referee: ParallelShards must reproduce its
-// default-config output byte for byte.
+// The Scheduler facade (scheduler.h) owns one SerialBaton and forwards to
+// it; code outside src/sim talks to the Scheduler.
 #pragma once
 
 #include <ucontext.h>
@@ -30,36 +29,89 @@
 #include <string>
 #include <vector>
 
-#include "src/sim/execution_model.h"
+#include "src/common/status.h"
+#include "src/common/units.h"
 
 namespace mcrdl::sim {
 
-class SerialBaton final : public ExecutionModel {
+// Reason an actor was made runnable again; Abort/Deadlock cause the wait
+// primitive to throw once the actor regains control.
+enum class WakeReason { Normal, Abort, Deadlock };
+
+// Raised inside actors that are force-unwound because another actor failed.
+class SimAborted : public Error {
+ public:
+  explicit SimAborted(const std::string& what) : Error(what) {}
+};
+
+namespace detail {
+
+enum class ActorState { Runnable, Running, Blocked, Done };
+
+struct Actor {
+  Actor(std::string name_, std::function<void()> fn_, int id_)
+      : name(std::move(name_)), fn(std::move(fn_)), id(id_) {}
+
+  std::string name;
+  std::function<void()> fn;
+  // Index in spawn order among the actors of one run().
+  int id = -1;
+  ActorState state = ActorState::Runnable;
+  WakeReason wake_reason = WakeReason::Normal;
+  // Incremented on every suspension; wake sources capture the generation so
+  // stale wakeups (cancelled timers, force-woken condition entries) are
+  // rejected.
+  std::uint64_t wait_gen = 0;
+};
+
+// A pending timed-event callback, ordered by (time, sequence) so that
+// simultaneous events fire FIFO in scheduling order.
+struct TimedEvent {
+  SimTime t = 0.0;
+  std::uint64_t seq = 0;
+  std::function<void()> fn;
+  bool cancelled = false;
+};
+struct TimedEventOrder {
+  bool operator()(const std::shared_ptr<TimedEvent>& a,
+                  const std::shared_ptr<TimedEvent>& b) const {
+    if (a->t != b->t) return a->t > b->t;
+    return a->seq > b->seq;  // FIFO among simultaneous events
+  }
+};
+
+}  // namespace detail
+
+// Identifies one suspension of one actor; handed to wake sources.
+struct WaitToken {
+  detail::Actor* actor = nullptr;
+  std::uint64_t gen = 0;
+};
+
+// See scheduler.h for the semantics of each operation; the Scheduler
+// forwards one-to-one.
+class SerialBaton {
  public:
   SerialBaton() = default;
   SerialBaton(const SerialBaton&) = delete;
   SerialBaton& operator=(const SerialBaton&) = delete;
 
-  void spawn(std::string name, std::function<void()> fn) override;
-  void run() override;
-  SimTime now() const override { return now_; }
+  void spawn(std::string name, std::function<void()> fn);
+  void run();
+  SimTime now() const { return now_; }
 
-  WaitToken prepare_wait() override;
-  void commit_wait() override;
-  bool try_wake(const WaitToken& token, WakeReason reason) override;
+  WaitToken prepare_wait();
+  void commit_wait();
+  bool try_wake(const WaitToken& token, WakeReason reason);
 
-  std::uint64_t schedule_at(SimTime t, std::function<void()> fn) override;
-  void cancel(std::uint64_t event_id) override;
+  std::uint64_t schedule_at(SimTime t, std::function<void()> fn);
+  void cancel(std::uint64_t event_id);
 
-  std::string current_actor_name() const override;
-  int current_actor_id() const override;
-  bool running() const override { return running_; }
-  std::uint64_t events_fired() const override { return events_fired_; }
-  std::uint64_t pending_events() const override;
-
-  ExecutionModelKind kind() const override { return ExecutionModelKind::SerialBaton; }
-  int shard_count() const override { return 1; }
-  std::uint64_t barrier_epochs() const override { return 0; }
+  std::string current_actor_name() const;
+  int current_actor_id() const;
+  bool running() const { return running_; }
+  std::uint64_t events_fired() const { return events_fired_; }
+  std::uint64_t pending_events() const;
 
  private:
   // One execution context: an actor's fiber, or the run() caller's.

@@ -1,15 +1,14 @@
 // Elastic recovery across in-flight composites: a rank loss mid-chain must
 // leave survivors agreeing on the reduced data (sync composites replay
 // through the parent recover stage, async ones through the chain's own
-// redispatch closure), and a later rejoin grows the world back under both
-// execution engines. Runs on mv2-gdr at both levels — host-synchronous, so
-// errors surface to the issuing rank, mirroring tests/fault/recovery_test.cc.
+// redispatch closure), and a later rejoin grows the world back. Runs on
+// mv2-gdr at both levels — host-synchronous, so errors surface to the
+// issuing rank, mirroring tests/fault/recovery_test.cc.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -34,7 +33,7 @@ void add_loss(fault::FaultPlan& plan, int rank, SimTime at) {
 struct ElasticRun {
   std::vector<double> finals;   // final tensor value per rank (0 = did not finish)
   std::vector<double> spreads;  // max-min over sampled elements (0 = tensor uniform)
-  std::vector<int> died;        // int, not bool: same-instant actors write concurrently
+  std::vector<int> died;        // rank lost mid-run
 };
 
 // `iters` composite allreduce-sum iterations, 400us apart, starting from
@@ -89,7 +88,7 @@ ElasticRun run_elastic(McrDl& mcr, ClusterContext& cluster, int iters, bool asyn
 // the tail of the op, so early chunk-chains complete before the loss and
 // late ones park mid-rendezvous.
 SimTime measure_composite(const char* algo, int nodes, std::int64_t numel) {
-  ClusterContext cluster(net::SystemConfig::lassen(nodes), sim::ExecutionConfig::serial());
+  ClusterContext cluster(net::SystemConfig::lassen(nodes));
   McrDlOptions opts;
   opts.coll.enabled = true;
   opts.coll.overlap = true;
@@ -145,10 +144,10 @@ void check_survivor_value(const ElasticRun& run, int world, int iters) {
                        << " is not a full-world/shrunk-world iteration split;" << dump;
 }
 
-class ElasticCollTest : public ::testing::TestWithParam<sim::ExecutionConfig> {
+class ElasticCollTest : public ::testing::Test {
  protected:
   void make(int nodes, McrDlOptions opts) {
-    cluster_ = std::make_unique<ClusterContext>(net::SystemConfig::lassen(nodes), GetParam());
+    cluster_ = std::make_unique<ClusterContext>(net::SystemConfig::lassen(nodes));
     mcr_ = std::make_unique<McrDl>(cluster_.get(), opts);
   }
   static McrDlOptions elastic_opts(bool overlap) {
@@ -163,13 +162,7 @@ class ElasticCollTest : public ::testing::TestWithParam<sim::ExecutionConfig> {
   std::unique_ptr<McrDl> mcr_;
 };
 
-std::string config_name(const ::testing::TestParamInfo<sim::ExecutionConfig>& info) {
-  return info.param.kind == sim::ExecutionModelKind::SerialBaton
-             ? "serial"
-             : "parallel" + std::to_string(info.param.threads);
-}
-
-TEST_P(ElasticCollTest, ShrinkMidSyncCompositeSurvivorsAgree) {
+TEST_F(ElasticCollTest, ShrinkMidSyncCompositeSurvivorsAgree) {
   McrDlOptions opts = elastic_opts(/*overlap=*/false);
   add_loss(opts.fault.plan, /*rank=*/1, /*at=*/2500.0);
   make(2, opts);
@@ -185,7 +178,7 @@ TEST_P(ElasticCollTest, ShrinkMidSyncCompositeSurvivorsAgree) {
   EXPECT_GT(stats.recovered_ops, 0u);
 }
 
-TEST_P(ElasticCollTest, ShrinkMidAsyncOverlappedCompositeSurvivorsAgree) {
+TEST_F(ElasticCollTest, ShrinkMidAsyncOverlappedCompositeSurvivorsAgree) {
   // Async + overlap: the failure lands on chunk-chains whose parent pipeline
   // frame is long gone — recovery must flow through the chains' redispatch
   // closures, and the stale-epoch sweep must bounce the cancelled chunks.
@@ -208,7 +201,7 @@ TEST_P(ElasticCollTest, ShrinkMidAsyncOverlappedCompositeSurvivorsAgree) {
 // pipeline's recover stage must start from pristine bytes for *every* slice
 // — per-chunk restores would let it re-reduce the completed slices into
 // survivors*old_sum.
-TEST_P(ElasticCollTest, ShrinkMidSyncOverlappedCompositeSurvivorsAgree) {
+TEST_F(ElasticCollTest, ShrinkMidSyncOverlappedCompositeSurvivorsAgree) {
   constexpr std::int64_t kNumel = 1 << 18;
   const SimTime dur = measure_composite(kAlgo, /*nodes=*/2, kNumel);
   McrDlOptions opts = elastic_opts(/*overlap=*/true);
@@ -232,7 +225,7 @@ TEST_P(ElasticCollTest, ShrinkMidSyncOverlappedCompositeSurvivorsAgree) {
 // failed ones flow through the shared recover closure — which must replay
 // the *whole* tensor exactly once, not each failed slice on the shrunk group
 // (that would leave one tensor mixing two memberships).
-TEST_P(ElasticCollTest, ShrinkMidAsyncOverlappedCompositeOpGranularityReplay) {
+TEST_F(ElasticCollTest, ShrinkMidAsyncOverlappedCompositeOpGranularityReplay) {
   constexpr std::int64_t kNumel = 1 << 18;
   const SimTime dur = measure_composite(kAlgo, /*nodes=*/2, kNumel);
   McrDlOptions opts = elastic_opts(/*overlap=*/true);
@@ -250,7 +243,7 @@ TEST_P(ElasticCollTest, ShrinkMidAsyncOverlappedCompositeOpGranularityReplay) {
 // rsag publishes each chunk's reduced slice in its success-path finalize, so
 // chunked rsag needs the shared whole-tensor restore exactly like hier's
 // in-place phases do (unchunked rsag replays cleanly without one).
-TEST_P(ElasticCollTest, ShrinkMidOverlappedRsagSurvivorsAgree) {
+TEST_F(ElasticCollTest, ShrinkMidOverlappedRsagSurvivorsAgree) {
   constexpr const char* kRsag = "rsag:mv2-gdr";
   constexpr std::int64_t kNumel = 1 << 18;
   const SimTime dur = measure_composite(kRsag, /*nodes=*/2, kNumel);
@@ -266,7 +259,7 @@ TEST_P(ElasticCollTest, ShrinkMidOverlappedRsagSurvivorsAgree) {
   EXPECT_EQ(mcr_->recovery().stats().epochs, 1u);
 }
 
-TEST_P(ElasticCollTest, ShrinkThenRejoinAcrossComposites) {
+TEST_F(ElasticCollTest, ShrinkThenRejoinAcrossComposites) {
   // Phase one absorbs the loss mid-composite; everyone parks past the rejoin
   // instant (virtual-time barrier); phase two's full-world composite
   // allreduce equalises every participant including the returnee.
@@ -324,12 +317,11 @@ TEST_P(ElasticCollTest, ShrinkThenRejoinAcrossComposites) {
 // chains fail for good, so the chunk-group can never complete, yet the
 // finish stage's closure on the group captures the group itself. Every work
 // issued must still be freed with the runtime.
-TEST_P(ElasticCollTest, AbandonedOverlappedCompositeWorksAreFreed) {
+TEST_F(ElasticCollTest, AbandonedOverlappedCompositeWorksAreFreed) {
   McrDlOptions opts = elastic_opts(/*overlap=*/true);
   add_loss(opts.fault.plan, /*rank=*/1, /*at=*/2500.0);
   make(2, opts);
   mcr_->init({"mv2-gdr"});
-  std::mutex mu;  // same-instant actors run concurrently under shards
   std::vector<std::weak_ptr<WorkHandle>> issued;
   cluster_->run_spmd([&](int rank) {
     Api api = mcr_->on(rank);
@@ -337,10 +329,7 @@ TEST_P(ElasticCollTest, AbandonedOverlappedCompositeWorksAreFreed) {
     for (int i = 0; i < 10 && !cluster_->faults().rank_lost(rank); ++i) {
       try {
         Work w = api.all_reduce(kAlgo, t, ReduceOp::Sum, /*async_op=*/true);
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          issued.push_back(w);
-        }
+        issued.push_back(w);
         w->wait();
       } catch (const RankLostError&) {
         return;
@@ -357,11 +346,6 @@ TEST_P(ElasticCollTest, AbandonedOverlappedCompositeWorksAreFreed) {
     EXPECT_TRUE(issued[i].expired()) << "work " << i << " outlived its runtime";
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Engines, ElasticCollTest,
-                         ::testing::Values(sim::ExecutionConfig::serial(),
-                                           sim::ExecutionConfig::parallel(4)),
-                         config_name);
 
 }  // namespace
 }  // namespace mcrdl

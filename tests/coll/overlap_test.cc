@@ -1,8 +1,6 @@
 // The overlap scheduler's contract: chunking exists only when overlap is on,
 // interleaved chunk-chains finish a large composite in less virtual time
-// than one serial chain, drain() retires every live chain, and both
-// execution engines agree on the resulting virtual clock — chains are driven
-// from actor context, so engine choice must not leak into completion times.
+// than one serial chain, and drain() retires every live chain.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -24,9 +22,8 @@ McrDlOptions coll_opts(bool overlap, int chunks = 4) {
 
 // One async hier allreduce of `elems` floats per rank, waited on; returns
 // the cluster's final virtual time (per-rank values are checked inline).
-SimTime run_one_composite(bool overlap, int elems,
-                          sim::ExecutionConfig exec = sim::ExecutionConfig::serial()) {
-  ClusterContext cluster(net::SystemConfig::lassen(2), exec);
+SimTime run_one_composite(bool overlap, int elems) {
+  ClusterContext cluster(net::SystemConfig::lassen(2));
   McrDl mcr(&cluster, coll_opts(overlap));
   mcr.init({"nccl", "mv2-gdr"});
   const double expect = static_cast<double>(cluster.world_size()) *
@@ -67,15 +64,6 @@ TEST(OverlapScheduler, InterleavedChunksBeatSerialChain) {
   const SimTime overlapped = run_one_composite(/*overlap=*/true, kElems);
   EXPECT_LT(overlapped, serial)
       << "overlap=" << overlapped << "us vs serial=" << serial << "us";
-}
-
-TEST(OverlapScheduler, EnginesAgreeOnCompositeVirtualTime) {
-  constexpr int kElems = 4096;
-  const SimTime serial_engine =
-      run_one_composite(/*overlap=*/true, kElems, sim::ExecutionConfig::serial());
-  const SimTime parallel_engine =
-      run_one_composite(/*overlap=*/true, kElems, sim::ExecutionConfig::parallel(4));
-  EXPECT_DOUBLE_EQ(serial_engine, parallel_engine);
 }
 
 TEST(OverlapScheduler, SynchronizeDrainsEveryLiveChain) {

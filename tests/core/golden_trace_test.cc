@@ -16,6 +16,7 @@
 #include <iomanip>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/mcr_dl.h"
@@ -179,9 +180,7 @@ fault::FaultPlan chaos_plan() {
 // empty plan, 2 = enabled with the chaos plan, 3 = enabled with elastic
 // recovery armed but a loss instant beyond the end of the run, 4 = mode 3
 // plus a rejoin spec even further out (grow path armed, never fired).
-std::string run_scenario(int fault_mode,
-                         sim::ExecutionConfig exec = sim::ExecutionConfig::serial(),
-                         bool fast_dispatch = true) {
+std::string run_scenario(int fault_mode, bool fast_dispatch = true) {
   McrDlOptions opts = base_options();
   opts.fast_dispatch = fast_dispatch;
   if (fault_mode == 1) opts.fault.enabled = true;
@@ -199,7 +198,7 @@ std::string run_scenario(int fault_mode,
   if (fault_mode == 4) {
     opts.fault.plan.specs.push_back(fault::FaultSpec::rejoin_rank(0, 2e12));
   }
-  ClusterContext cluster(net::SystemConfig::lassen(2), exec);
+  ClusterContext cluster(net::SystemConfig::lassen(2));
   McrDl mcr(&cluster, opts);
   mcr.init({"nccl", "mv2-gdr"});
   TuningTable table;
@@ -275,41 +274,35 @@ TEST(GoldenTrace, ArmedRejoinWithNoGrowIsBitIdenticalToDisabled) {
   EXPECT_EQ(run_scenario(0), run_scenario(4));
 }
 
-// Tentpole invariant of the ExecutionModel seam (DESIGN.md §11): the
-// ParallelShards engine is an *execution* strategy, not a *semantics*
-// change. Running the full mixed-backend workload across concurrent shards
-// must reproduce the serial baton's trace byte-for-byte — every virtual-time
-// stamp, every routing decision, every checksum.
-TEST(GoldenTrace, ParallelShardsIsByteIdenticalToSerial) {
-  const std::string serial = run_scenario(0);
-  EXPECT_EQ(serial, run_scenario(0, sim::ExecutionConfig::parallel(2)));
-  EXPECT_EQ(serial, run_scenario(0, sim::ExecutionConfig::parallel(4)));
-}
-
-// The same invariant holds against the checked-in golden, so a divergence
-// cannot hide behind both engines drifting together.
-TEST(GoldenTrace, ParallelShardsMatchesGolden) {
-  compare_with_golden("trace_nofault.txt", run_scenario(0, sim::ExecutionConfig::parallel(4)));
+// Independent ClusterContexts share no state (DESIGN.md §4): the full
+// workload run on two host threads at once, one context each, reproduces
+// the golden on both. Under -fsanitize=thread this is the check that
+// nothing in the library is process-global.
+TEST(GoldenTrace, TwoContextsOnTwoThreadsMatchGolden) {
+  std::string traces[2];
+  std::thread first([&] { traces[0] = run_scenario(0); });
+  std::thread second([&] { traces[1] = run_scenario(0); });
+  first.join();
+  second.join();
+  compare_with_golden("trace_nofault.txt", traces[0]);
+  compare_with_golden("trace_nofault.txt", traces[1]);
 }
 
 // Hot-path invariant (DESIGN.md §14): fast dispatch — arena OpCalls,
 // precompiled stage plans that elide provably no-op stages, cached metric
 // handles — is an *implementation* of dispatch, not a semantics change.
 // The slow path (a fresh OpCall per op, every stage invoked) must produce
-// the identical trace, virtual-time stamp for stamp, on both engines and
-// under the chaos plan's full retry/failover machinery.
+// the identical trace, virtual-time stamp for stamp, with and without the
+// chaos plan's full retry/failover machinery.
 TEST(GoldenTrace, FastAndSlowDispatchAreByteIdentical) {
-  EXPECT_EQ(run_scenario(0), run_scenario(0, sim::ExecutionConfig::serial(), false));
-  EXPECT_EQ(run_scenario(2), run_scenario(2, sim::ExecutionConfig::serial(), false));
-  EXPECT_EQ(run_scenario(0, sim::ExecutionConfig::parallel(4)),
-            run_scenario(0, sim::ExecutionConfig::parallel(4), false));
+  EXPECT_EQ(run_scenario(0), run_scenario(0, /*fast_dispatch=*/false));
+  EXPECT_EQ(run_scenario(2), run_scenario(2, /*fast_dispatch=*/false));
 }
 
 // The slow path matches the checked-in golden too (it IS the shape that
 // generated it), so fast and slow cannot drift together unnoticed.
 TEST(GoldenTrace, SlowDispatchMatchesGolden) {
-  compare_with_golden("trace_nofault.txt",
-                      run_scenario(0, sim::ExecutionConfig::serial(), false));
+  compare_with_golden("trace_nofault.txt", run_scenario(0, /*fast_dispatch=*/false));
 }
 
 }  // namespace

@@ -1,7 +1,5 @@
 // Elastic grow-back end-to-end: quiesce -> grow -> resume when lost ranks
-// rejoin (DESIGN.md §13). Every scenario runs under BOTH execution engines
-// (SerialBaton and ParallelShards) — grow events are processed at virtual-
-// time instants, so the engines must agree on every outcome.
+// rejoin (DESIGN.md §13).
 //
 // The workload below is the two-phase shape tools/mcrdl_chaos.cc uses for
 // its rejoin differential: phase one absorbs the loss, every rank then
@@ -21,21 +19,9 @@
 namespace mcrdl::fault {
 namespace {
 
-class RejoinTest : public ::testing::TestWithParam<sim::ExecutionConfig> {
- protected:
-  sim::ExecutionConfig config() const { return GetParam(); }
-};
-
-std::string config_name(const ::testing::TestParamInfo<sim::ExecutionConfig>& info) {
-  return info.param.kind == sim::ExecutionModelKind::SerialBaton
-             ? "serial"
-             : "parallel" + std::to_string(info.param.threads);
-}
-
 struct RejoinRun {
   std::vector<double> finals;    // final tensor value per rank (0 = did not finish)
-  std::vector<int> died_phase_one;  // rank broke out of phase one (int: bit-vector
-                                    // writes from same-instant actors would race)
+  std::vector<int> died_phase_one;  // rank broke out of phase one
 };
 
 // The deterministic loss recipe from recovery_test.cc with one twist: the
@@ -113,8 +99,8 @@ void check_alive_agree(const RejoinRun& run, const std::vector<int>& alive) {
 
 // --- unit level -------------------------------------------------------------
 
-TEST_P(RejoinTest, RejoinOfNeverLostRankIsRejected) {
-  sim::Scheduler sched(config());
+TEST(RejoinTest, RejoinOfNeverLostRankIsRejected) {
+  sim::Scheduler sched;
   FaultInjector inj(&sched);
   FaultPlan plan;
   plan.specs.push_back(FaultSpec::lose_rank(3, 1e9));  // far future: arms, never fires
@@ -131,8 +117,8 @@ TEST_P(RejoinTest, RejoinOfNeverLostRankIsRejected) {
   EXPECT_EQ(rec.survivors(), (std::vector<int>{0, 1, 2, 3}));
 }
 
-TEST_P(RejoinTest, DoubleRejoinSecondIsRejected) {
-  sim::Scheduler sched(config());
+TEST(RejoinTest, DoubleRejoinSecondIsRejected) {
+  sim::Scheduler sched;
   FaultInjector inj(&sched);
   FaultPlan plan;
   plan.specs.push_back(FaultSpec::lose_rank(3, 1e9));
@@ -156,10 +142,10 @@ TEST_P(RejoinTest, DoubleRejoinSecondIsRejected) {
   EXPECT_EQ(rec.stats().rejoins_rejected, 1u);
 }
 
-TEST_P(RejoinTest, MixedRejoinAdmitsOnlyTheLost) {
+TEST(RejoinTest, MixedRejoinAdmitsOnlyTheLost) {
   // One event naming a lost rank and a healthy one: the lost rank is
   // admitted (one grow epoch), the healthy one rejected.
-  sim::Scheduler sched(config());
+  sim::Scheduler sched;
   FaultInjector inj(&sched);
   FaultPlan plan;
   plan.specs.push_back(FaultSpec::lose_rank(3, 1e9));
@@ -177,8 +163,8 @@ TEST_P(RejoinTest, MixedRejoinAdmitsOnlyTheLost) {
 
 // --- end-to-end scenarios ---------------------------------------------------
 
-TEST_P(RejoinTest, LossThenRejoinRestoresTheFullWorld) {
-  ClusterContext cluster(net::SystemConfig::lassen(1), config());  // 4 ranks
+TEST(RejoinTest, LossThenRejoinRestoresTheFullWorld) {
+  ClusterContext cluster(net::SystemConfig::lassen(1));  // 4 ranks
   McrDlOptions opts;
   opts.fault.enabled = true;
   add_loss(opts.fault.plan, /*rank=*/1, /*at=*/2500.0);
@@ -208,11 +194,11 @@ TEST_P(RejoinTest, LossThenRejoinRestoresTheFullWorld) {
   EXPECT_EQ(cluster.metrics().counter_value("recovery_grow_ranks_rejoined"), 1u);
 }
 
-TEST_P(RejoinTest, WarmSpareStartsExcludedAndGrowsIn) {
+TEST(RejoinTest, WarmSpareStartsExcludedAndGrowsIn) {
   // Rank 3 is a warm spare: excluded from the initial world (rank_loss at
   // t=0, applied synchronously at arm) and admitted by a rejoin spec. The
   // run starts on 3 ranks and finishes on 4.
-  ClusterContext cluster(net::SystemConfig::lassen(1), config());
+  ClusterContext cluster(net::SystemConfig::lassen(1));
   McrDlOptions opts;
   opts.fault.enabled = true;
   opts.fault.spare_ranks = {3};
@@ -230,11 +216,11 @@ TEST_P(RejoinTest, WarmSpareStartsExcludedAndGrowsIn) {
   EXPECT_EQ(mcr.recovery().survivors(), (std::vector<int>{0, 1, 2, 3}));
 }
 
-TEST_P(RejoinTest, LossAndRejoinAtTheSameInstantProcessLossFirst) {
+TEST(RejoinTest, LossAndRejoinAtTheSameInstantProcessLossFirst) {
   // At t=30000 rank 2 dies and rank 1 (lost at 2500) comes back, in one
   // combined event: the loss's quiesce runs first, then the grow admits the
   // rejoiner into the already-shrunk world. Net world: {0, 1, 3}.
-  ClusterContext cluster(net::SystemConfig::lassen(1), config());
+  ClusterContext cluster(net::SystemConfig::lassen(1));
   McrDlOptions opts;
   opts.fault.enabled = true;
   add_loss(opts.fault.plan, /*rank=*/1, /*at=*/2500.0);
@@ -254,11 +240,11 @@ TEST_P(RejoinTest, LossAndRejoinAtTheSameInstantProcessLossFirst) {
   EXPECT_EQ(mcr.recovery().survivors(), (std::vector<int>{0, 1, 3}));
 }
 
-TEST_P(RejoinTest, LossAfterGrowComposesEpochs) {
+TEST(RejoinTest, LossAfterGrowComposesEpochs) {
   // Rank 1 dies, rejoins, and then rank 2 dies mid-phase-two: the shrink
   // after the grow must open a fresh epoch and the freshly rejoined rank
   // must survive it like any other member of the enlarged world.
-  ClusterContext cluster(net::SystemConfig::lassen(1), config());
+  ClusterContext cluster(net::SystemConfig::lassen(1));
   McrDlOptions opts;
   opts.fault.enabled = true;
   add_loss(opts.fault.plan, /*rank=*/1, /*at=*/2500.0);
@@ -280,13 +266,13 @@ TEST_P(RejoinTest, LossAfterGrowComposesEpochs) {
   EXPECT_EQ(mcr.recovery().survivors(), (std::vector<int>{0, 1, 3}));
 }
 
-TEST_P(RejoinTest, StaleEpochOpsAfterGrowAreBouncedNotDeadlocked) {
+TEST(RejoinTest, StaleEpochOpsAfterGrowAreBouncedNotDeadlocked) {
   // Phase two opens with a transient window whose retry backoff spans a
   // second loss: the retries — issued by the enlarged world, including the
   // freshly rejoined rank 1 — reach the issue stage stamped with the grow
   // epoch in a newer epoch's world. They must be bounced (stale_rejections)
   // and replayed on the shrunk group, never issued against it.
-  ClusterContext cluster(net::SystemConfig::lassen(1), config());
+  ClusterContext cluster(net::SystemConfig::lassen(1));
   McrDlOptions opts;
   opts.fault.enabled = true;
   add_loss(opts.fault.plan, /*rank=*/1, /*at=*/2500.0);
@@ -308,12 +294,6 @@ TEST_P(RejoinTest, StaleEpochOpsAfterGrowAreBouncedNotDeadlocked) {
   EXPECT_EQ(stats.ranks_lost, 2u);
   EXPECT_EQ(mcr.recovery().survivors(), (std::vector<int>{0, 1, 3}));
 }
-
-INSTANTIATE_TEST_SUITE_P(Engines, RejoinTest,
-                         ::testing::Values(sim::ExecutionConfig::serial(),
-                                           sim::ExecutionConfig::parallel(2),
-                                           sim::ExecutionConfig::parallel(4)),
-                         config_name);
 
 }  // namespace
 }  // namespace mcrdl::fault

@@ -1,26 +1,19 @@
-// Execution-model seam tests: the same scheduler contract exercised under
-// both engines (SerialBaton and ParallelShards). Covers the edge cases the
-// refactor is most likely to disturb — cancel-after-fire, FIFO ordering of
-// simultaneous timed events, stale wait-token rejection, and deadlock
-// detection — plus the cross-time ordering guarantees both engines share.
-// The serial engine runs its actors as fibers on one thread, so the suite
-// also pins what a fiber must keep per actor (C++ exception state, a
-// thread-sized stack) and that every run() frees the stacks it mapped.
-//
-// Under ParallelShards, actors that are runnable at the same virtual instant
-// execute concurrently, so these tests only assert orderings across distinct
-// virtual times (which both engines guarantee) and guard any state shared by
-// same-instant actors with a mutex.
+// Engine tests: the scheduler contract the SerialBaton engine implements.
+// Covers the edge cases a change to the engine is most likely to disturb —
+// cancel-after-fire, FIFO ordering of simultaneous timed events, stale
+// wait-token rejection, and deadlock detection — plus cross-time ordering.
+// The engine runs its actors as fibers on one thread, so the suite also pins
+// what a fiber must keep per actor (C++ exception state, a thread-sized
+// stack) and that every run() frees the stacks it mapped.
 #include <gtest/gtest.h>
 
 #include <array>
-#include <atomic>
 #include <cinttypes>
 #include <cstdio>
 #include <exception>
 #include <fstream>
 #include <memory>
-#include <mutex>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -29,23 +22,7 @@
 namespace mcrdl::sim {
 namespace {
 
-class ExecutionModelTest : public ::testing::TestWithParam<ExecutionConfig> {
- protected:
-  ExecutionConfig config() const { return GetParam(); }
-};
-
-std::string config_name(const ::testing::TestParamInfo<ExecutionConfig>& info) {
-  return info.param.kind == ExecutionModelKind::SerialBaton
-             ? "serial"
-             : "parallel" + std::to_string(info.param.threads);
-}
-
-bool is_serial(const ExecutionConfig& config) {
-  return config.kind == ExecutionModelKind::SerialBaton;
-}
-
-// True if some mapping in /proc/self/maps contains `addr`. Serial actors
-// record their frame address to check that run() unmapped their stacks.
+// True if some mapping in /proc/self/maps contains `addr`. Actors record their frame address to check that run() unmapped their stacks.
 bool is_mapped(const void* addr) {
   std::ifstream maps("/proc/self/maps");
   const auto a = reinterpret_cast<std::uintptr_t>(addr);
@@ -60,44 +37,39 @@ bool is_mapped(const void* addr) {
   return false;
 }
 
-TEST_P(ExecutionModelTest, ActorsRunAndTimeAdvances) {
-  Scheduler sched(config());
-  std::atomic<int> ran{0};
+TEST(SerialBaton, ActorsRunAndTimeAdvances) {
+  Scheduler sched;
+  int ran = 0;
   SimTime a_end = -1.0, b_end = -1.0;
   sched.spawn("a", [&] {
     sched.sleep_for(10.0);
     a_end = sched.now();
-    ran.fetch_add(1);
+    ++ran;
   });
   sched.spawn("b", [&] {
     sched.sleep_for(25.0);
     b_end = sched.now();
-    ran.fetch_add(1);
+    ++ran;
   });
   sched.run();
-  EXPECT_EQ(ran.load(), 2);
+  EXPECT_EQ(ran, 2);
   EXPECT_DOUBLE_EQ(a_end, 10.0);
   EXPECT_DOUBLE_EQ(b_end, 25.0);
   EXPECT_DOUBLE_EQ(sched.now(), 25.0);
 }
 
-TEST_P(ExecutionModelTest, CrossTimeOrderingIsPreserved) {
-  Scheduler sched(config());
-  std::mutex mu;
+TEST(SerialBaton, CrossTimeOrderingIsPreserved) {
+  Scheduler sched;
   std::vector<std::string> trace;
-  const auto push = [&](const std::string& s) {
-    std::lock_guard<std::mutex> lock(mu);
-    trace.push_back(s);
-  };
   sched.spawn("a", [&] {
     sched.sleep_for(10.0);
-    push("a@10");
+    trace.push_back("a@10");
     sched.sleep_for(20.0);
-    push("a@30");
+    trace.push_back("a@30");
   });
   sched.spawn("b", [&] {
     sched.sleep_for(20.0);
-    push("b@20");
+    trace.push_back("b@20");
   });
   sched.run();
   ASSERT_EQ(trace.size(), 3u);
@@ -106,9 +78,9 @@ TEST_P(ExecutionModelTest, CrossTimeOrderingIsPreserved) {
   EXPECT_EQ(trace[2], "a@30");
 }
 
-TEST_P(ExecutionModelTest, SimultaneousTimedEventsFireFifo) {
-  Scheduler sched(config());
-  std::vector<int> order;  // events fire serialized in both engines
+TEST(SerialBaton, SimultaneousTimedEventsFireFifo) {
+  Scheduler sched;
+  std::vector<int> order;
   sched.spawn("a", [&] {
     for (int i = 0; i < 5; ++i) {
       sched.schedule_at(50.0, [&order, i] { order.push_back(i); });
@@ -119,8 +91,8 @@ TEST_P(ExecutionModelTest, SimultaneousTimedEventsFireFifo) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST_P(ExecutionModelTest, CancelAfterFireIsANoOp) {
-  Scheduler sched(config());
+TEST(SerialBaton, CancelAfterFireIsANoOp) {
+  Scheduler sched;
   int fired = 0;
   std::uint64_t id = 0;
   sched.spawn("a", [&] {
@@ -134,8 +106,8 @@ TEST_P(ExecutionModelTest, CancelAfterFireIsANoOp) {
   EXPECT_EQ(fired, 1);
 }
 
-TEST_P(ExecutionModelTest, CancelBeforeFireSuppressesTheEvent) {
-  Scheduler sched(config());
+TEST(SerialBaton, CancelBeforeFireSuppressesTheEvent) {
+  Scheduler sched;
   int fired = 0;
   sched.spawn("a", [&] {
     const std::uint64_t id = sched.schedule_at(100.0, [&] { ++fired; });
@@ -146,8 +118,8 @@ TEST_P(ExecutionModelTest, CancelBeforeFireSuppressesTheEvent) {
   EXPECT_EQ(fired, 0);
 }
 
-TEST_P(ExecutionModelTest, StaleWaitTokenIsRejected) {
-  Scheduler sched(config());
+TEST(SerialBaton, StaleWaitTokenIsRejected) {
+  Scheduler sched;
   bool stale_result = true;
   bool fresh_result = false;
   sched.spawn("a", [&] {
@@ -169,8 +141,8 @@ TEST_P(ExecutionModelTest, StaleWaitTokenIsRejected) {
   EXPECT_FALSE(stale_result);
 }
 
-TEST_P(ExecutionModelTest, SecondWakeOnSameTokenIsRejected) {
-  Scheduler sched(config());
+TEST(SerialBaton, SecondWakeOnSameTokenIsRejected) {
+  Scheduler sched;
   int accepted = 0;
   sched.spawn("a", [&] {
     Scheduler::WaitToken token = sched.prepare_wait();
@@ -184,10 +156,10 @@ TEST_P(ExecutionModelTest, SecondWakeOnSameTokenIsRejected) {
   EXPECT_EQ(accepted, 1);
 }
 
-TEST_P(ExecutionModelTest, DeadlockIsDetectedAndNamesBlockedActors) {
-  Scheduler sched(config());
+TEST(SerialBaton, DeadlockIsDetectedAndNamesBlockedActors) {
+  Scheduler sched;
   SimCondition never(&sched);
-  std::atomic<int> deadlocked{0};
+  int deadlocked = 0;
   const std::array<const char*, 2> names{"alpha", "beta"};
   std::array<const void*, 2> frames{};
   for (std::size_t i = 0; i < names.size(); ++i) {
@@ -197,7 +169,7 @@ TEST_P(ExecutionModelTest, DeadlockIsDetectedAndNamesBlockedActors) {
         never.wait();
         ADD_FAILURE() << "wait returned without a wake";
       } catch (const DeadlockError& e) {
-        deadlocked.fetch_add(1);
+        ++deadlocked;
         EXPECT_NE(std::string(e.what()).find("alpha"), std::string::npos);
         EXPECT_NE(std::string(e.what()).find("beta"), std::string::npos);
         throw;
@@ -205,14 +177,12 @@ TEST_P(ExecutionModelTest, DeadlockIsDetectedAndNamesBlockedActors) {
     });
   }
   EXPECT_THROW(sched.run(), DeadlockError);
-  EXPECT_EQ(deadlocked.load(), 2);
-  if (is_serial(config())) {
-    for (const void* frame : frames) EXPECT_FALSE(is_mapped(frame)) << "fiber stack left mapped";
-  }
+  EXPECT_EQ(deadlocked, 2);
+  for (const void* frame : frames) EXPECT_FALSE(is_mapped(frame)) << "fiber stack left mapped";
 }
 
-TEST_P(ExecutionModelTest, DeadlockAfterProgressReportsCurrentTime) {
-  Scheduler sched(config());
+TEST(SerialBaton, DeadlockAfterProgressReportsCurrentTime) {
+  Scheduler sched;
   SimCondition never(&sched);
   sched.spawn("worker", [&] {
     sched.sleep_for(42.0);
@@ -228,33 +198,33 @@ TEST_P(ExecutionModelTest, DeadlockAfterProgressReportsCurrentTime) {
   EXPECT_DOUBLE_EQ(sched.now(), 42.0);
 }
 
-TEST_P(ExecutionModelTest, ConditionWakesAllWaiters) {
-  Scheduler sched(config());
+TEST(SerialBaton, ConditionWakesAllWaiters) {
+  Scheduler sched;
   SimCondition cond(&sched);
-  std::atomic<bool> go{false};
-  std::atomic<int> woke{0};
+  bool go = false;
+  int woke = 0;
   for (int i = 0; i < 4; ++i) {
     sched.spawn("w" + std::to_string(i), [&] {
-      cond.wait([&] { return go.load(); });
-      woke.fetch_add(1);
+      cond.wait([&] { return go; });
+      ++woke;
     });
   }
   sched.spawn("signaller", [&] {
     sched.sleep_for(15.0);
-    go.store(true);
+    go = true;
     cond.notify_all();
   });
   sched.run();
-  EXPECT_EQ(woke.load(), 4);
+  EXPECT_EQ(woke, 4);
 }
 
-TEST_P(ExecutionModelTest, ActorExceptionPropagatesFromRun) {
-  Scheduler sched(config());
+TEST(SerialBaton, ActorExceptionPropagatesFromRun) {
+  Scheduler sched;
   struct Unwound {
-    std::atomic<bool>* flag;
-    ~Unwound() { flag->store(true); }
+    bool* flag;
+    ~Unwound() { *flag = true; }
   };
-  std::atomic<bool> bystander_unwound{false};
+  bool bystander_unwound = false;
   const void* boom_frame = nullptr;
   sched.spawn("boom", [&] {
     boom_frame = __builtin_frame_address(0);
@@ -271,29 +241,12 @@ TEST_P(ExecutionModelTest, ActorExceptionPropagatesFromRun) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "actor failed");
   }
-  EXPECT_TRUE(bystander_unwound.load()) << "the bystander must unwind, not be abandoned";
-  if (is_serial(config())) {
-    EXPECT_FALSE(is_mapped(boom_frame)) << "fiber stack left mapped";
-  }
+  EXPECT_TRUE(bystander_unwound) << "the bystander must unwind, not be abandoned";
+  EXPECT_FALSE(is_mapped(boom_frame)) << "fiber stack left mapped";
 }
 
-TEST_P(ExecutionModelTest, IntrospectionReportsTheModel) {
-  Scheduler sched(config());
-  sched.spawn("a", [&] { sched.sleep_for(1.0); });
-  sched.run();
-  EXPECT_EQ(sched.execution_kind(), config().kind);
-  if (config().kind == ExecutionModelKind::ParallelShards) {
-    EXPECT_GE(sched.shard_count(), 1);
-    EXPECT_LE(sched.shard_count(), config().threads);
-    EXPECT_GE(sched.barrier_epochs(), 1u);  // the sleep forced a time advance
-  } else {
-    EXPECT_EQ(sched.shard_count(), 1);
-    EXPECT_EQ(sched.barrier_epochs(), 0u);
-  }
-}
-
-TEST_P(ExecutionModelTest, CurrentActorNameInsideAndOutside) {
-  Scheduler sched(config());
+TEST(SerialBaton, CurrentActorNameInsideAndOutside) {
+  Scheduler sched;
   std::string inside;
   sched.spawn("the-actor", [&] { inside = sched.current_actor_name(); });
   sched.run();
@@ -302,46 +255,46 @@ TEST_P(ExecutionModelTest, CurrentActorNameInsideAndOutside) {
   EXPECT_EQ(sched.current_actor_id(), -1);
 }
 
-TEST_P(ExecutionModelTest, ManyActorsManySleepsStress) {
-  Scheduler sched(config());
+TEST(SerialBaton, ManyActorsManySleepsStress) {
+  Scheduler sched;
   constexpr int kActors = 12;
   constexpr int kRounds = 40;
-  std::atomic<int> done{0};
+  int done = 0;
   for (int a = 0; a < kActors; ++a) {
     sched.spawn("s" + std::to_string(a), [&, a] {
       for (int r = 0; r < kRounds; ++r) sched.sleep_for(1.0 + (a % 3));
-      done.fetch_add(1);
+      ++done;
     });
   }
   sched.run();
-  EXPECT_EQ(done.load(), kActors);
+  EXPECT_EQ(done, kActors);
   EXPECT_DOUBLE_EQ(sched.now(), 3.0 * kRounds);  // slowest actor: 3us rounds
 }
 
-TEST_P(ExecutionModelTest, SecondRunRunsOnlyNewlySpawnedActors) {
-  Scheduler sched(config());
-  std::atomic<int> a_runs{0}, b_runs{0};
+TEST(SerialBaton, SecondRunRunsOnlyNewlySpawnedActors) {
+  Scheduler sched;
+  int a_runs = 0, b_runs = 0;
   sched.spawn("a", [&] {
     sched.sleep_for(3.0);
-    a_runs.fetch_add(1);
+    ++a_runs;
   });
   sched.run();
   sched.spawn("b", [&] {
     sched.sleep_for(5.0);
-    b_runs.fetch_add(1);
+    ++b_runs;
   });
   sched.run();
-  EXPECT_EQ(a_runs.load(), 1) << "a joined actor must not run again in a later run()";
-  EXPECT_EQ(b_runs.load(), 1);
+  EXPECT_EQ(a_runs, 1) << "a joined actor must not run again in a later run()";
+  EXPECT_EQ(b_runs, 1);
   EXPECT_DOUBLE_EQ(sched.now(), 8.0);
 }
 
 // libstdc++ keeps the caught-exception chain and the uncaught count per
-// thread, and serial actors share one thread. A suspends inside its handler
+// thread, and actors share one thread. A suspends inside its handler
 // while B is first mid-unwind (t=10), then inside its own handler (t=30); A's
 // `throw;` must still rethrow A's exception, and neither actor may see the
 // other's exception in flight.
-TEST_P(ExecutionModelTest, ExceptionStateIsPerActor) {
+TEST(SerialBaton, ExceptionStateIsPerActor) {
   struct ErrorA {};
   struct ErrorB {};
   struct SleepWhileUnwinding {
@@ -352,7 +305,7 @@ TEST_P(ExecutionModelTest, ExceptionStateIsPerActor) {
       sched->sleep_until(15.0);
     }
   };
-  Scheduler sched(config());
+  Scheduler sched;
   int a_uncaught_mid = -1, a_uncaught_late = -1, b_uncaught_unwinding = -1,
       b_uncaught_handler = -1;
   bool a_rethrew_own = false, b_rethrew_own = false;
@@ -399,8 +352,8 @@ TEST_P(ExecutionModelTest, ExceptionStateIsPerActor) {
 
 // Actors keep the stack depth they had as threads: a 1 MiB frame that stays
 // live across a suspension must fit.
-TEST_P(ExecutionModelTest, ActorStackHoldsAMebibyteAcrossAWait) {
-  Scheduler sched(config());
+TEST(SerialBaton, ActorStackHoldsAMebibyteAcrossAWait) {
+  Scheduler sched;
   std::uint64_t sum = 0;
   sched.spawn("deep", [&] {
     std::array<volatile unsigned char, std::size_t{1} << 20> buf;
@@ -411,12 +364,6 @@ TEST_P(ExecutionModelTest, ActorStackHoldsAMebibyteAcrossAWait) {
   sched.run();
   EXPECT_EQ(sum, std::uint64_t{4096} * (255 * 256 / 2));
 }
-
-INSTANTIATE_TEST_SUITE_P(Engines, ExecutionModelTest,
-                         ::testing::Values(ExecutionConfig::serial(),
-                                           ExecutionConfig::parallel(2),
-                                           ExecutionConfig::parallel(4)),
-                         config_name);
 
 // 2048 actors pass a token round a ring twice, each handoff a SimCondition
 // wait plus a 1us sleep, so the run ends at exactly one microsecond per hop.

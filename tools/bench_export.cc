@@ -29,11 +29,9 @@ namespace {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s --experiment %s [--out DIR] [--quick] [--threads N]\n"
+               "usage: %s --experiment %s [--out DIR] [--quick]\n"
                "       %s --check FILE\n"
-               "       %s --list\n"
-               "  --threads N   execution engine: 1 = serial baton (default),\n"
-               "                N > 1 = ParallelShards with N worker threads\n",
+               "       %s --list\n",
                argv0, bench::experiment_names().c_str(), argv0, argv0);
   return 2;
 }
@@ -175,7 +173,6 @@ int main(int argc, char** argv) {
   std::string out_dir = ".";
   std::string check_path;
   bool quick = false;
-  int threads = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--experiment" && i + 1 < argc) {
@@ -184,9 +181,6 @@ int main(int argc, char** argv) {
       out_dir = argv[++i];
     } else if (arg == "--check" && i + 1 < argc) {
       check_path = argv[++i];
-    } else if (arg == "--threads" && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-      if (threads < 1) return usage(argv[0]);
     } else if (arg == "--quick") {
       quick = true;
     } else if (arg == "--list") {
@@ -209,7 +203,6 @@ int main(int argc, char** argv) {
   try {
     bench::ExperimentOptions options;
     options.quick = quick;
-    options.threads = threads;
     report = entry->run(options);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bench_export: experiment failed: %s\n", e.what());

@@ -37,7 +37,6 @@
 #include "src/common/flags.h"
 #include "src/common/format.h"
 #include "src/core/mcr_dl.h"
-#include "src/sim/execution_model.h"
 
 using namespace mcrdl;
 
@@ -226,7 +225,6 @@ int main(int argc, char** argv) {
   flags.define("trace", "", "write a Chrome trace of the chaos run to this path");
   flags.define("checkpoint-out", "", "save the post-run runtime checkpoint to this path");
   flags.define("checkpoint-in", "", "restore a runtime checkpoint right after init");
-  flags.define("threads", "1", "execution-engine worker threads (1 = serial baton)");
   try {
     if (!flags.parse(argc, argv)) return 0;
 
@@ -241,7 +239,6 @@ int main(int argc, char** argv) {
     const std::size_t elems = parse_size(flags.get("size")) / 4;  // f32
     const SimTime interval = flags.get_double("interval");
 
-    const sim::ExecutionConfig exec = sim::ExecutionConfig::from_threads(flags.get_int("threads"));
     const fault::FaultPlan plan = build_plan(flags, primary);
     std::printf("# chaos plan (%d GPUs on %s, %d x %s all_reduce on '%s')\n", world,
                 config.name.c_str(), iters, flags.get("size").c_str(), primary.c_str());
@@ -253,7 +250,7 @@ int main(int argc, char** argv) {
     const bool rejoin_mode = plan_has_rank_loss(plan) && rejoin_at > 0.0;
 
     // --- baseline: identical workload, no faults -------------------------
-    ClusterContext base_cluster(config, exec);
+    ClusterContext base_cluster(config);
     McrDlOptions base_opts;
     base_opts.logging_enabled = true;
     McrDl baseline(&base_cluster, base_opts);
@@ -265,7 +262,7 @@ int main(int argc, char** argv) {
             : run_workload(base_cluster, baseline, primary, iters, elems, interval);
 
     // --- chaos run --------------------------------------------------------
-    ClusterContext cluster(config, exec);
+    ClusterContext cluster(config);
     McrDlOptions opts;
     opts.logging_enabled = true;
     opts.fault.enabled = true;

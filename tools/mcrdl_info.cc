@@ -1,18 +1,15 @@
 // mcrdl_info — prints the registered backends, their capability matrix and
-// performance personalities, the built-in system topologies, the available
-// execution models, and the serving layer's default scheduler configuration.
+// performance personalities, the built-in system topologies, the execution
+// engine, and the serving layer's default scheduler configuration.
 //
 //   ./tools/mcrdl_info
-#include <algorithm>
 #include <cstdio>
-#include <thread>
 
 #include "src/backends/backend.h"
 #include "src/coll/spec.h"
 #include "src/common/format.h"
 #include "src/net/cost.h"
 #include "src/sched/admission.h"
-#include "src/sim/execution_model.h"
 
 using namespace mcrdl;
 
@@ -80,29 +77,17 @@ int main() {
     std::printf("%s", t.to_string().c_str());
   }
 
-  std::printf("\nExecution models (DESIGN.md §11)\n\n");
+  std::printf("\nExecution engine (DESIGN.md §4)\n\n");
   {
-    TextTable t({"Model", "Selector", "Shards", "Time sync", "Role"});
-    t.add_row({sim::execution_model_name(sim::ExecutionModelKind::SerialBaton),
-               "--threads 1 (default)", "1", "baton (no barrier)",
-               "golden-trace referee"});
-    char shards[64];
-    std::snprintf(shards, sizeof(shards), "2..%d (threads, capped by actors)",
-                  kMaxShards);
-    t.add_row({sim::execution_model_name(sim::ExecutionModelKind::ParallelShards),
-               "--threads N", shards, "lockstep epochs of virtual time",
-               "wall-clock speed at scale"});
+    TextTable t({"Engine", "Actors", "Scheduling", "Output"});
+    t.add_row({"serial baton", "one fiber per rank", "one actor at a time (the baton)",
+               "deterministic virtual time"});
     std::printf("%s", t.to_string().c_str());
   }
   std::printf(
-      "\nBoth engines speak the same wait-token protocol; default-config\n"
-      "traces are byte-identical across them. The parallel engine drains\n"
-      "every timed event of a virtual instant (one barrier epoch), then runs\n"
-      "all actors woken at that instant concurrently across shards; no actor\n"
-      "ever observes a clock ahead of another shard. This host exposes %u\n"
-      "hardware thread%s.\n",
-      std::max(1u, std::thread::hardware_concurrency()),
-      std::thread::hardware_concurrency() == 1 ? "" : "s");
+      "\nEvery actor of a ClusterContext is a fiber on the thread that calls\n"
+      "run_spmd(). Independent contexts share nothing and may run on\n"
+      "separate threads.\n");
 
   std::printf("\nServing-layer scheduler defaults (DESIGN.md §10)\n\n");
   {
