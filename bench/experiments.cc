@@ -14,6 +14,7 @@
 #include "src/tune/tuning.h"
 #include "src/models/cnn3d.h"
 #include "src/models/dlrm.h"
+#include "src/models/megatron.h"
 #include "src/models/moe.h"
 #include "src/models/workload.h"
 #include "src/net/cost.h"
@@ -129,46 +130,72 @@ BenchReport run_fig2(const Fig2Options& options) {
   return report;
 }
 
-// --- figures 8 and 9 --------------------------------------------------------
+// --- figures 8, 9 and 10 ----------------------------------------------------
 
-namespace {
-
-// The label recorded in the `backend` field: concrete name for pure plans,
-// "mixed" for coarse-grained plans, "auto" for the tuned plan.
 std::string plan_backend_label(const models::CommPlan& plan) {
   if (plan.use_auto) return "auto";
   if (!plan.per_op.empty()) return "mixed";
   return plan.default_backend;
 }
 
+namespace {
+
+// One figure's model-scaling sweep: the plans it compares, the system it runs
+// on, and the tuning sweep that feeds its "auto" plan at each scale.
+struct ScalingSweep {
+  std::string experiment;
+  std::vector<int> scales;
+  int warmup_steps = 1;
+  int measured_steps = 2;
+  int gpus_per_node = 4;
+  net::SystemConfig (*make_system)(int) = nullptr;
+  std::vector<models::CommPlan> plans;
+  std::vector<std::string> tuning_backends;
+  std::vector<OpType> tuning_ops;
+  std::vector<std::size_t> tuning_sizes;
+};
+
+// Figures 8 and 9 compare the same four plans, tuned across NCCL and MV2-GDR.
+ScalingSweep mixing_sweep(std::string experiment, std::vector<int> scales, int warmup_steps,
+                          int measured_steps, int gpus_per_node,
+                          net::SystemConfig (*make_system)(int),
+                          std::vector<std::size_t> tuning_sizes) {
+  ScalingSweep sweep;
+  sweep.experiment = std::move(experiment);
+  sweep.scales = std::move(scales);
+  sweep.warmup_steps = warmup_steps;
+  sweep.measured_steps = measured_steps;
+  sweep.gpus_per_node = gpus_per_node;
+  sweep.make_system = make_system;
+  sweep.plans = {models::CommPlan::pure("mv2-gdr", "Pure MVAPICH2-GDR"),
+                 models::CommPlan::pure("nccl", "Pure NCCL"), models::CommPlan::mcr_dl_mixed(),
+                 models::CommPlan::mcr_dl_tuned()};
+  sweep.tuning_backends = {"nccl", "mv2-gdr"};
+  sweep.tuning_ops = {OpType::AllReduce, OpType::AllToAllSingle, OpType::Barrier};
+  sweep.tuning_sizes = std::move(tuning_sizes);
+  return sweep;
+}
+
 template <typename MakeModel>
-BenchReport run_scaling(const std::string& experiment, const ScalingOptions& options,
-                        const std::vector<int>& default_scales, int default_warmup,
-                        int default_measured, int gpus_per_node,
-                        net::SystemConfig (*make_system)(int),
-                        const std::vector<std::size_t>& tuning_sizes, MakeModel make_model) {
+BenchReport run_scaling(const ScalingSweep& sweep, const ScalingOptions& options,
+                        MakeModel make_model) {
   ScalingOptions opts = options;
-  if (opts.scales.empty()) opts.scales = default_scales;
-  if (opts.warmup_steps < 0) opts.warmup_steps = default_warmup;
-  if (opts.measured_steps < 0) opts.measured_steps = default_measured;
+  if (opts.scales.empty()) opts.scales = sweep.scales;
+  if (opts.warmup_steps < 0) opts.warmup_steps = sweep.warmup_steps;
+  if (opts.measured_steps < 0) opts.measured_steps = sweep.measured_steps;
   if (opts.quick) {
     opts.scales.resize(std::min<std::size_t>(opts.scales.size(), 2));
     opts.warmup_steps = 0;
     opts.measured_steps = 1;
   }
 
-  const std::vector<models::CommPlan> plans = {
-      models::CommPlan::pure("mv2-gdr", "Pure MVAPICH2-GDR"),
-      models::CommPlan::pure("nccl", "Pure NCCL"), models::CommPlan::mcr_dl_mixed(),
-      models::CommPlan::mcr_dl_tuned()};
-
   models::HarnessOptions hopts;
   hopts.warmup_steps = opts.warmup_steps;
   hopts.measured_steps = opts.measured_steps;
 
   BenchReport report;
-  report.experiment = experiment;
-  for (const auto& plan : plans) {
+  report.experiment = sweep.experiment;
+  for (const auto& plan : sweep.plans) {
     BenchSeries series;
     series.name = plan.name;
     series.backend = plan_backend_label(plan);
@@ -176,26 +203,27 @@ BenchReport run_scaling(const std::string& experiment, const ScalingOptions& opt
   }
 
   for (int gpus : opts.scales) {
-    MCRDL_REQUIRE(gpus % gpus_per_node == 0, "scale must fill whole nodes");
-    net::SystemConfig sys = make_system(gpus / gpus_per_node);
+    MCRDL_REQUIRE(gpus % sweep.gpus_per_node == 0, "scale must fill whole nodes");
+    net::SystemConfig sys = sweep.make_system(gpus / sweep.gpus_per_node);
     models::TrainingHarness harness(sys);
     auto model = make_model(sys);
 
-    // MCR-DL-T consumes a tuning table generated at this scale for the ops
-    // and message range the model actually uses.
+    // The tuned plan consumes a tuning table generated at this scale for the
+    // ops and message range the model actually uses.
     TuningSuite suite(sys);
     TuningConfig tcfg;
-    tcfg.backends = {"nccl", "mv2-gdr"};
-    tcfg.ops = {OpType::AllReduce, OpType::AllToAllSingle, OpType::Barrier};
-    tcfg.sizes = tuning_sizes;
+    tcfg.backends = sweep.tuning_backends;
+    tcfg.ops = sweep.tuning_ops;
+    tcfg.sizes = sweep.tuning_sizes;
     tcfg.world_sizes = {gpus};
     tcfg.iterations = 1;
     TuningTable table = suite.generate(tcfg);
 
-    for (std::size_t i = 0; i < plans.size(); ++i) {
-      const models::RunResult result = harness.run(
-          model, plans[i], models::FrameworkModel::raw(), hopts,
-          plans[i].use_auto ? &table : nullptr);
+    for (std::size_t i = 0; i < sweep.plans.size(); ++i) {
+      const models::CommPlan& plan = sweep.plans[i];
+      const models::RunResult result =
+          harness.run(model, plan, models::FrameworkModel::raw(), hopts,
+                      plan.use_auto ? &table : nullptr);
       BenchPoint p;
       p.world = gpus;
       p.bytes = 0;  // whole-step measurement, not a message-size sweep
@@ -211,18 +239,41 @@ BenchReport run_scaling(const std::string& experiment, const ScalingOptions& opt
 
 BenchReport run_fig8(const ScalingOptions& options) {
   return run_scaling(
-      "fig8", options, {16, 32, 64, 128, 256}, /*warmup=*/1, /*measured=*/2,
-      /*gpus_per_node=*/4, &net::SystemConfig::lassen,
-      {64u << 10, 1u << 20, 4u << 20, 16u << 20, 32u << 20},
+      mixing_sweep("fig8", {16, 32, 64, 128, 256}, /*warmup=*/1, /*measured=*/2,
+                   /*gpus_per_node=*/4, &net::SystemConfig::lassen,
+                   {64u << 10, 1u << 20, 4u << 20, 16u << 20, 32u << 20}),
+      options,
       [](const net::SystemConfig& sys) { return models::DSMoEModel(models::DSMoEConfig{}, sys); });
 }
 
 BenchReport run_fig9(const ScalingOptions& options) {
   return run_scaling(
-      "fig9", options, {8, 16, 32}, /*warmup=*/2, /*measured=*/6,
-      /*gpus_per_node=*/8, &net::SystemConfig::theta_gpu,
-      {256u << 10, 1u << 20, 4u << 20, 8u << 20, 16u << 20},
+      mixing_sweep("fig9", {8, 16, 32}, /*warmup=*/2, /*measured=*/6,
+                   /*gpus_per_node=*/8, &net::SystemConfig::theta_gpu,
+                   {256u << 10, 1u << 20, 4u << 20, 8u << 20, 16u << 20}),
+      options,
       [](const net::SystemConfig& sys) { return models::DLRMModel(models::DLRMConfig{}, sys); });
+}
+
+// SCCL's synthesized schedules win the huge ZeRO collectives and MV2-GDR the
+// small per-layer operations, so the tuned plan mixes exactly those two.
+BenchReport run_fig10() {
+  ScalingSweep sweep;
+  sweep.experiment = "fig10";
+  sweep.scales = {8, 16, 32};
+  sweep.gpus_per_node = 8;
+  sweep.make_system = &net::SystemConfig::theta_gpu;
+  models::CommPlan tuned = models::CommPlan::mcr_dl_tuned();
+  tuned.name = "MCR-DL";
+  sweep.plans = {models::CommPlan::pure("mv2-gdr", "Pure MVAPICH2-GDR"),
+                 models::CommPlan::pure("sccl", "Pure SCCL"), tuned};
+  sweep.tuning_backends = {"sccl", "mv2-gdr"};
+  sweep.tuning_ops = {OpType::AllReduce, OpType::ReduceScatter, OpType::AllGather,
+                      OpType::Barrier};
+  sweep.tuning_sizes = {32u << 10, 1u << 20, 16u << 20, 128u << 20};
+  return run_scaling(sweep, ScalingOptions{}, [](const net::SystemConfig& sys) {
+    return models::MegatronDenseModel(models::MegatronConfig{}, sys);
+  });
 }
 
 // --- online adaptation ------------------------------------------------------
@@ -545,13 +596,11 @@ struct HotpathRun {
 
 // One dispatch loop: every rank issues `ops_per_rank` async small
 // all_reduces, draining its stream every `sync_every` ops. The workload
-// (tensor construction, issue cadence) is identical across modes so the
-// wall-clock delta isolates the dispatch shape.
-HotpathRun run_hotpath_loop(const HotpathOptions& opts, std::size_t bytes, bool fast_dispatch,
-                            bool bucketed) {
+// (tensor construction, issue cadence) is identical with and without
+// bucketing, so the wall-clock delta isolates what bucketing buys.
+HotpathRun run_hotpath_loop(const HotpathOptions& opts, std::size_t bytes, bool bucketed) {
   ClusterContext cluster(net::SystemConfig::lassen(opts.world / 4));
   McrDlOptions mopts;
-  mopts.fast_dispatch = fast_dispatch;
   if (bucketed) {
     mopts.fusion.enabled = true;
     mopts.fusion.buffer_bytes = 64u << 10;  // coalesce a sync_every window
@@ -602,63 +651,26 @@ BenchReport run_hotpath(const HotpathOptions& options) {
   MCRDL_REQUIRE(opts.ops_per_rank % opts.sync_every == 0,
                 "ops_per_rank must be a multiple of sync_every");
 
-  struct Mode {
-    const char* name;
-    bool fast;
-    bool bucketed;
-  };
-  const Mode modes[] = {{"dispatch/slow", false, false},
-                        {"dispatch/fast", true, false},
-                        {"dispatch/bucketed", true, true}};
+  const std::pair<const char*, bool> modes[] = {{"dispatch/fast", false},
+                                                {"dispatch/bucketed", true}};
 
   BenchReport report;
   report.experiment = "hotpath";
-  for (const Mode& mode : modes) {
-    BenchSeries series;
-    series.name = mode.name;
-    series.backend = "nccl";
-    report.series.push_back(std::move(series));
-  }
-  BenchSeries speedup;
-  speedup.name = "speedup";
-  speedup.backend = "derived";
+  for (const auto& mode : modes) report.series.push_back(BenchSeries{mode.first, "nccl", {}});
+  BenchSeries speedup{"speedup", "derived", {}};
 
   const double total_ops = static_cast<double>(opts.ops_per_rank) * opts.world;
   for (std::size_t bytes : opts.sizes) {
-    double slow_ops_per_s = 0.0;
-    double reference_virtual_us = -1.0;
-    double bucketed_ops_per_s = 0.0;
-    for (std::size_t m = 0; m < 3; ++m) {
-      const Mode& mode = modes[m];
-      const HotpathRun run = run_hotpath_loop(opts, bytes, mode.fast, mode.bucketed);
-      // Slow and fast are two shapes of the same schedule: their virtual
-      // clocks must agree exactly (golden traces pin the full records).
-      // Bucketing coalesces issues, so its schedule — and clock — differ.
-      if (!mode.bucketed) {
-        if (reference_virtual_us < 0.0) {
-          reference_virtual_us = run.virtual_us;
-        } else {
-          MCRDL_REQUIRE(run.virtual_us == reference_virtual_us,
-                        "slow and fast dispatch disagree on virtual time");
-        }
-      }
-      const double ops_per_s = run.wall_s > 0.0 ? total_ops / run.wall_s : 0.0;
-      if (!mode.fast) slow_ops_per_s = ops_per_s;
-      if (mode.bucketed) bucketed_ops_per_s = ops_per_s;
-
-      BenchPoint p;
-      p.world = opts.world;
-      p.bytes = bytes;
-      p.virtual_us = run.virtual_us;
-      p.items_per_s = ops_per_s;
-      report.series[m].points.push_back(p);
+    double ops_per_s[2] = {0.0, 0.0};
+    double fast_virtual_us = 0.0;
+    for (std::size_t m = 0; m < 2; ++m) {
+      const HotpathRun run = run_hotpath_loop(opts, bytes, modes[m].second);
+      ops_per_s[m] = run.wall_s > 0.0 ? total_ops / run.wall_s : 0.0;
+      if (m == 0) fast_virtual_us = run.virtual_us;
+      report.series[m].points.push_back(BenchPoint{opts.world, bytes, run.virtual_us, ops_per_s[m]});
     }
-    BenchPoint ratio;
-    ratio.world = opts.world;
-    ratio.bytes = bytes;
-    ratio.virtual_us = reference_virtual_us;
-    ratio.items_per_s = slow_ops_per_s > 0.0 ? bucketed_ops_per_s / slow_ops_per_s : 0.0;
-    speedup.points.push_back(ratio);
+    speedup.points.push_back(BenchPoint{opts.world, bytes, fast_virtual_us,
+                                        ops_per_s[0] > 0.0 ? ops_per_s[1] / ops_per_s[0] : 0.0});
   }
   report.series.push_back(std::move(speedup));
   return report;
@@ -825,13 +837,21 @@ BenchReport run_hier(const HierOptions& options) {
 }
 
 const std::vector<Experiment>& experiment_registry() {
+  // The paper's figures and tables run their fixed grid and ignore --quick.
+  const auto fixed = [](BenchReport (*run)()) {
+    return [run](const ExperimentOptions&) { return run(); };
+  };
   static const std::vector<Experiment> registry = {
+      {"fig1", "compute vs comm split and per-op comm breakdown (paper Figure 1)",
+       fixed(&run_fig1)},
       {"fig2", "collective microbenchmark across backends (paper Figure 2)",
        [](const ExperimentOptions& o) {
          Fig2Options options;
          options.quick = o.quick;
          return run_fig2(options);
        }},
+      {"fig7", "framework overhead over OMB, MV2-GDR Alltoall (paper Figure 7)",
+       fixed(&run_fig7)},
       {"fig8", "DS-MoE scaling across communication plans (paper Figure 8)",
        [](const ExperimentOptions& o) {
          ScalingOptions options;
@@ -844,6 +864,15 @@ const std::vector<Experiment>& experiment_registry() {
          options.quick = o.quick;
          return run_fig9(options);
        }},
+      {"fig10", "dense Megatron-DeepSpeed, MV2-GDR vs SCCL vs MCR-DL (paper Figure 10)",
+       fixed(&run_fig10)},
+      {"fig11", "framework comparison on DS-MoE at 256 GPUs (paper Figure 11)",
+       fixed(&run_fig11)},
+      {"fig12", "communication-share reduction with MCR-DL (paper Figure 12)",
+       fixed(&run_fig12)},
+      {"table2", "all_gather tuning table at 64 GPUs (paper Table II)", fixed(&run_table2)},
+      {"ablations", "sync, stream pool, fusion, compression and table-transfer ablations",
+       fixed(&run_ablations)},
       {"adapt", "online tuner rerouting around a mid-run degrade (DESIGN.md §9)",
        [](const ExperimentOptions& o) {
          AdaptOptions options;
@@ -862,7 +891,7 @@ const std::vector<Experiment>& experiment_registry() {
          options.quick = o.quick;
          return run_resilience(options).bench;
        }},
-      {"hotpath", "dispatch wall-clock throughput: slow vs fast path vs bucketed (DESIGN.md §14)",
+      {"hotpath", "dispatch wall-clock throughput: fast path vs bucketed (DESIGN.md §14)",
        [](const ExperimentOptions& o) {
          HotpathOptions options;
          options.quick = o.quick;

@@ -1,10 +1,8 @@
-// Reusable drivers for the paper's headline experiments (Figures 2, 8, 9)
-// plus the stable BENCH_*.json export schema.
-//
-// The figure binaries (bench_fig2_microbench, bench_fig8_dsmoe,
-// bench_fig9_dlrm) and the `bench_export` tool share these drivers: the
-// binaries render tables for humans, the tool writes machine-readable
-// perf-trajectory files CI can diff across commits.
+// Drivers for every paper experiment plus the stable BENCH_*.json export
+// schema. Each driver returns a BenchReport; the registry at the bottom
+// names them, and `bench_export --experiment <name>` runs one and writes its
+// report as BENCH_<name>.json (tools/ci.sh compares fresh exports against
+// the committed files byte for byte).
 //
 // Schema (mcrdl-bench-v1):
 //   {"schema":"mcrdl-bench-v1","experiment":"fig2",
@@ -13,7 +11,9 @@
 //                          "items_per_s":0.0},...]},...]}
 // Microbench sweeps vary `bytes` (monotonically increasing within a
 // series); model-scaling sweeps vary `world` and report bytes=0 with
-// throughput in items_per_s.
+// throughput in items_per_s. `virtual_us` always holds a virtual time and
+// `items_per_s` a throughput or 0; where an experiment picks a winner
+// (Table II, the transfer ablation) the series' `backend` names it.
 #pragma once
 
 #include <cstddef>
@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "src/fault/failover.h"
+#include "src/models/comm_plan.h"
 #include "src/sched/serve.h"
 
 namespace mcrdl::bench {
@@ -56,6 +57,10 @@ std::string to_bench_json(const BenchReport& report);
 
 // --- experiment drivers -----------------------------------------------------
 
+// The label recorded in a plan's series `backend` field: the concrete name
+// for pure plans, "mixed" for coarse-grained plans, "auto" for the tuned plan.
+std::string plan_backend_label(const models::CommPlan& plan);
+
 // Figure 2: collective microbenchmark across backends on 64 Lassen GPUs.
 struct Fig2Options {
   std::vector<std::size_t> sizes;       // empty = the paper's 1KB..64MB grid
@@ -77,6 +82,18 @@ struct ScalingOptions {
 };
 BenchReport run_fig8(const ScalingOptions& options = {});
 BenchReport run_fig9(const ScalingOptions& options = {});
+// Figure 10: dense Megatron-DeepSpeed on ThetaGPU, pure MV2-GDR vs pure SCCL
+// vs MCR-DL tuned across the two, at 8/16/32 GPUs.
+BenchReport run_fig10();
+
+// The remaining paper experiments (bench/paper.cc). Each runs the paper's
+// fixed grid, so none takes options.
+BenchReport run_fig1();       // compute/comm split + per-op comm breakdown
+BenchReport run_fig7();       // framework overhead over OMB, Alltoall sweep
+BenchReport run_fig11();      // framework comparison, DS-MoE at 256 GPUs
+BenchReport run_fig12();      // comm-share reduction, DS-MoE and DLRM
+BenchReport run_table2();     // the all_gather tuning table at 64 GPUs
+BenchReport run_ablations();  // sync/, pool/, fusion/, compression/, transfer/
 
 // Online-adaptation experiment (DESIGN.md §9): a fixed-size all_reduce loop
 // dispatched on "auto" while the statically-best backend's links degrade
@@ -172,21 +189,18 @@ struct ResilienceBenchReport {
 ResilienceBenchReport run_resilience(const ResilienceOptions& options = {});
 
 // Hot-path dispatch experiment (DESIGN.md §14): wall-clock throughput of a
-// small-allreduce loop under three dispatch shapes on the same workload —
+// small-allreduce loop on the same workload with and without bucketing —
 //
-//   "dispatch/slow"     — fast_dispatch=false: fresh OpCall per op, every
-//                         stage invoked, per-call label maps (the referee)
 //   "dispatch/fast"     — arena OpCalls + precompiled stage plans
-//   "dispatch/bucketed" — fast path with gradient bucketing coalescing the
-//                         small collectives into fused issues
+//   "dispatch/bucketed" — the same dispatch with gradient bucketing
+//                         coalescing the small collectives into fused issues
 //
 // Unlike the figures, the quantity of interest is wall clock: each point is one
 // message size (`bytes`), `virtual_us` the run's final virtual instant and
 // `items_per_s` the host-clock dispatch throughput in ops/s across all
-// ranks. Slow and fast must agree on virtual time exactly (the golden
-// traces pin byte-identical records; the run aborts on drift) — bucketing
-// legitimately changes the schedule, so its virtual time differs. A final
-// "speedup" series reports, per size, the bucketed/slow throughput ratio.
+// ranks. Bucketing changes the schedule, so its virtual time differs. A
+// final "speedup" series reports, per size, the bucketed/fast throughput
+// ratio.
 struct HotpathOptions {
   int world = 8;                        // Lassen, world/4 nodes
   std::vector<std::size_t> sizes;       // empty = {256, 1024, 4096}
@@ -246,7 +260,7 @@ BenchReport run_hier(const HierOptions& options = {});
 // experiments by name); adding an experiment here is all it takes to make
 // `bench_export --experiment <name>` and `--list` know about it.
 struct ExperimentOptions {
-  bool quick = false;  // trim the sweep for CI smoke runs
+  bool quick = false;  // trim the sweep for CI smoke runs (paper grids ignore it)
 };
 
 struct Experiment {
@@ -255,8 +269,9 @@ struct Experiment {
   std::function<BenchReport(const ExperimentOptions&)> run;
 };
 
-// Registered experiments in a stable order (fig2, fig8, fig9, adapt, serve,
-// resilience, hotpath, hier).
+// Registered experiments in a stable order: the paper's (fig1, fig2, fig7,
+// fig8, fig9, fig10, fig11, fig12, table2, ablations), then adapt, serve,
+// resilience, hotpath, hier.
 const std::vector<Experiment>& experiment_registry();
 // The registry entry for `name`, or nullptr when unknown.
 const Experiment* find_experiment(const std::string& name);

@@ -36,7 +36,7 @@ namespace mcrdl::coll {
 struct CollConfig {
   // Accept composite algorithm strings in the resolve stage. Off by default:
   // composite strings then fail resolution as unknown backends and the
-  // pipeline's coll stage is provably no-op (elided on the fast path).
+  // pipeline's coll stage is provably no-op (elided from the stage plan).
   bool enabled = false;
   // Interleave chunks of independent composites: a composite allreduce is
   // split into `chunks` slices whose phases progress concurrently, so one

@@ -50,12 +50,6 @@ struct McrDlOptions {
   // Host-side cost added to every MCR-DL call; models the thin Python layer
   // over the C++ backbone (paper C3 / Figure 7).
   SimTime per_call_overhead_us = 0.0;
-  // Fast dispatch (DESIGN.md §14): arena-recycled OpCalls, precompiled stage
-  // plans that elide provably no-op stages, cached metric handles. False
-  // falls back to the pre-fast-path shape — a fresh OpCall and every stage
-  // per op — kept as the referee; golden traces pin that both shapes produce
-  // byte-identical virtual time.
-  bool fast_dispatch = true;
   // Opt-in fault injection + retry/failover policies (src/fault/). Disabled
   // by default: no plan is installed and every operation issues exactly once
   // on its resolved backend, bit-identical to a build without the subsystem.

@@ -43,7 +43,6 @@ void OpCall::recycle() {
   composite.intra.clear();
   composite.inter.clear();
   composite.text.clear();
-  fast = false;
   plan = nullptr;
   // stage_child_us keeps its buffer; execute() re-sizes it per dispatch.
 }
@@ -159,22 +158,11 @@ class FinishStage : public OpStage {
     // Always-on metrics, independent of the (opt-in) CommLogger: one
     // completion count per op/backend pair, plus an end-to-end latency
     // histogram billed with the logger's convention (execution window when
-    // the backend reported one, posted-at otherwise). Fast-path calls use
-    // the per-(backend, op) handle cache; the slow path rebuilds the label
-    // maps per call, as the pre-fast-path dispatch did.
-    obs::MetricsRegistry& metrics = c.ctx->cluster()->metrics();
-    obs::Counter* ops = nullptr;
-    obs::Histogram* latency = nullptr;
-    if (c.fast) {
-      const Handles& h = cached(c.completed_on, c.req.op, metrics);
-      ops = h.ops;
-      latency = h.latency;
-    } else {
-      const obs::Labels labels{{"backend", c.completed_on}, {"op", op_name(c.req.op)}};
-      ops = &metrics.counter("pipeline_ops", labels);
-      latency = &metrics.histogram("op_latency_us", labels);
-    }
-    ops->inc();
+    // the backend reported one, posted-at otherwise), through the
+    // per-(backend, op) handle cache.
+    const Handles& h = cached(c.completed_on, c.req.op, c.ctx->cluster()->metrics());
+    h.ops->inc();
+    obs::Histogram* latency = h.latency;
     // Bucketed ops bill latency differently: the fusion layer observes every
     // entry's end-to-end latency in ONE batch-level closure at flush
     // completion (src/core/fusion.cc), so the common bucketed dispatch — no
@@ -275,9 +263,9 @@ class FinishStage : public OpStage {
   };
 
   // Registry references are stable for its lifetime, so handles are resolved
-  // once per (backend, op) pair and the per-call label-map construction —
-  // four small-map node allocations per dispatch — disappears from the hot
-  // path. Backend names are SSO-short, so cache lookups do not allocate.
+  // once per (backend, op) pair instead of building label maps — four
+  // small-map node allocations — per dispatch. Backend names are SSO-short,
+  // so cache lookups do not allocate.
   const Handles& cached(const std::string& backend, OpType op, obs::MetricsRegistry& metrics) {
     const std::pair<std::string, int> key{backend, static_cast<int>(op)};
     auto it = cache_.find(key);
@@ -301,7 +289,7 @@ class FinishStage : public OpStage {
 // remaps its communicator/root/peer onto the survivors and replays. With
 // recovery disarmed the stage is a pure pass-through — no scheduler
 // interaction, no allocation — so fault-free runs stay byte-identical (and
-// the plan compiler elides it outright on the fast path).
+// the plan compiler elides it outright).
 
 class RecoverStage : public OpStage {
  public:
@@ -689,26 +677,12 @@ OpPipeline::~OpPipeline() = default;
 
 Work OpPipeline::execute(int rank, const std::vector<int>& group, OpRequest req) {
   const PlanTable* table = plan_table();
-  if (!ctx_->options().fast_dispatch) {
-    // Slow path — the pre-fast-path dispatch shape, kept as the referee: a
-    // fresh OpCall per op, every stage invoked, per-call label maps in the
-    // finish stage. Golden traces pin that both shapes are byte-identical.
-    OpCall call;
-    call.ctx = ctx_;
-    call.rank = rank;
-    call.group = group;
-    call.req = std::move(req);
-    call.plan = &table->full;
-    call.stage_child_us.assign(table->full.seq.size(), 0.0);
-    return invoke(0, call);
-  }
   const StagePlan& plan =
       table->plans[static_cast<std::size_t>(req.op) * kMaskCount + config_mask()];
   ArenaLease lease(this, rank);
   OpCall& call = lease.call();
   call.ctx = ctx_;
   call.rank = rank;
-  call.fast = true;
   call.plan = &plan;
   // Copy-assign (not move) into the recycled slot so its container capacity
   // is reused instead of replaced.
@@ -797,10 +771,6 @@ const OpPipeline::PlanTable* OpPipeline::plan_table() {
 const OpPipeline::PlanTable* OpPipeline::recompile_plans(std::uint64_t version) {
   auto table = std::make_unique<PlanTable>();
   table->config_version = version;
-  table->full.seq.resize(stages_.size());
-  for (std::size_t i = 0; i < stages_.size(); ++i) {
-    table->full.seq[i] = static_cast<std::uint8_t>(i);
-  }
   table->plans.resize(kOpCount * kMaskCount);
   for (std::size_t op = 0; op < kOpCount; ++op) {
     for (std::size_t mask = 0; mask < kMaskCount; ++mask) {

@@ -24,24 +24,17 @@
 // implement OpStage and call insert_before/insert_after with a neighbour's
 // name — no per-op code needed, the stage sees every operation.
 //
-// Hot path (DESIGN.md §14). Dispatch has two shapes selected by
-// McrDlOptions::fast_dispatch:
-//
-//   fast (default) — the OpCall comes from a per-rank arena (container
-//   capacity survives recycling, so steady-state dispatch allocates
-//   nothing), the op runs a precompiled StagePlan that omits provably no-op
-//   stages, and the finish stage uses cached metric handles instead of
-//   building label maps per call.
-//
-//   slow — the pre-fast-path shape: a fresh OpCall per op, every stage
-//   invoked, labels built per call. Kept as the referee: golden-trace tests
-//   pin that both shapes produce byte-identical virtual time, and the
-//   `hotpath` benchmark reports the two as its before/after series.
+// Hot path (DESIGN.md §14). Every op takes its OpCall from a per-rank arena
+// (container capacity survives recycling, so steady-state dispatch
+// allocates nothing), runs a precompiled StagePlan that omits provably
+// no-op stages, and the finish stage uses cached metric handles instead of
+// building label maps per call. The golden-trace tests pin the resulting
+// virtual time byte for byte.
 //
 // Skipped stages cannot move virtual time by construction (that is the
 // compile rule), and each one still gets a 0.0 observation into its
 // `pipeline_stage_us` histogram — exactly what its no-op invocation would
-// have recorded — so per-stage metrics are identical under both shapes.
+// have recorded — so per-stage metrics count every op at every stage.
 #pragma once
 
 #include <cstdint>
@@ -122,10 +115,6 @@ struct OpCall {
   bool fused = false;
   bool compressed = false;
 
-  // True when this call is on the arena fast path (cached metric handles in
-  // the finish stage); false reproduces the pre-fast-path dispatch shape.
-  bool fast = false;
-
   // The compiled stage sequence this call runs (owned by the pipeline's
   // plan table, which outlives every in-flight call).
   const StagePlan* plan = nullptr;
@@ -170,7 +159,7 @@ class OpStage {
   virtual Work run(OpCall& call, const OpNext& next) = 0;
   // True if, under the given config snapshot, run() would provably neither
   // move virtual time nor change the call — the plan compiler elides such
-  // stages from the fast path. Default false: custom stages always run.
+  // stages from dispatch. Default false: custom stages always run.
   virtual bool provably_noop(const StagePlanInputs& in) const {
     (void)in;
     return false;
@@ -189,7 +178,7 @@ class OpPipeline {
 
   // Stage names in request-path order.
   std::vector<std::string> stage_names() const;
-  // The stages a fast-path dispatch of `op` would actually run under the
+  // The stages a dispatch of `op` would actually run under the
   // current configuration (plan introspection for tests and tools).
   std::vector<std::string> active_stage_names(OpType op);
   // Insert a custom stage relative to an existing one (by name); throws
@@ -211,7 +200,6 @@ class OpPipeline {
   // dies, so a plan pointer held by an in-flight call can never dangle.
   struct PlanTable {
     std::uint64_t config_version = 0;
-    StagePlan full;                // every stage, no skips (slow path)
     std::vector<StagePlan> plans;  // [op * kMaskCount + mask]
   };
   class ArenaLease;

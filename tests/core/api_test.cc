@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/core/mcr_dl.h"
 
@@ -50,42 +52,118 @@ TEST_F(ApiTest, GetRankAndSize) {
   });
 }
 
-TEST_F(ApiTest, AllOpsThroughFacadeOnMpi) {
+// Table I's MCR-DL column, checked against the implementation: every
+// Listing-1 operation runs through the facade on every backend, natively or
+// transparently emulated. Stream backends (nccl, sccl) complete on the device,
+// so each read of a result follows a synchronize.
+class ApiAllOpsTest : public ApiTest, public ::testing::WithParamInterface<std::string> {};
+
+TEST_P(ApiAllOpsTest, ListingOneOpsThroughFacade) {
+  const std::string backend = GetParam();
   make();
-  mcr_->init({"mv2-gdr"});
+  mcr_->init({backend});
   const int n = world();
   cluster_->run_spmd([&](int rank) {
     Api api = mcr_->on(rank);
     sim::Device* dev = cluster_->device(rank);
 
     Tensor ar = Tensor::full({4}, DType::F32, 1.0, dev);
-    api.all_reduce("mv2-gdr", ar);
+    api.all_reduce(backend, ar);
+    api.synchronize();
     EXPECT_DOUBLE_EQ(ar.get(0), n);
 
     Tensor bc = rank == 0 ? Tensor::full({2}, DType::F32, 5.0, dev)
                           : Tensor::zeros({2}, DType::F32, dev);
-    api.broadcast("mv2-gdr", bc, 0);
+    api.broadcast(backend, bc, 0);
+    api.synchronize();
     EXPECT_DOUBLE_EQ(bc.get(1), 5.0);
+
+    Tensor rd = Tensor::full({4}, DType::F32, 1.0, dev);
+    api.reduce(backend, rd, 0);
+    api.synchronize();
+    if (rank == 0) {
+      EXPECT_DOUBLE_EQ(rd.get(0), n);
+    }
 
     Tensor in = Tensor::full({1}, DType::F32, rank * 1.0, dev);
     Tensor out = Tensor::zeros({n}, DType::F32, dev);
-    api.all_gather("mv2-gdr", out, in);
+    api.all_gather(backend, out, in);
+    api.synchronize();
     EXPECT_DOUBLE_EQ(out.get(n - 1), n - 1.0);
 
     Tensor rs_in = Tensor::arange(n, DType::F32, dev);
     Tensor rs_out = Tensor::zeros({1}, DType::F32, dev);
-    api.reduce_scatter("mv2-gdr", rs_out, rs_in);
+    api.reduce_scatter(backend, rs_out, rs_in);
+    api.synchronize();
     EXPECT_DOUBLE_EQ(rs_out.get(0), static_cast<double>(n) * rank);
 
     Tensor a2a_in = Tensor::full({n}, DType::F32, rank * 1.0, dev);
     Tensor a2a_out = Tensor::zeros({n}, DType::F32, dev);
-    api.all_to_all_single("mv2-gdr", a2a_out, a2a_in);
+    api.all_to_all_single(backend, a2a_out, a2a_in);
+    api.synchronize();
     EXPECT_DOUBLE_EQ(a2a_out.get(n - 1), n - 1.0);
 
-    api.barrier("mv2-gdr");
+    Tensor g_out = rank == 0 ? Tensor::zeros({n}, DType::F32, dev) : Tensor();
+    api.gather(backend, g_out, in, 0);
+    api.synchronize();
+    if (rank == 0) {
+      EXPECT_DOUBLE_EQ(g_out.get(n - 1), n - 1.0);
+    }
+
+    Tensor s_in = rank == 0 ? Tensor::arange(n, DType::F32, dev) : Tensor();
+    Tensor s_out = Tensor::zeros({1}, DType::F32, dev);
+    api.scatter(backend, s_out, s_in, 0);
+    api.synchronize();
+    EXPECT_DOUBLE_EQ(s_out.get(0), rank);
+
+    std::vector<int> counts(static_cast<std::size_t>(n), 1), displs;
+    for (int r = 0; r < n; ++r) displs.push_back(r);
+    Tensor v_out = Tensor::zeros({n}, DType::F32, dev);
+    api.all_gatherv(backend, v_out, in, counts, displs);
+    api.synchronize();
+    EXPECT_DOUBLE_EQ(v_out.get(n - 1), n - 1.0);
+
+    Tensor gv_out = rank == 0 ? Tensor::zeros({n}, DType::F32, dev) : Tensor();
+    api.gatherv(backend, gv_out, in, 0, counts, displs);
+    api.synchronize();
+    if (rank == 0) {
+      EXPECT_DOUBLE_EQ(gv_out.get(n - 1), n - 1.0);
+    }
+
+    Tensor sv_out = Tensor::zeros({1}, DType::F32, dev);
+    api.scatterv(backend, sv_out, rank == 0 ? Tensor::arange(n, DType::F32, dev) : Tensor(), 0,
+                 counts, displs);
+    api.synchronize();
+    EXPECT_DOUBLE_EQ(sv_out.get(0), rank);
+
+    Tensor av_in = Tensor::arange(n, DType::F32, dev);
+    Tensor av_out = Tensor::zeros({n}, DType::F32, dev);
+    api.all_to_allv(backend, av_out, av_in, counts, displs, counts, displs);
+    api.synchronize();
+    EXPECT_DOUBLE_EQ(av_out.get(0), rank);
+
+    api.barrier(backend);
+    if (rank == 0) {
+      api.send(backend, Tensor::arange(3, DType::F32, dev), 1);
+    } else if (rank == 1) {
+      Tensor p = Tensor::zeros({3}, DType::F32, dev);
+      api.recv(backend, p, 0);
+      api.synchronize();
+      EXPECT_DOUBLE_EQ(p.get(2), 2.0);
+    }
     api.synchronize();
   });
 }
+
+INSTANTIATE_TEST_SUITE_P(AllBackends, ApiAllOpsTest,
+                         ::testing::ValuesIn(available_backend_names()),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           std::string name = info.param;
+                           for (auto& c : name) {
+                             if (c == '-') c = '_';
+                           }
+                           return name;
+                         });
 
 TEST_F(ApiTest, NcclGatherIsEmulatedTransparently) {
   make();

@@ -69,7 +69,7 @@ TEST(Bucketing, DisabledBucketingIsByteIdenticalToDefault) {
   listed.enabled = false;
   FusionConfig dflt;  // enabled=false, ops={AllReduce}
   EXPECT_EQ(run_mixed_workload(listed), run_mixed_workload(dflt));
-  // And the plan compiler agrees: no fusion stage in any op's fast path.
+  // And the plan compiler agrees: no fusion stage in any op's stage plan.
   McrDlOptions opts;
   opts.fusion = listed;
   ClusterContext cluster(net::SystemConfig::lassen(1));

@@ -180,9 +180,8 @@ fault::FaultPlan chaos_plan() {
 // empty plan, 2 = enabled with the chaos plan, 3 = enabled with elastic
 // recovery armed but a loss instant beyond the end of the run, 4 = mode 3
 // plus a rejoin spec even further out (grow path armed, never fired).
-std::string run_scenario(int fault_mode, bool fast_dispatch = true) {
+std::string run_scenario(int fault_mode) {
   McrDlOptions opts = base_options();
-  opts.fast_dispatch = fast_dispatch;
   if (fault_mode == 1) opts.fault.enabled = true;
   if (fault_mode == 2) {
     opts.fault.enabled = true;
@@ -286,23 +285,6 @@ TEST(GoldenTrace, TwoContextsOnTwoThreadsMatchGolden) {
   second.join();
   compare_with_golden("trace_nofault.txt", traces[0]);
   compare_with_golden("trace_nofault.txt", traces[1]);
-}
-
-// Hot-path invariant (DESIGN.md §14): fast dispatch — arena OpCalls,
-// precompiled stage plans that elide provably no-op stages, cached metric
-// handles — is an *implementation* of dispatch, not a semantics change.
-// The slow path (a fresh OpCall per op, every stage invoked) must produce
-// the identical trace, virtual-time stamp for stamp, with and without the
-// chaos plan's full retry/failover machinery.
-TEST(GoldenTrace, FastAndSlowDispatchAreByteIdentical) {
-  EXPECT_EQ(run_scenario(0), run_scenario(0, /*fast_dispatch=*/false));
-  EXPECT_EQ(run_scenario(2), run_scenario(2, /*fast_dispatch=*/false));
-}
-
-// The slow path matches the checked-in golden too (it IS the shape that
-// generated it), so fast and slow cannot drift together unnoticed.
-TEST(GoldenTrace, SlowDispatchMatchesGolden) {
-  compare_with_golden("trace_nofault.txt", run_scenario(0, /*fast_dispatch=*/false));
 }
 
 }  // namespace

@@ -259,25 +259,5 @@ TEST_F(PipelineTest, ArenaSlotCountPlateausInSteadyState) {
       << "steady-state dispatch must reuse arena slots, not create new ones";
 }
 
-// The slow path must survive the same workload with identical results (its
-// trace equivalence is pinned by the golden tests; this guards the API).
-TEST_F(PipelineTest, SlowDispatchProducesSameData) {
-  McrDlOptions opts;
-  opts.fast_dispatch = false;
-  make(2, opts);
-  mcr_->init({"nccl"});
-  cluster_->run_spmd([&](int rank) {
-    Api api = mcr_->on(rank);
-    Tensor t = Tensor::full({8}, DType::F32, rank + 1.0, cluster_->device(rank));
-    api.all_reduce("nccl", t);
-    api.synchronize();
-    double expected = 0.0;
-    for (int r = 0; r < world(); ++r) expected += r + 1.0;
-    EXPECT_DOUBLE_EQ(t.get(0), expected);
-  });
-  // The arena is bypassed entirely on the slow path.
-  EXPECT_EQ(mcr_->pipeline().arena_slots(), 0u);
-}
-
 }  // namespace
 }  // namespace mcrdl
