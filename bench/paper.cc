@@ -273,7 +273,10 @@ double pool_us(bool use_pool, int ops, std::size_t bytes) {
   return total;
 }
 
-// fusion: a DDP-like loop of `tensors` small gradient allreduces per rank.
+// fusion: a DDP-like loop of `tensors` small gradient allreduces per rank,
+// one every 2 us of host time. The gradient producer must advance host time
+// (a stream kernel would not): a flush timeout T only fires while the host
+// is still producing, before synchronize() flushes everything at once.
 // `two_backends` alternates NCCL and MVAPICH2-GDR (the cross-backend
 // overlap study); otherwise everything goes to NCCL, whose per-op launch
 // overhead serialises on the comm streams — the cost fusion amortises.
@@ -294,7 +297,7 @@ double fusion_us(const FusionConfig& cfg, bool two_backends = false) {
       Tensor g = Tensor::phantom({static_cast<std::int64_t>(kBytes / 4)}, DType::F32, dev);
       api.all_reduce(two_backends && i % 2 == 1 ? "mv2-gdr" : "nccl", g, ReduceOp::Sum,
                      /*async_op=*/true);
-      dev->compute(2.0, "grad-producer");
+      cluster.scheduler().sleep_for(2.0);  // the grad producer
     }
     api.synchronize();
     if (rank == 0) total = cluster.scheduler().now();
