@@ -302,9 +302,19 @@ Work Comm::issue(int rank, const OpRequest& req) {
   // Per-backend traffic accounting: one increment per native issue attempt
   // (retries and failover re-issues count — that is the point: the counters
   // show where traffic actually went, not where it was asked to go).
-  obs::MetricsRegistry& metrics = backend_->cluster()->metrics();
-  metrics.counter("comm_ops", {{"backend", backend_->name()}, {"op", op_name(req.op)}}).inc();
-  metrics.counter("comm_bytes", {{"backend", backend_->name()}}).inc(req.payload_bytes());
+  // Handles are resolved on first use, so the registry only ever holds the
+  // (backend, op) pairs that actually ran.
+  obs::Counter*& ops = ops_counters_[static_cast<std::size_t>(req.op)];
+  if (ops == nullptr) {
+    ops = &backend_->cluster()->metrics().counter(
+        "comm_ops", {{"backend", backend_->name()}, {"op", op_name(req.op)}});
+  }
+  if (bytes_counter_ == nullptr) {
+    bytes_counter_ =
+        &backend_->cluster()->metrics().counter("comm_bytes", {{"backend", backend_->name()}});
+  }
+  ops->inc();
+  bytes_counter_->inc(req.payload_bytes());
   switch (req.op) {
     case OpType::AllReduce:
       return all_reduce(rank, req.tensor, req.rop, req.async_op);
@@ -405,6 +415,12 @@ void Backend::synchronize(int rank) {
       // communicator); a survivor's flush must not rethrow it again.
     }
   }
+  // Hand the drained buffer back, so tracking the next window's ops does
+  // not regrow it.
+  if (pending.empty()) {
+    draining.clear();
+    pending.swap(draining);
+  }
 }
 
 void Backend::track(int rank, const Work& work) {
@@ -466,18 +482,17 @@ Work StreamBackend::post_collective(Comm& comm, int global_rank, const OpDesc& d
   sim::Device* dev = cluster_->device(global_rank);
   sim::Stream* stream = comm_stream(global_rank, desc.bytes);
 
+  auto work = std::make_shared<StreamWork>(&sched, dev->default_stream());
   // Input dependency: the communication stream waits for everything the
   // default stream has produced so far (fine-grained event, Fig 4(b) step 2).
-  auto input_ready = std::make_shared<sim::Event>(&sched);
+  const std::shared_ptr<sim::Event> input_ready = work->input_ready();
   dev->default_stream()->record_event(input_ready);
   stream->wait_event(input_ready);
   // Stream-side arrival: the collective "kernel" starts when the stream
   // reaches this point on every rank.
   stream->add_callback([rv, idx] { rv->mark_ready(idx); });
   stream->wait_gate(rv->gate(idx));
-  auto done = std::make_shared<sim::Event>(&sched);
-  stream->record_event(done);
-  auto work = std::make_shared<StreamWork>(done, dev->default_stream());
+  stream->record_event(work->done_event());
   rv->on_complete([work, rv_raw = rv.get()] { work->exec_start = rv_raw->exec_start_time(); });
   return work;
 }
@@ -490,7 +505,8 @@ Work StreamBackend::post_p2p(Comm& comm, int global_rank, bool is_send,
   sim::Device* dev = cluster_->device(global_rank);
   sim::Stream* stream = comm_stream(global_rank, bytes);
 
-  auto input_ready = std::make_shared<sim::Event>(&sched);
+  auto work = std::make_shared<StreamWork>(&sched, dev->default_stream());
+  const std::shared_ptr<sim::Event> input_ready = work->input_ready();
   dev->default_stream()->record_event(input_ready);
   stream->wait_event(input_ready);
   if (is_send) {
@@ -500,9 +516,7 @@ Work StreamBackend::post_p2p(Comm& comm, int global_rank, bool is_send,
     stream->add_callback([op] { op->mark_recv_ready(); });
     stream->wait_gate(op->recv_gate());
   }
-  auto done = std::make_shared<sim::Event>(&sched);
-  stream->record_event(done);
-  auto work = std::make_shared<StreamWork>(done, dev->default_stream());
+  stream->record_event(work->done_event());
   op->on_complete([work, op_raw = op.get()] { work->exec_start = op_raw->exec_start_time(); });
   return work;
 }

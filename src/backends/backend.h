@@ -19,6 +19,7 @@
 // primitives one level up.
 #pragma once
 
+#include <array>
 #include <map>
 #include <memory>
 #include <string>
@@ -99,6 +100,10 @@ class Comm {
   std::map<int, int> group_rank_;  // global rank -> dense index
   backends_detail::CollectiveEngine engine_;
   backends_detail::P2pEngine p2p_;
+  // issue()'s `comm_ops{backend, op}` and `comm_bytes{backend}` counters,
+  // resolved on first use (registry references are stable).
+  std::array<obs::Counter*, kOpTypeCount> ops_counters_{};
+  obs::Counter* bytes_counter_ = nullptr;
 };
 
 class Backend {

@@ -228,7 +228,7 @@ void HostOp::wait_done() {
   if (error_ && !completion_.fired()) std::rethrow_exception(error_);
 }
 
-void HostOp::on_complete(std::function<void()> fn) {
+void HostOp::on_complete(InlineFn fn) {
   if (auto late = completion_.add(std::move(fn))) late();
 }
 
@@ -250,33 +250,32 @@ void HostOp::terminate(std::exception_ptr err, bool open_gates) {
 // ---------------------------------------------------------------------------
 
 Rendezvous::Rendezvous(sim::Scheduler* sched, int expected, OpDesc desc,
-                       std::function<SimTime()> duration_fn, ChannelFn channel_fn)
+                       CollectiveEngine* engine)
     : HostOp(sched),
       desc_(desc),
       expected_(expected),
-      duration_fn_(std::move(duration_fn)),
-      channel_fn_(std::move(channel_fn)),
+      engine_(engine),
       slots_(static_cast<std::size_t>(expected)),
-      slot_posted_(static_cast<std::size_t>(expected), false),
-      slot_ready_(static_cast<std::size_t>(expected), false),
-      gates_(static_cast<std::size_t>(expected)) {
+      participants_(static_cast<std::size_t>(expected)) {
   MCRDL_CHECK(expected >= 1);
+  // Every rank registers its backend's exec_start hook and, on host-MPI
+  // backends, the pipeline's finish record; the engine adds its reclaim.
+  completion_.reserve(2 * participants_.size() + 1);
 }
 
 void Rendezvous::post(int idx, ArrivalSlot slot) {
   MCRDL_CHECK(idx >= 0 && idx < expected_);
-  MCRDL_CHECK(!slot_posted_[static_cast<std::size_t>(idx)])
-      << "rank " << idx << " posted twice to one " << op_name(desc_.op) << " rendezvous";
+  Participant& p = participants_[static_cast<std::size_t>(idx)];
+  MCRDL_CHECK(!p.posted) << "rank " << idx << " posted twice to one " << op_name(desc_.op)
+                         << " rendezvous";
   slots_[static_cast<std::size_t>(idx)] = std::move(slot);
-  slot_posted_[static_cast<std::size_t>(idx)] = true;
+  p.posted = true;
   ++posted_;
 }
 
-const std::shared_ptr<sim::StreamGate>& Rendezvous::gate(int idx) {
+std::shared_ptr<sim::StreamGate> Rendezvous::gate(int idx) {
   MCRDL_CHECK(idx >= 0 && idx < expected_);
-  auto& g = gates_[static_cast<std::size_t>(idx)];
-  if (!g) g = std::make_shared<sim::StreamGate>(sched_);
-  return g;
+  return {shared_from_this(), &participants_[static_cast<std::size_t>(idx)].gate};
 }
 
 void Rendezvous::mark_ready(int idx) {
@@ -285,13 +284,14 @@ void Rendezvous::mark_ready(int idx) {
   // reaching its arrival callback after the watchdog fired must not revive
   // the operation.
   if (error_) return;
-  MCRDL_CHECK(slot_posted_[static_cast<std::size_t>(idx)]) << "ready before post";
-  MCRDL_CHECK(!slot_ready_[static_cast<std::size_t>(idx)]) << "double ready";
-  slot_ready_[static_cast<std::size_t>(idx)] = true;
+  Participant& p = participants_[static_cast<std::size_t>(idx)];
+  MCRDL_CHECK(p.posted) << "ready before post";
+  MCRDL_CHECK(!p.ready) << "double ready";
+  p.ready = true;
   ready_time_ = std::max(ready_time_, sched_->now());
   if (++ready_ < expected_) return;
-  const SimTime duration = duration_fn_();
-  exec_start_ = channel_fn_ ? channel_fn_(ready_time_, duration, desc_.bytes) : ready_time_;
+  const SimTime duration = engine_->duration_of(desc_);
+  exec_start_ = engine_->wire_start(ready_time_, duration, desc_.bytes);
   complete_time_ = exec_start_ + duration;
   // Keep the rendezvous alive through finish() even if every Work handle
   // and the engine's pending-table entry are dropped first.
@@ -308,15 +308,13 @@ void Rendezvous::finish() {
 }
 
 void Rendezvous::open_gates() {
-  for (auto& g : gates_) {
-    if (g) g->open();
-  }
+  for (Participant& p : participants_) p.gate.open();
 }
 
 std::vector<int> Rendezvous::posted_indices() const {
   std::vector<int> out;
   for (int i = 0; i < expected_; ++i) {
-    if (slot_posted_[static_cast<std::size_t>(i)]) out.push_back(i);
+    if (participants_[static_cast<std::size_t>(i)].posted) out.push_back(i);
   }
   return out;
 }
@@ -324,7 +322,7 @@ std::vector<int> Rendezvous::posted_indices() const {
 std::vector<int> Rendezvous::missing_indices() const {
   std::vector<int> out;
   for (int i = 0; i < expected_; ++i) {
-    if (!slot_posted_[static_cast<std::size_t>(i)]) out.push_back(i);
+    if (!participants_[static_cast<std::size_t>(i)].posted) out.push_back(i);
   }
   return out;
 }
@@ -423,6 +421,18 @@ std::uint64_t CollectiveEngine::cancel_and_resequence(
   return cancelled;
 }
 
+SimTime CollectiveEngine::duration_of(const OpDesc& desc) const {
+  const SimTime base = cost_model_.collective_cost(desc.op, desc.bytes, shape_);
+  return std::max(base - desc.launch_discount_us, base * 0.1);
+}
+
+SimTime CollectiveEngine::wire_start(SimTime ready, SimTime duration, std::size_t bytes) {
+  if (bytes <= kWireSerializeThreshold) return ready;
+  const SimTime start = std::max(ready, channel_busy_until_);
+  channel_busy_until_ = start + duration;
+  return start;
+}
+
 std::shared_ptr<Rendezvous> CollectiveEngine::join(int idx, const OpDesc& desc,
                                                    ArrivalSlot slot) {
   MCRDL_REQUIRE(idx >= 0 && idx < size_, "communicator rank index out of range");
@@ -430,19 +440,8 @@ std::shared_ptr<Rendezvous> CollectiveEngine::join(int idx, const OpDesc& desc,
   auto it = pending_.find(seq);
   std::shared_ptr<Rendezvous> rv;
   if (it == pending_.end()) {
-    OpDesc d = desc;
-    rv = std::make_shared<Rendezvous>(
-        sched_, size_, d,
-        [this, d] {
-          const SimTime base = cost_model_.collective_cost(d.op, d.bytes, shape_);
-          return std::max(base - d.launch_discount_us, base * 0.1);
-        },
-        [this](SimTime ready, SimTime duration, std::size_t bytes) {
-          if (bytes <= kWireSerializeThreshold) return ready;
-          const SimTime start = std::max(ready, channel_busy_until_);
-          channel_busy_until_ = start + duration;
-          return start;
-        });
+    const OpDesc& d = desc;
+    rv = std::make_shared<Rendezvous>(sched_, size_, d, this);
     pending_[seq] = rv;
     // Reclaim the table entry once everyone has moved past this op. The
     // identity check matters across grow events: a started pre-grow
@@ -536,8 +535,8 @@ std::shared_ptr<Rendezvous> CollectiveEngine::join(int idx, const OpDesc& desc,
 P2pOp::P2pOp(sim::Scheduler* sched, std::function<SimTime()> duration_fn)
     : HostOp(sched),
       duration_fn_(std::move(duration_fn)),
-      send_gate_(std::make_shared<sim::StreamGate>(sched)),
-      recv_gate_(std::make_shared<sim::StreamGate>(sched)) {}
+      send_gate_(std::make_shared<sim::StreamGate>()),
+      recv_gate_(std::make_shared<sim::StreamGate>()) {}
 
 void P2pOp::set_send(Tensor t) {
   MCRDL_CHECK(!have_send_) << "send side already set";

@@ -65,10 +65,6 @@ void apply_collective(const OpDesc& desc, std::vector<ArrivalSlot>& slots);
 // nothing from extra streams).
 inline constexpr std::size_t kWireSerializeThreshold = 64 * 1024;
 
-// Given (ready time, duration, payload) returns the wire start time,
-// accounting for channel contention.
-using ChannelFn = std::function<SimTime(SimTime, SimTime, std::size_t)>;
-
 // The host-visible lifecycle Rendezvous and P2pOp share: an operation that
 // ends exactly once, completing (its Completion fires) or failing (it is
 // dropped; src/common/completion.h).
@@ -89,7 +85,7 @@ class HostOp {
   // error if the operation failed instead of completing.
   void wait_done();
   // Runs fn (under the baton) at completion, or inline if already complete.
-  void on_complete(std::function<void()> fn);
+  void on_complete(InlineFn fn);
 
   // --- fault injection (src/fault/) ----------------------------------------
   // Marks the operation failed: stores the error and wakes host waiters so
@@ -121,11 +117,14 @@ class HostOp {
   virtual void open_gates() = 0;
 };
 
+class CollectiveEngine;
+
 // An all-ranks collective at one sequence position of a communicator.
 class Rendezvous : public HostOp, public std::enable_shared_from_this<Rendezvous> {
  public:
-  Rendezvous(sim::Scheduler* sched, int expected, OpDesc desc,
-             std::function<SimTime()> duration_fn, ChannelFn channel_fn = {});
+  // `engine` prices the operation and books its wire time; it outlives
+  // every rendezvous it creates.
+  Rendezvous(sim::Scheduler* sched, int expected, OpDesc desc, CollectiveEngine* engine);
 
   const OpDesc& desc() const { return desc_; }
 
@@ -137,8 +136,9 @@ class Rendezvous : public HostOp, public std::enable_shared_from_this<Rendezvous
   void mark_ready(int idx);
 
   // Stream-aware backends park their communication stream behind this gate;
-  // it opens at the completion time.
-  const std::shared_ptr<sim::StreamGate>& gate(int idx);
+  // it opens at the completion time. The gate lives inside the rendezvous,
+  // which the returned pointer keeps alive.
+  std::shared_ptr<sim::StreamGate> gate(int idx);
 
   // True once every participant has signalled readiness — the wire phase
   // has begun and completion is already scheduled. Quiesce drains skip
@@ -156,17 +156,21 @@ class Rendezvous : public HostOp, public std::enable_shared_from_this<Rendezvous
   void finish();
   void open_gates() override;
 
+  // One participant's progress and the gate its stream waits behind.
+  struct Participant {
+    bool posted = false;
+    bool ready = false;
+    sim::StreamGate gate;
+  };
+
   OpDesc desc_;
   int expected_;
   int posted_ = 0;
   int ready_ = 0;
   SimTime ready_time_ = 0.0;
-  std::function<SimTime()> duration_fn_;
-  ChannelFn channel_fn_;
+  CollectiveEngine* engine_;
   std::vector<ArrivalSlot> slots_;
-  std::vector<bool> slot_posted_;
-  std::vector<bool> slot_ready_;
-  std::vector<std::shared_ptr<sim::StreamGate>> gates_;
+  std::vector<Participant> participants_;
 };
 
 // Per-communicator collective sequencing: each rank's n-th call joins the
@@ -198,6 +202,13 @@ class CollectiveEngine {
   int size() const { return size_; }
 
  private:
+  friend class Rendezvous;
+  // The virtual duration of one collective.
+  SimTime duration_of(const OpDesc& desc) const;
+  // Given (ready time, duration, payload) returns the wire start time,
+  // booking this communicator's channel for large payloads.
+  SimTime wire_start(SimTime ready, SimTime duration, std::size_t bytes);
+
   // Recovery quiesce hook: cancels pending rendezvous whose membership
   // includes a lost rank (unless their wire phase already started). Returns
   // the number of rendezvous cancelled.

@@ -12,19 +12,15 @@
 //     the host actor.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 
+#include "src/common/inline_fn.h"
 #include "src/common/units.h"
 #include "src/net/comm_types.h"
+#include "src/sim/device.h"
 
 namespace mcrdl {
-
-namespace sim {
-class Event;
-class Stream;
-}  // namespace sim
 
 class WorkHandle {
  public:
@@ -43,7 +39,7 @@ class WorkHandle {
   // inline if the work is already complete. On fail, cancel or teardown fn
   // is dropped, never run (src/common/completion.h). Fusion slice-back and
   // the communication logger hook in here.
-  virtual void on_complete(std::function<void()> fn) = 0;
+  virtual void on_complete(InlineFn fn) = 0;
 
   OpType op = OpType::Barrier;
   std::string backend_name;
@@ -57,19 +53,28 @@ class WorkHandle {
 
 using Work = std::shared_ptr<WorkHandle>;
 
-// Completion via a recorded event on a communication stream.
-class StreamWork : public WorkHandle {
+// Completion via a recorded event on a communication stream. The work owns
+// both events of its operation, so posting one allocates only the work; the
+// event pointers handed to streams share ownership of the work.
+class StreamWork : public WorkHandle, public std::enable_shared_from_this<StreamWork> {
  public:
-  StreamWork(std::shared_ptr<sim::Event> done_event, sim::Stream* default_stream);
+  StreamWork(sim::Scheduler* sched, sim::Stream* default_stream);
+
+  // Recorded on the caller's default stream ahead of the operation; the
+  // communication stream waits on it before starting.
+  std::shared_ptr<sim::Event> input_ready() { return {shared_from_this(), &input_ready_}; }
+  // Recorded on the communication stream once the operation is done.
+  std::shared_ptr<sim::Event> done_event() { return {shared_from_this(), &done_event_}; }
 
   bool test() const override;
   void wait() override;         // default_stream.wait_event(done_event)
   void synchronize() override;  // host waits on done_event
   SimTime complete_time() const override;
-  void on_complete(std::function<void()> fn) override;
+  void on_complete(InlineFn fn) override;
 
  private:
-  std::shared_ptr<sim::Event> done_event_;
+  sim::Event input_ready_;
+  sim::Event done_event_;
   sim::Stream* default_stream_;
 };
 
@@ -87,7 +92,7 @@ class HostWork : public WorkHandle {
   void wait() override;  // MPI_Wait: blocks the host
   void synchronize() override { wait(); }
   SimTime complete_time() const override;
-  void on_complete(std::function<void()> fn) override;
+  void on_complete(InlineFn fn) override;
 
  private:
   std::shared_ptr<backends_detail::HostOp> op_;

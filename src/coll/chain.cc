@@ -42,7 +42,7 @@ void ChainWork::wait() {
   for (auto& fn : owner_->complete(*this)) fn();
 }
 
-void ChainWork::on_complete(std::function<void()> fn) {
+void ChainWork::on_complete(InlineFn fn) {
   if (auto late = completion_.add(std::move(fn))) late();
 }
 
@@ -103,7 +103,7 @@ void ChainGroupWork::wait() {
   complete_now();
 }
 
-void ChainGroupWork::on_complete(std::function<void()> fn) {
+void ChainGroupWork::on_complete(InlineFn fn) {
   if (auto late = completion_.add(std::move(fn))) late();
 }
 

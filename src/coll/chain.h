@@ -81,7 +81,7 @@ class ChainWork : public WorkHandle, public std::enable_shared_from_this<ChainWo
   void wait() override;
   void synchronize() override { wait(); }
   SimTime complete_time() const override { return complete_time_; }
-  void on_complete(std::function<void()> fn) override;
+  void on_complete(InlineFn fn) override;
 
   // The recovery epoch this chain was issued under (sub-ops are stamped with
   // it; an epoch bump fails the chain for replay).
@@ -137,7 +137,7 @@ class ChainGroupWork : public WorkHandle, public std::enable_shared_from_this<Ch
   void wait() override;
   void synchronize() override { wait(); }
   SimTime complete_time() const override { return complete_time_; }
-  void on_complete(std::function<void()> fn) override;
+  void on_complete(InlineFn fn) override;
 
  private:
   struct ChunkLink;

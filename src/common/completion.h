@@ -15,16 +15,64 @@
 // gates first.
 #pragma once
 
-#include <functional>
+#include <array>
+#include <cstddef>
 #include <utility>
 #include <vector>
+
+#include "src/common/inline_fn.h"
 
 namespace mcrdl {
 
 class Completion {
  public:
-  using Callback = std::function<void()>;
-  using Callbacks = std::vector<std::function<void()>>;
+  using Callback = InlineFn;
+
+  // The queued callbacks, in registration order. The first kInline live in
+  // place; a dispatched op typically registers one or two (its backend's
+  // exec_start hook, the pipeline's finish record), so only the shared
+  // completion of a whole collective spills to the heap.
+  class Callbacks {
+   public:
+    static constexpr std::size_t kInline = 2;
+
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    void reserve(std::size_t n) {
+      if (n > kInline) tail_.reserve(n - kInline);
+    }
+    void push_back(Callback fn) {
+      if (size_ < kInline) {
+        head_[size_] = std::move(fn);
+      } else {
+        tail_.push_back(std::move(fn));
+      }
+      ++size_;
+    }
+    Callback& operator[](std::size_t i) { return i < kInline ? head_[i] : tail_[i - kInline]; }
+
+    class iterator {
+     public:
+      iterator(Callbacks* owner, std::size_t i) : owner_(owner), i_(i) {}
+      Callback& operator*() const { return (*owner_)[i_]; }
+      iterator& operator++() {
+        ++i_;
+        return *this;
+      }
+      bool operator!=(const iterator& other) const { return i_ != other.i_; }
+
+     private:
+      Callbacks* owner_;
+      std::size_t i_;
+    };
+    iterator begin() { return {this, 0}; }
+    iterator end() { return {this, size_}; }
+
+   private:
+    std::array<Callback, kInline> head_;
+    std::vector<Callback> tail_;
+    std::size_t size_ = 0;
+  };
 
   bool fired() const { return state_ == State::Fired; }
 
@@ -52,6 +100,10 @@ class Completion {
     // release the last reference to this Completion's owner.
     Callbacks discarded = std::exchange(callbacks_, {});
   }
+
+  // Room for n callbacks in one allocation, for an owner that knows how many
+  // registrations to expect (a collective's rendezvous: two per rank).
+  void reserve(std::size_t n) { callbacks_.reserve(n); }
 
   // Back to pending, keeping anything still queued (sim::Event re-arm).
   void reset() { state_ = State::Pending; }

@@ -65,7 +65,7 @@ void CompositeWork::wait() {
   done_cond_.wait([&] { return done_; });
 }
 
-void CompositeWork::on_complete(std::function<void()> fn) {
+void CompositeWork::on_complete(InlineFn fn) {
   if (auto late = completion_.add(std::move(fn))) late();
 }
 

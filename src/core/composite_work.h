@@ -32,7 +32,7 @@ class CompositeWork : public WorkHandle, public std::enable_shared_from_this<Com
   void wait() override;         // host-level wait (emulated ops are host-driven)
   void synchronize() override { wait(); }
   SimTime complete_time() const override { return complete_time_; }
-  void on_complete(std::function<void()> fn) override;
+  void on_complete(InlineFn fn) override;
 
  private:
   void part_done();

@@ -37,7 +37,7 @@ class FusionManager::FusionWork : public WorkHandle {
     return pending_->inner->complete_time();
   }
 
-  void on_complete(std::function<void()> fn) override {
+  void on_complete(InlineFn fn) override {
     fn = pending_->flush.add(std::move(fn));
     if (!fn) return;  // queued until the flush
     pending_->inner->on_complete(std::move(fn));

@@ -195,53 +195,46 @@ class FinishStage : public OpStage {
       latency->observe(w->complete_time() - (w->exec_start >= 0.0 ? w->exec_start : w->posted_at));
       return w;
     }
-    // One merged completion callback instead of three: a single closure
-    // allocation carries the latency observation, the optional tuner
-    // feedback and the optional trace record. Capturing the shared handle
-    // keeps it alive until completion; the completion ownership rule
-    // (src/common/completion.h) frees a never-firing Work.
+    // One merged completion callback instead of three. Without a tuner or
+    // logger it carries just the Work and the latency handle, which fit the
+    // callback's inline buffer; only the optional feedback and trace record
+    // go on the heap. Capturing the shared handle keeps it alive until
+    // completion; the completion ownership rule (src/common/completion.h)
+    // frees a never-firing Work.
     FinishRecord done;
     done.w = w;
     done.latency = latency;
-    done.tuner = tuner;
-    if (tuner != nullptr) {
-      done.op = c.req.op;
-      done.world = c.world_size();
-      done.bytes = c.bytes;
-      done.backend = c.completed_on;
-    }
-    done.logger = logger;
-    if (logger != nullptr) {
-      CommRecord& rec = done.rec;
-      rec.rank = c.rank;
-      rec.op = c.req.op;
-      rec.backend = c.completed_on;
-      rec.bytes = c.bytes;
-      rec.start = w->posted_at;
-      rec.fused = c.fused;
-      rec.compressed = c.compressed;
-      rec.attempts = c.attempts;
-      rec.rerouted = c.rerouted;
-      // Always recorded — also when the op ran where it was asked to — so
-      // traces never carry stale routing info.
-      rec.requested_backend = c.requested;
-      rec.fault = c.fault;
-      rec.epoch = c.req.epoch;
-      rec.recovered = c.recovered;
-    }
-    w->on_complete([d = std::move(done)]() mutable {
-      const SimTime start = d.w->exec_start >= 0.0 ? d.w->exec_start : d.w->posted_at;
-      const SimTime end = d.w->complete_time();
-      if (d.latency != nullptr) d.latency->observe(end - start);
-      if (d.tuner != nullptr) d.tuner->observe(d.op, d.world, d.bytes, d.backend, end - start);
-      if (d.logger != nullptr) {
-        d.rec.end = end;
-        // Bill only the execution window when the backend reported one, so
-        // compute-overlapped queueing time does not count as communication.
-        if (d.w->exec_start >= 0.0) d.rec.start = d.w->exec_start;
-        d.logger->record(std::move(d.rec));
+    if (tuner != nullptr || logger != nullptr) {
+      done.detail = std::make_unique<FinishDetail>();
+      FinishDetail& d = *done.detail;
+      d.tuner = tuner;
+      if (tuner != nullptr) {
+        d.op = c.req.op;
+        d.world = c.world_size();
+        d.bytes = c.bytes;
+        d.backend = c.completed_on;
       }
-    });
+      d.logger = logger;
+      if (logger != nullptr) {
+        CommRecord& rec = d.rec;
+        rec.rank = c.rank;
+        rec.op = c.req.op;
+        rec.backend = c.completed_on;
+        rec.bytes = c.bytes;
+        rec.start = w->posted_at;
+        rec.fused = c.fused;
+        rec.compressed = c.compressed;
+        rec.attempts = c.attempts;
+        rec.rerouted = c.rerouted;
+        // Always recorded — also when the op ran where it was asked to — so
+        // traces never carry stale routing info.
+        rec.requested_backend = c.requested;
+        rec.fault = c.fault;
+        rec.epoch = c.req.epoch;
+        rec.recovered = c.recovered;
+      }
+    }
+    w->on_complete(std::move(done));
     return w;
   }
 
@@ -250,9 +243,8 @@ class FinishStage : public OpStage {
     obs::Counter* ops = nullptr;
     obs::Histogram* latency = nullptr;
   };
-  struct FinishRecord {
-    Work w;
-    obs::Histogram* latency = nullptr;
+  // What only the online tuner and the logger need at completion.
+  struct FinishDetail {
     tune::OnlineTuner* tuner = nullptr;
     OpType op = OpType::Barrier;
     int world = 0;
@@ -260,6 +252,28 @@ class FinishStage : public OpStage {
     std::string backend;
     CommLogger* logger = nullptr;
     CommRecord rec;
+  };
+  // The completion closure.
+  struct FinishRecord {
+    Work w;
+    obs::Histogram* latency = nullptr;
+    std::unique_ptr<FinishDetail> detail;
+
+    void operator()() {
+      const SimTime start = w->exec_start >= 0.0 ? w->exec_start : w->posted_at;
+      const SimTime end = w->complete_time();
+      if (latency != nullptr) latency->observe(end - start);
+      if (detail == nullptr) return;
+      FinishDetail& d = *detail;
+      if (d.tuner != nullptr) d.tuner->observe(d.op, d.world, d.bytes, d.backend, end - start);
+      if (d.logger != nullptr) {
+        d.rec.end = end;
+        // Bill only the execution window when the backend reported one, so
+        // compute-overlapped queueing time does not count as communication.
+        if (w->exec_start >= 0.0) d.rec.start = w->exec_start;
+        d.logger->record(std::move(d.rec));
+      }
+    }
   };
 
   // Registry references are stable for its lifetime, so handles are resolved

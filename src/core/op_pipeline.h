@@ -208,7 +208,7 @@ class OpPipeline {
     std::uint64_t created = 0;
   };
 
-  static constexpr std::size_t kOpCount = static_cast<std::size_t>(OpType::Barrier) + 1;
+  static constexpr std::size_t kOpCount = kOpTypeCount;
   static constexpr unsigned kMaskOverhead = 1u << 0;
   static constexpr unsigned kMaskFusion = 1u << 1;
   static constexpr unsigned kMaskCompression = 1u << 2;

@@ -26,6 +26,8 @@ enum class OpType {
   AllToAllV,
   Barrier,
 };
+// Number of OpType values, for tables indexed by op.
+inline constexpr std::size_t kOpTypeCount = static_cast<std::size_t>(OpType::Barrier) + 1;
 
 enum class ReduceOp { Sum, Prod, Min, Max, Avg };
 

@@ -77,12 +77,6 @@ std::size_t MetricsRegistry::size() const {
   return counters_.size() + gauges_.size() + histograms_.size();
 }
 
-void MetricsRegistry::clear() {
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-}
-
 namespace {
 
 // Doubles in snapshots: plain decimal with enough precision to round-trip

@@ -13,7 +13,9 @@
 // Instruments are keyed by (name, label map); labels are sorted maps so the
 // JSON snapshot is deterministic. References returned by counter()/gauge()/
 // histogram() stay valid for the registry's lifetime (std::map nodes are
-// stable), so hot paths can cache the pointer and skip the lookup.
+// stable, and nothing removes an instrument), so hot paths cache the pointer
+// and skip the lookup: the dispatch path resolves each of its instruments
+// once (Comm::issue, the pipeline's finish stage).
 //
 // Determinism contract: recording is purely observational — it never touches
 // the scheduler, sleeps, or allocates device memory — so enabling metrics
@@ -93,7 +95,6 @@ class MetricsRegistry {
   std::uint64_t counter_total(const std::string& name) const;
 
   std::size_t size() const;
-  void clear();
 
   // Deterministic snapshot:
   //   {"counters":[{"name":...,"labels":{...},"value":N},...],

@@ -18,7 +18,7 @@ void Event::reset() {
   completion_time_ = 0.0;
 }
 
-void Event::on_complete(std::function<void()> fn) {
+void Event::on_complete(InlineFn fn) {
   if (auto late = completion_.add(std::move(fn))) late();
 }
 
@@ -26,9 +26,7 @@ void Event::mark_complete(SimTime t) {
   completion_time_ = t;
   for (auto& fn : completion_.fire()) fn();
   host_waiters_.notify_all();
-  std::vector<Stream*> waiters;
-  waiters.swap(stream_waiters_);
-  for (Stream* s : waiters) s->resume();
+  stream_waiters_.resume_all();
 }
 
 // ---------------------------------------------------------------------------
@@ -38,9 +36,27 @@ void Event::mark_complete(SimTime t) {
 void StreamGate::open() {
   if (open_) return;
   open_ = true;
-  std::vector<Stream*> waiters;
-  waiters.swap(waiters_);
-  for (Stream* s : waiters) s->resume();
+  waiters_.resume_all();
+}
+
+// ---------------------------------------------------------------------------
+// StalledStreams
+// ---------------------------------------------------------------------------
+
+void StalledStreams::push(Stream* s) {
+  (tail_ != nullptr ? tail_->next_stalled_ : head_) = s;
+  tail_ = s;
+}
+
+void StalledStreams::resume_all() {
+  Stream* s = std::exchange(head_, nullptr);
+  tail_ = nullptr;
+  while (s != nullptr) {
+    // Unlinked before resuming: the stream may stall again at once.
+    Stream* next = std::exchange(s->next_stalled_, nullptr);
+    s->resume();
+    s = next;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -51,13 +67,12 @@ Stream::Stream(Scheduler* sched, Device* device, std::string name)
     : sched_(sched), device_(device), name_(std::move(name)), quiescent_(sched) {}
 
 Stream::~Stream() {
-  for (Op& op : queue_) {
-    if (op.event != nullptr) op.event->completion_.drop();
+  for (std::size_t i = 0; i < queue_.size(); ++i) {
+    if (queue_[i].event != nullptr) queue_[i].event->completion_.drop();
   }
 }
 
-void Stream::launch_kernel(SimTime duration, std::function<void()> on_complete,
-                           std::string label) {
+void Stream::launch_kernel(SimTime duration, InlineFn on_complete, std::string label) {
   MCRDL_REQUIRE(duration >= 0.0, "kernel duration must be non-negative");
   Op op;
   op.kind = Op::Kind::Kernel;
@@ -91,8 +106,8 @@ void Stream::wait_gate(std::shared_ptr<StreamGate> gate) {
   enqueue(std::move(op));
 }
 
-void Stream::add_callback(std::function<void()> fn) {
-  MCRDL_REQUIRE(fn != nullptr, "add_callback with null function");
+void Stream::add_callback(InlineFn fn) {
+  MCRDL_REQUIRE(static_cast<bool>(fn), "add_callback with null function");
   Op op;
   op.kind = Op::Kind::Callback;
   op.fn = std::move(fn);
@@ -127,14 +142,10 @@ void Stream::pump() {
       case Op::Kind::Kernel: {
         state_ = State::Running;
         busy_time_ += front.duration;
-        auto fn = std::move(front.fn);
+        running_fn_ = std::move(front.fn);
         SimTime end = sched_->now() + front.duration;
         queue_.pop_front();
-        sched_->schedule_at(end, [this, fn = std::move(fn)] {
-          if (fn) fn();
-          state_ = State::Idle;
-          pump();
-        });
+        sched_->schedule_at(end, [this] { finish_kernel(); });
         return;  // stream occupied until the completion event fires
       }
       case Op::Kind::Record: {
@@ -170,6 +181,12 @@ void Stream::pump() {
   }
   state_ = State::Idle;
   quiescent_.notify_all();
+}
+
+void Stream::finish_kernel() {
+  if (InlineFn fn = std::move(running_fn_)) fn();
+  state_ = State::Idle;
+  pump();
 }
 
 // ---------------------------------------------------------------------------

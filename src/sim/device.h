@@ -13,13 +13,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/common/completion.h"
+#include "src/common/inline_fn.h"
+#include "src/common/ring_queue.h"
 #include "src/common/status.h"
 #include "src/common/units.h"
 #include "src/sim/scheduler.h"
@@ -27,6 +27,21 @@
 namespace mcrdl::sim {
 
 class Stream;
+
+// The streams stalled behind one Event or StreamGate, in stall order. A
+// stalled stream waits on exactly one dependency, so the list threads
+// through the streams themselves and stalling never allocates.
+class StalledStreams {
+ public:
+  bool empty() const { return head_ == nullptr; }
+  void push(Stream* s);
+  // Resumes every listed stream, in stall order, emptying the list first.
+  void resume_all();
+
+ private:
+  Stream* head_ = nullptr;
+  Stream* tail_ = nullptr;
+};
 
 // CUDA-event analogue. An Event is complete once a Record operation for it
 // has been executed by its stream; both host actors and other streams can
@@ -49,11 +64,11 @@ class Event {
 
   // Runs fn at completion (immediately if already complete). Callbacks run
   // under the baton, before host waiters resume.
-  void on_complete(std::function<void()> fn);
+  void on_complete(InlineFn fn);
 
   // --- stream-internal interface ---
   void mark_complete(SimTime t);
-  void add_stream_waiter(Stream* s) { stream_waiters_.push_back(s); }
+  void add_stream_waiter(Stream* s) { stream_waiters_.push(s); }
 
  private:
   friend class Stream;  // drops the completion of events it never reached
@@ -62,7 +77,7 @@ class Event {
   Completion completion_;
   SimTime completion_time_ = 0.0;
   SimCondition host_waiters_;
-  std::vector<Stream*> stream_waiters_;
+  StalledStreams stream_waiters_;
 };
 
 // A gate a stream can be told to wait behind; collective rendezvous objects
@@ -70,18 +85,17 @@ class Event {
 // a Gate is one-shot and not recorded by any stream.
 class StreamGate {
  public:
-  explicit StreamGate(Scheduler* sched) : sched_(sched) {}
+  StreamGate() = default;
   StreamGate(const StreamGate&) = delete;
   StreamGate& operator=(const StreamGate&) = delete;
 
   bool is_open() const { return open_; }
   void open();
-  void add_waiter(Stream* s) { waiters_.push_back(s); }
+  void add_waiter(Stream* s) { waiters_.push(s); }
 
  private:
-  [[maybe_unused]] Scheduler* sched_;
   bool open_ = false;
-  std::vector<Stream*> waiters_;
+  StalledStreams waiters_;
 };
 
 class Device;
@@ -99,8 +113,7 @@ class Stream {
   // Enqueues a kernel that occupies the stream for `duration` virtual µs;
   // on_complete (optional) runs at the kernel's completion time — backends
   // use it to apply the data effect of a transfer or reduction.
-  void launch_kernel(SimTime duration, std::function<void()> on_complete = {},
-                     std::string label = {});
+  void launch_kernel(SimTime duration, InlineFn on_complete = {}, std::string label = {});
 
   // cudaEventRecord: the event completes when the stream reaches this point.
   void record_event(const std::shared_ptr<Event>& event);
@@ -113,7 +126,7 @@ class Stream {
 
   // Runs fn the moment the stream reaches this point (zero duration). Used
   // by collective backends to timestamp stream-side arrival at a rendezvous.
-  void add_callback(std::function<void()> fn);
+  void add_callback(InlineFn fn);
 
   // Host-side blocking wait until every queued operation has finished.
   void synchronize();
@@ -129,12 +142,14 @@ class Stream {
   void resume();
 
  private:
+  friend class StalledStreams;
+
   enum class State { Idle, Running, Stalled };
   struct Op {
     enum class Kind { Kernel, Record, WaitEvent, Gate, Callback };
-    Kind kind;
+    Kind kind = Kind::Callback;
     SimTime duration = 0.0;
-    std::function<void()> fn;
+    InlineFn fn;
     std::shared_ptr<Event> event;
     std::shared_ptr<StreamGate> gate;
     std::string label;
@@ -142,11 +157,18 @@ class Stream {
 
   void enqueue(Op op);
   void pump();
+  // The running kernel's completion event: its on_complete, then the rest
+  // of the queue.
+  void finish_kernel();
 
   Scheduler* sched_;
   Device* device_;
   std::string name_;
-  std::deque<Op> queue_;
+  RingQueue<Op> queue_;
+  // on_complete of the kernel occupying the stream (at most one runs).
+  InlineFn running_fn_;
+  // Next stream in the StalledStreams list this one is stalled in.
+  Stream* next_stalled_ = nullptr;
   State state_ = State::Idle;
   bool pumping_ = false;
   SimTime busy_time_ = 0.0;

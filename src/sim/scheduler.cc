@@ -1,5 +1,7 @@
 #include "src/sim/scheduler.h"
 
+#include <utility>
+
 namespace mcrdl::sim {
 
 // ---------------------------------------------------------------------------
@@ -19,16 +21,39 @@ void Scheduler::yield() { sleep_until(now()); }
 // ---------------------------------------------------------------------------
 
 void SimCondition::wait() {
-  waiters_.push_back(sched_->prepare_wait());
+  Waiter self;
+  self.token = sched_->prepare_wait();
+  self.prev = tail_;
+  self.linked = true;
+  (tail_ != nullptr ? tail_->next : head_) = &self;
+  tail_ = &self;
+  struct Unlink {
+    SimCondition* cond;
+    Waiter* waiter;
+    ~Unlink() { cond->unlink(*waiter); }
+  } unlink_on_exit{this, &self};
   sched_->commit_wait();
 }
 
+void SimCondition::unlink(Waiter& w) {
+  if (!w.linked) return;
+  (w.prev != nullptr ? w.prev->next : head_) = w.next;
+  (w.next != nullptr ? w.next->prev : tail_) = w.prev;
+  w.linked = false;
+}
+
 void SimCondition::notify_all() {
-  // Stale tokens (actors force-woken earlier) fail the generation check
-  // inside try_wake and are dropped harmlessly.
-  std::vector<Scheduler::WaitToken> waiters;
-  waiters.swap(waiters_);
-  for (const auto& token : waiters) sched_->try_wake(token, WakeReason::Normal);
+  // try_wake only queues the actor, so every node stays alive (its actor is
+  // still suspended) while the list is walked. Tokens of actors that some
+  // other source woke first fail the generation check harmlessly.
+  Waiter* w = std::exchange(head_, nullptr);
+  tail_ = nullptr;
+  while (w != nullptr) {
+    Waiter* next = w->next;
+    w->linked = false;
+    sched_->try_wake(w->token, WakeReason::Normal);
+    w = next;
+  }
 }
 
 }  // namespace mcrdl::sim

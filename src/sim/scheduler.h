@@ -84,13 +84,14 @@ class Scheduler {
   // Schedules fn at virtual time t (clamped to now if in the past). Returns
   // an id usable with cancel(). fn runs serialized with respect to all
   // actors and must not block.
-  std::uint64_t schedule_at(SimTime t, std::function<void()> fn) {
+  std::uint64_t schedule_at(SimTime t, InlineFn fn) {
     return baton_.schedule_at(t, std::move(fn));
   }
-  std::uint64_t schedule_after(SimTime dt, std::function<void()> fn) {
+  std::uint64_t schedule_after(SimTime dt, InlineFn fn) {
     return baton_.schedule_at(now() + dt, std::move(fn));
   }
-  // Cancels a pending event; no-op if it already fired.
+  // Cancels a pending event; no-op if it already fired or was cancelled,
+  // also once its slot was reused by a later event.
   void cancel(std::uint64_t event_id) { baton_.cancel(event_id); }
 
   // Name of the calling actor ("" outside actor context).
@@ -129,11 +130,23 @@ class SimCondition {
 
   void notify_all();
 
-  bool has_waiters() const { return !waiters_.empty(); }
+  bool has_waiters() const { return head_ != nullptr; }
 
  private:
+  // One suspended wait(), linked in arrival order. It lives in the waiting
+  // actor's frame and unlinks itself when the wait ends, however it ends,
+  // so waiting never allocates.
+  struct Waiter {
+    Scheduler::WaitToken token;
+    Waiter* prev = nullptr;
+    Waiter* next = nullptr;
+    bool linked = false;
+  };
+  void unlink(Waiter& w);
+
   Scheduler* sched_;
-  std::vector<Scheduler::WaitToken> waiters_;
+  Waiter* head_ = nullptr;
+  Waiter* tail_ = nullptr;
 };
 
 }  // namespace mcrdl::sim

@@ -251,17 +251,22 @@ void SerialBaton::commit_wait() {
 void SerialBaton::dispatch_until_runnable(bool exiting) {
   for (;;) {
     if (!run_queue_.empty()) return;
-    while (!events_.empty() && events_.top()->cancelled) {
+    while (!events_.empty() && is_tombstone(events_.top())) {
+      free_slots_.push_back(events_.top().slot);
       events_.pop();
       --cancelled_in_queue_;
     }
     if (!events_.empty()) {
-      auto ev = events_.top();
+      const detail::QueuedEvent ev = events_.top();
       events_.pop();
-      events_by_id_.erase(ev->seq);
-      now_ = std::max(now_, ev->t);
+      // Moved out first: the callback may schedule events that reuse the
+      // slot or grow the table.
+      InlineFn fn = std::move(slots_[ev.slot].fn);
+      retire_slot(ev.slot);
+      free_slots_.push_back(ev.slot);
+      now_ = std::max(now_, ev.t);
       ++events_fired_;
-      ev->fn();  // runs under the baton; may wake actors / schedule events
+      fn();  // runs under the baton; may wake actors / schedule events
       continue;
     }
     if (exiting && live_actors_ == 0) return;
@@ -288,27 +293,36 @@ void SerialBaton::declare_deadlock() {
 // Timed events and introspection
 // ---------------------------------------------------------------------------
 
-std::uint64_t SerialBaton::schedule_at(SimTime t, std::function<void()> fn) {
-  auto ev = std::make_shared<detail::TimedEvent>();
-  ev->t = std::max(t, now_);
-  ev->seq = next_event_seq_++;
-  ev->fn = std::move(fn);
-  events_.push(ev);
-  events_by_id_[ev->seq] = ev;
-  return ev->seq;
+std::uint64_t SerialBaton::schedule_at(SimTime t, InlineFn fn) {
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  EventSlot& s = slots_[slot];
+  s.fn = std::move(fn);
+  events_.push(detail::QueuedEvent{std::max(t, now_), next_event_seq_++, slot, s.gen});
+  return (std::uint64_t{s.gen} << 32) | slot;
+}
+
+void SerialBaton::retire_slot(std::uint32_t slot) {
+  std::uint32_t& gen = slots_[slot].gen;
+  if (++gen == 0) gen = 1;
 }
 
 void SerialBaton::cancel(std::uint64_t event_id) {
-  auto it = events_by_id_.find(event_id);
-  if (it == events_by_id_.end()) return;
-  if (auto ev = it->second.lock()) {
-    ev->cancelled = true;
-    // Free the closure now — tombstones in the priority queue must not pin
-    // captured state (Works, tensors) until their deadline passes.
-    ev->fn = nullptr;
-    ++cancelled_in_queue_;
-  }
-  events_by_id_.erase(it);
+  const auto slot = static_cast<std::uint32_t>(event_id);
+  const auto gen = static_cast<std::uint32_t>(event_id >> 32);
+  // Fired, already cancelled, or never issued: nothing to do.
+  if (slot >= slots_.size() || slots_[slot].gen != gen) return;
+  // Free the closure now — tombstones in the priority queue must not pin
+  // captured state (Works, tensors) until their deadline passes.
+  slots_[slot].fn.reset();
+  retire_slot(slot);
+  ++cancelled_in_queue_;
   maybe_purge_cancelled();
 }
 
@@ -320,13 +334,17 @@ void SerialBaton::maybe_purge_cancelled() {
   // stays amortized O(log n) on cancel-heavy workloads (fusion flush timers)
   // without pathological queue growth in between.
   if (cancelled_in_queue_ <= 64 || cancelled_in_queue_ * 2 <= events_.size()) return;
-  std::vector<std::shared_ptr<detail::TimedEvent>> live;
+  std::vector<detail::QueuedEvent> live;
   live.reserve(events_.size() - cancelled_in_queue_);
   while (!events_.empty()) {
-    if (!events_.top()->cancelled) live.push_back(events_.top());
+    if (is_tombstone(events_.top())) {
+      free_slots_.push_back(events_.top().slot);
+    } else {
+      live.push_back(events_.top());
+    }
     events_.pop();
   }
-  for (auto& ev : live) events_.push(std::move(ev));
+  for (const detail::QueuedEvent& ev : live) events_.push(ev);
   cancelled_in_queue_ = 0;
 }
 

@@ -23,12 +23,12 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <map>
 #include <memory>
 #include <queue>
 #include <string>
 #include <vector>
 
+#include "src/common/inline_fn.h"
 #include "src/common/status.h"
 #include "src/common/units.h"
 
@@ -64,19 +64,20 @@ struct Actor {
   std::uint64_t wait_gen = 0;
 };
 
-// A pending timed-event callback, ordered by (time, sequence) so that
-// simultaneous events fire FIFO in scheduling order.
-struct TimedEvent {
+// A timed event's queue entry, ordered by (time, sequence) so that
+// simultaneous events fire FIFO in scheduling order. Its callback lives in
+// slot `slot` of the baton's slot table while that slot's generation still
+// equals `gen`; a cancelled entry (a tombstone) finds the generation moved on.
+struct QueuedEvent {
   SimTime t = 0.0;
   std::uint64_t seq = 0;
-  std::function<void()> fn;
-  bool cancelled = false;
+  std::uint32_t slot = 0;
+  std::uint32_t gen = 0;
 };
-struct TimedEventOrder {
-  bool operator()(const std::shared_ptr<TimedEvent>& a,
-                  const std::shared_ptr<TimedEvent>& b) const {
-    if (a->t != b->t) return a->t > b->t;
-    return a->seq > b->seq;  // FIFO among simultaneous events
+struct QueuedEventOrder {
+  bool operator()(const QueuedEvent& a, const QueuedEvent& b) const {
+    if (a.t != b.t) return a.t > b.t;
+    return a.seq > b.seq;  // FIFO among simultaneous events
   }
 };
 
@@ -104,7 +105,10 @@ class SerialBaton {
   void commit_wait();
   bool try_wake(const WaitToken& token, WakeReason reason);
 
-  std::uint64_t schedule_at(SimTime t, std::function<void()> fn);
+  // Event ids pack (generation << 32 | slot): a slot is recycled once its
+  // event fired or its tombstone left the queue, and the generation moves on
+  // at fire or cancel time, so cancelling a stale id is a no-op.
+  std::uint64_t schedule_at(SimTime t, InlineFn fn);
   void cancel(std::uint64_t event_id);
 
   std::string current_actor_name() const;
@@ -153,6 +157,10 @@ class SerialBaton {
   // Rebuilds events_ without its cancelled tombstones once they dominate the
   // queue.
   void maybe_purge_cancelled();
+  bool is_tombstone(const detail::QueuedEvent& e) const { return slots_[e.slot].gen != e.gen; }
+  // Retires a slot whose event fired or was cancelled: later ids naming it
+  // are stale. Its callback must already have been moved out or reset.
+  void retire_slot(std::uint32_t slot);
 
   std::vector<std::unique_ptr<detail::Actor>> actors_;
   // Actors joined by an earlier run(): never started again, but kept
@@ -165,17 +173,24 @@ class SerialBaton {
   std::vector<Fiber> fibers_;
   Fiber caller_;
   std::deque<detail::Actor*> run_queue_;
-  std::priority_queue<std::shared_ptr<detail::TimedEvent>,
-                      std::vector<std::shared_ptr<detail::TimedEvent>>, detail::TimedEventOrder>
+  std::priority_queue<detail::QueuedEvent, std::vector<detail::QueuedEvent>,
+                      detail::QueuedEventOrder>
       events_;
-  std::map<std::uint64_t, std::weak_ptr<detail::TimedEvent>> events_by_id_;
+  // Callback slots, recycled through free_slots_ once their queue entry is
+  // gone (fired, or a popped or purged tombstone).
+  struct EventSlot {
+    InlineFn fn;
+    std::uint32_t gen = 1;  // never 0, so no event id is 0
+  };
+  std::vector<EventSlot> slots_;
+  std::vector<std::uint32_t> free_slots_;
 
   detail::Actor* current_ = nullptr;
   SimTime now_ = 0.0;
   std::uint64_t next_event_seq_ = 0;
   std::uint64_t events_fired_ = 0;
   // Cancelled events still sitting in events_ as tombstones (their closures
-  // are already freed at cancel time).
+  // are already freed at cancel time; their slots return at pop or purge).
   std::size_t cancelled_in_queue_ = 0;
   int live_actors_ = 0;
   bool running_ = false;

@@ -9,7 +9,9 @@ namespace mcrdl {
 
 namespace {
 
-std::int64_t shape_numel(const std::vector<std::int64_t>& shape) {
+std::span<const std::int64_t> as_span(Tensor::Shape shape) { return {shape.begin(), shape.size()}; }
+
+std::int64_t shape_numel(std::span<const std::int64_t> shape) {
   std::int64_t n = 1;
   for (std::int64_t d : shape) {
     MCRDL_REQUIRE(d >= 0, "negative dimension in tensor shape");
@@ -117,24 +119,33 @@ double apply_reduce(double a, double b, ReduceOp op) {
 }  // namespace
 
 Tensor::Tensor(std::shared_ptr<Storage> storage, std::int64_t offset_elems,
-               std::vector<std::int64_t> shape, DType dtype, sim::Device* device)
+               std::span<const std::int64_t> shape, DType dtype, sim::Device* device)
     : storage_(std::move(storage)),
       offset_elems_(offset_elems),
       numel_(shape_numel(shape)),
-      shape_(std::move(shape)),
+      rank_(static_cast<std::uint8_t>(shape.size())),
       dtype_(dtype),
-      device_(device) {}
-
-Tensor Tensor::zeros(std::vector<std::int64_t> shape, DType dtype, sim::Device* device) {
-  auto storage = std::make_shared<Storage>();
-  storage->data.resize(static_cast<std::size_t>(shape_numel(shape)) * dtype_size(dtype),
-                       std::byte{0});
-  return Tensor(std::move(storage), 0, std::move(shape), dtype, device);
+      device_(device) {
+  if (shape.size() > kMaxRank) {
+    throw InvalidArgument("tensor rank " + std::to_string(shape.size()) + " exceeds the maximum " +
+                          std::to_string(kMaxRank));
+  }
+  std::copy(shape.begin(), shape.end(), dims_.begin());
 }
 
-Tensor Tensor::full(std::vector<std::int64_t> shape, DType dtype, double value,
-                    sim::Device* device) {
-  Tensor t = zeros(std::move(shape), dtype, device);
+Tensor Tensor::allocate(std::span<const std::int64_t> shape, DType dtype, sim::Device* device) {
+  Tensor t(nullptr, 0, shape, dtype, device);
+  t.storage_ = std::make_shared<Storage>();
+  t.storage_->data.resize(static_cast<std::size_t>(t.numel_) * dtype_size(dtype), std::byte{0});
+  return t;
+}
+
+Tensor Tensor::zeros(Shape shape, DType dtype, sim::Device* device) {
+  return allocate(as_span(shape), dtype, device);
+}
+
+Tensor Tensor::full(Shape shape, DType dtype, double value, sim::Device* device) {
+  Tensor t = zeros(shape, dtype, device);
   t.fill(value);
   return t;
 }
@@ -146,15 +157,15 @@ Tensor Tensor::arange(std::int64_t n, DType dtype, sim::Device* device) {
   return t;
 }
 
-Tensor Tensor::random_uniform(std::vector<std::int64_t> shape, DType dtype, sim::Device* device,
-                              Rng& rng, double lo, double hi) {
-  Tensor t = zeros(std::move(shape), dtype, device);
+Tensor Tensor::random_uniform(Shape shape, DType dtype, sim::Device* device, Rng& rng, double lo,
+                              double hi) {
+  Tensor t = zeros(shape, dtype, device);
   for (std::int64_t i = 0; i < t.numel(); ++i) t.set(i, rng.uniform(lo, hi));
   return t;
 }
 
-Tensor Tensor::phantom(std::vector<std::int64_t> shape, DType dtype, sim::Device* device) {
-  return Tensor(nullptr, 0, std::move(shape), dtype, device);
+Tensor Tensor::phantom(Shape shape, DType dtype, sim::Device* device) {
+  return Tensor(nullptr, 0, as_span(shape), dtype, device);
 }
 
 void Tensor::require_materialized(const char* what) const {
@@ -187,14 +198,15 @@ Tensor Tensor::view(std::int64_t offset_elems, std::int64_t count) const {
   MCRDL_REQUIRE(defined(), "view of undefined tensor");
   MCRDL_REQUIRE(offset_elems >= 0 && count >= 0 && offset_elems + count <= numel_,
                 "view range out of bounds");
-  if (!materialized()) return phantom({count}, dtype_, device_);
-  return Tensor(storage_, offset_elems_ + offset_elems, {count}, dtype_, device_);
+  const std::int64_t dims[] = {count};
+  if (!materialized()) return Tensor(nullptr, 0, dims, dtype_, device_);
+  return Tensor(storage_, offset_elems_ + offset_elems, dims, dtype_, device_);
 }
 
 Tensor Tensor::clone() const {
   MCRDL_REQUIRE(defined(), "clone of undefined tensor");
-  if (!materialized()) return phantom(shape_, dtype_, device_);
-  Tensor out = zeros(shape_, dtype_, device_);
+  if (!materialized()) return *this;
+  Tensor out = allocate(shape(), dtype_, device_);
   std::memcpy(out.raw_data(), raw_data(), bytes());
   return out;
 }
@@ -255,9 +267,9 @@ std::string Tensor::describe() const {
     return out.str();
   }
   out << dtype_name(dtype_) << ", [";
-  for (std::size_t i = 0; i < shape_.size(); ++i) {
+  for (std::size_t i = 0; i < rank_; ++i) {
     if (i) out << ",";
-    out << shape_[i];
+    out << dims_[i];
   }
   out << "]";
   if (!materialized()) out << ", phantom";

@@ -13,10 +13,17 @@
 // Views (1-D slices sharing storage) support fusion slice-back and
 // reduce-scatter outputs. Element accessors convert through double, which is
 // exact for every supported dtype's value range used in tests.
+//
+// The shape lives inline (at most kMaxRank dimensions), so constructing a
+// phantom tensor, taking a view or copying a Tensor never touches the heap;
+// only a materialised tensor's storage does.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,24 +40,28 @@ namespace mcrdl {
 
 class Tensor {
  public:
+  // Highest supported rank; a factory given more dimensions throws
+  // InvalidArgument.
+  static constexpr std::size_t kMaxRank = 4;
+  using Shape = std::initializer_list<std::int64_t>;
+
   // An empty (undefined) tensor; most APIs reject it.
   Tensor() = default;
 
   // --- factories -----------------------------------------------------------
-  static Tensor zeros(std::vector<std::int64_t> shape, DType dtype, sim::Device* device);
-  static Tensor full(std::vector<std::int64_t> shape, DType dtype, double value,
-                     sim::Device* device);
+  static Tensor zeros(Shape shape, DType dtype, sim::Device* device);
+  static Tensor full(Shape shape, DType dtype, double value, sim::Device* device);
   // [0, 1, 2, ...); handy for alltoall/gather correctness checks.
   static Tensor arange(std::int64_t n, DType dtype, sim::Device* device);
-  static Tensor random_uniform(std::vector<std::int64_t> shape, DType dtype, sim::Device* device,
-                               Rng& rng, double lo = 0.0, double hi = 1.0);
+  static Tensor random_uniform(Shape shape, DType dtype, sim::Device* device, Rng& rng,
+                               double lo = 0.0, double hi = 1.0);
   // Metadata-only tensor for paper-scale timing runs.
-  static Tensor phantom(std::vector<std::int64_t> shape, DType dtype, sim::Device* device);
+  static Tensor phantom(Shape shape, DType dtype, sim::Device* device);
 
   // --- metadata -------------------------------------------------------------
   bool defined() const { return numel_ >= 0; }
   bool materialized() const { return storage_ != nullptr; }
-  const std::vector<std::int64_t>& shape() const { return shape_; }
+  std::span<const std::int64_t> shape() const { return {dims_.data(), rank_}; }
   std::int64_t numel() const { return numel_ < 0 ? 0 : numel_; }
   std::size_t bytes() const { return static_cast<std::size_t>(numel()) * dtype_size(dtype_); }
   DType dtype() const { return dtype_; }
@@ -90,14 +101,17 @@ class Tensor {
   };
 
   Tensor(std::shared_ptr<Storage> storage, std::int64_t offset_elems,
-         std::vector<std::int64_t> shape, DType dtype, sim::Device* device);
+         std::span<const std::int64_t> shape, DType dtype, sim::Device* device);
+  // A zero-filled materialised tensor.
+  static Tensor allocate(std::span<const std::int64_t> shape, DType dtype, sim::Device* device);
 
   void require_materialized(const char* what) const;
 
   std::shared_ptr<Storage> storage_;  // null => phantom
   std::int64_t offset_elems_ = 0;
   std::int64_t numel_ = -1;  // -1 => undefined tensor
-  std::vector<std::int64_t> shape_;
+  std::array<std::int64_t, kMaxRank> dims_{};
+  std::uint8_t rank_ = 0;
   DType dtype_ = DType::F32;
   sim::Device* device_ = nullptr;
 };

@@ -30,7 +30,7 @@ class ManualWork : public WorkHandle {
   void wait() override {}
   void synchronize() override {}
   SimTime complete_time() const override { return 0.0; }
-  void on_complete(std::function<void()> fn) override {
+  void on_complete(InlineFn fn) override {
     ++registered_;
     if (auto late = completion_.add(std::move(fn))) late();
   }

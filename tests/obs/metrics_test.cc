@@ -71,8 +71,6 @@ TEST(MetricsRegistry, FindOrCreateReturnsStableInstruments) {
   reg.counter("ops", {{"backend", "mv2-gdr"}}).inc(2);
   EXPECT_EQ(reg.counter_total("ops"), 5u);
   EXPECT_EQ(reg.size(), 2u);
-  reg.clear();
-  EXPECT_EQ(reg.size(), 0u);
 }
 
 TEST(MetricsRegistry, HistogramBoundsApplyOnlyOnFirstCreation) {

@@ -156,7 +156,7 @@ TEST_F(DeviceTest, StreamTeardownDropsCallbacksOfUnreachedEvents) {
   {
     Device dev(&sched_, 0, 0, 0);
     Stream* s = dev.default_stream();
-    s->wait_gate(std::make_shared<StreamGate>(&sched_));  // never opens
+    s->wait_gate(std::make_shared<StreamGate>());  // never opens
     s->record_event(ev);
     ev->on_complete([&ran, token] { ran = true; });
     token.reset();
@@ -170,7 +170,7 @@ TEST_F(DeviceTest, StreamTeardownDropsCallbacksOfUnreachedEvents) {
 TEST_F(DeviceTest, GateStallsStreamUntilOpened) {
   run_host([&](Device& dev) {
     Stream* s = dev.default_stream();
-    auto gate = std::make_shared<StreamGate>(&sched_);
+    auto gate = std::make_shared<StreamGate>();
     SimTime ran_at = -1.0;
     s->wait_gate(gate);
     s->launch_kernel(1.0, [&] { ran_at = sched_.now(); });
@@ -183,7 +183,7 @@ TEST_F(DeviceTest, GateStallsStreamUntilOpened) {
 TEST_F(DeviceTest, OpenGateDoesNotStall) {
   run_host([&](Device& dev) {
     Stream* s = dev.default_stream();
-    auto gate = std::make_shared<StreamGate>(&sched_);
+    auto gate = std::make_shared<StreamGate>();
     gate->open();
     s->wait_gate(gate);
     s->launch_kernel(2.0);

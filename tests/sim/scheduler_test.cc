@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -287,6 +288,93 @@ TEST(Scheduler, EventCallbackCanScheduleMoreEvents) {
   });
   sched.run();
   EXPECT_EQ(fires, (std::vector<SimTime>{10.0, 20.0, 30.0, 40.0}));
+}
+
+// --- event slot recycling ---------------------------------------------------
+//
+// Event callbacks live in recycled slots whose ids carry a generation; the
+// tests below pin that recycling changes neither the (time, sequence) fire
+// order nor what cancel() reaches.
+
+TEST(Scheduler, SameInstantEventsFireInSchedulingOrderAfterSlotReuse) {
+  Scheduler sched;
+  std::vector<int> order;
+  sched.spawn("a", [&] {
+    // Churn the slot table: fire some events and cancel others, so the free
+    // list hands slots back in an order unrelated to scheduling order.
+    std::vector<std::uint64_t> ids;
+    for (int i = 0; i < 16; ++i) ids.push_back(sched.schedule_after(1.0 + i % 3, [] {}));
+    for (std::size_t i = 0; i < ids.size(); i += 2) sched.cancel(ids[i]);
+    sched.sleep_for(10.0);
+    for (int i = 0; i < 12; ++i) {
+      sched.schedule_after(5.0, [&order, i] { order.push_back(i); });
+    }
+    sched.sleep_for(10.0);
+  });
+  sched.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}));
+}
+
+TEST(Scheduler, CancellingAStaleIdLeavesTheReusedSlotsEventAlive) {
+  Scheduler sched;
+  int fired_old = 0;
+  int fired_new = 0;
+  int fired_after_tombstone = 0;
+  sched.spawn("a", [&] {
+    // A fired event's slot is reused by the next schedule.
+    const std::uint64_t old_id = sched.schedule_after(1.0, [&] { ++fired_old; });
+    sched.sleep_for(2.0);
+    const std::uint64_t new_id = sched.schedule_after(1.0, [&] { ++fired_new; });
+    EXPECT_NE(new_id, old_id);
+    sched.cancel(old_id);
+    EXPECT_EQ(sched.pending_events(), 1u);
+    sched.sleep_for(2.0);
+
+    // A cancelled event's slot returns once its tombstone leaves the queue;
+    // cancelling it again, before or after the reuse, does nothing.
+    const std::uint64_t cancelled_id = sched.schedule_after(1.0, [] { ADD_FAILURE(); });
+    sched.cancel(cancelled_id);
+    sched.cancel(cancelled_id);
+    EXPECT_EQ(sched.pending_events(), 0u);
+    sched.sleep_for(2.0);
+    sched.schedule_after(1.0, [&] { ++fired_after_tombstone; });
+    sched.cancel(cancelled_id);
+    sched.cancel(new_id);
+    EXPECT_EQ(sched.pending_events(), 1u);
+    sched.sleep_for(2.0);
+  });
+  sched.run();
+  EXPECT_EQ(fired_old, 1);
+  EXPECT_EQ(fired_new, 1);
+  EXPECT_EQ(fired_after_tombstone, 1);
+}
+
+TEST(Scheduler, CancelHeavyLoopKeepsPendingEventsExact) {
+  Scheduler sched;
+  int flushes = 0;
+  std::vector<SimTime> ticks;
+  sched.spawn("a", [&] {
+    // The fusion flush-timer pattern: every op re-arms a far deadline and
+    // cancels the previous one, while short real events keep firing, so
+    // tombstones pile up, purge, and their slots get reused.
+    std::uint64_t timer = sched.schedule_after(1000.0, [&] { ++flushes; });
+    for (int i = 0; i < 500; ++i) {
+      sched.schedule_after(0.5, [&] { ticks.push_back(sched.now()); });
+      sched.cancel(timer);
+      timer = sched.schedule_after(1000.0, [&] { ++flushes; });
+      ASSERT_EQ(sched.pending_events(), 2u) << "iteration " << i;
+      sched.sleep_for(1.0);
+      ASSERT_EQ(sched.pending_events(), 1u) << "iteration " << i;
+    }
+    sched.sleep_for(2000.0);
+    EXPECT_EQ(sched.pending_events(), 0u);
+  });
+  sched.run();
+  EXPECT_EQ(flushes, 1);
+  ASSERT_EQ(ticks.size(), 500u);
+  for (std::size_t i = 0; i < ticks.size(); ++i) {
+    EXPECT_DOUBLE_EQ(ticks[i], static_cast<double>(i) + 0.5);
+  }
 }
 
 }  // namespace

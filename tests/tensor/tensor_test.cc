@@ -220,5 +220,60 @@ TEST(Tensor, NegativeShapeRejected) {
   EXPECT_THROW(Tensor::zeros({-1}, DType::F32, nullptr), InvalidArgument);
 }
 
+// The shape is stored inline (at most Tensor::kMaxRank dimensions); it must
+// survive copies, clones and views unchanged.
+TEST(Tensor, ShapesRoundTripThroughDescribeCloneAndView) {
+  struct Case {
+    Tensor t;
+    const char* text;
+  };
+  const Case cases[] = {
+      {Tensor::zeros({6}, DType::F32, nullptr), "Tensor(f32, [6])"},
+      {Tensor::zeros({2, 3}, DType::F64, nullptr), "Tensor(f64, [2,3])"},
+      {Tensor::zeros({1, 2, 3, 1}, DType::I32, nullptr), "Tensor(i32, [1,2,3,1])"},
+      {Tensor::phantom({6}, DType::F16, nullptr), "Tensor(f16, [6], phantom)"},
+      {Tensor::phantom({3, 2}, DType::BF16, nullptr), "Tensor(bf16, [3,2], phantom)"},
+      {Tensor::phantom({1, 1, 2, 3}, DType::U8, nullptr), "Tensor(u8, [1,1,2,3], phantom)"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.text);
+    EXPECT_EQ(c.t.describe(), c.text);
+    EXPECT_EQ(c.t.clone().describe(), c.text);
+    EXPECT_EQ(c.t.numel(), 6);
+    // A view is 1-D over the requested range, whatever the source rank.
+    const Tensor v = c.t.view(1, 4);
+    ASSERT_EQ(v.shape().size(), 1u);
+    EXPECT_EQ(v.shape()[0], 4);
+    EXPECT_EQ(v.materialized(), c.t.materialized());
+    EXPECT_EQ(c.t.view(0, 6).numel(), 6);
+  }
+  const Tensor t = Tensor::zeros({1, 2, 3, 1}, DType::F32, nullptr);
+  ASSERT_EQ(t.shape().size(), 4u);
+  EXPECT_EQ(t.shape()[1], 2);
+  EXPECT_EQ(t.shape()[2], 3);
+}
+
+TEST(Tensor, RankAboveTheInlineLimitIsRejected) {
+  static_assert(Tensor::kMaxRank == 4);
+  EXPECT_THROW(Tensor::zeros({1, 1, 1, 1, 2}, DType::F32, nullptr), InvalidArgument);
+  EXPECT_THROW(Tensor::phantom({1, 1, 1, 1, 2}, DType::F32, nullptr), InvalidArgument);
+  EXPECT_THROW(Tensor::full({1, 1, 1, 1, 2}, DType::F32, 1.0, nullptr), InvalidArgument);
+  Rng rng(3);
+  EXPECT_THROW(Tensor::random_uniform({1, 1, 1, 1, 2}, DType::F32, nullptr, rng),
+               InvalidArgument);
+}
+
+TEST(Tensor, CopiesDescribeLikeTheirSource) {
+  const Tensor dense = Tensor::full({2, 3}, DType::F32, 1.5, nullptr);
+  const Tensor phantom = Tensor::phantom({4, 1, 2}, DType::I64, nullptr);
+  Tensor a = dense;
+  Tensor b = phantom;
+  EXPECT_EQ(a.describe(), dense.describe());
+  EXPECT_EQ(b.describe(), phantom.describe());
+  b = a;
+  EXPECT_EQ(b.describe(), dense.describe());
+  EXPECT_EQ(b.raw_data(), dense.raw_data());  // a copy shares storage
+}
+
 }  // namespace
 }  // namespace mcrdl

@@ -49,6 +49,10 @@ ctest --output-on-failure -j "${jobs}" -L sched
 # scheduler's interleaving, and elastic shrink/rejoin across in-flight
 # composites.
 ctest --output-on-failure -j "${jobs}" -L coll
+# And the steady-state allocation budget (DESIGN.md §14): heap allocations
+# per dispatched op, counted by a replaced global operator new. The ASan+UBSan
+# leg below runs it again as part of the full suite.
+ctest --output-on-failure -j "${jobs}" -L alloc
 
 # Chaos-differential smoke: kill rank 3 at t=2500us mid-run and require a
 # clean elastic recovery — exit 0 (planned casualty only, survivors agree)
