@@ -36,7 +36,6 @@ class Completion {
    public:
     static constexpr std::size_t kInline = 2;
 
-    std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
     void reserve(std::size_t n) {
       if (n > kInline) tail_.reserve(n - kInline);

@@ -26,14 +26,13 @@ class InlineFn {
   static constexpr std::size_t kCapacity = 4 * sizeof(void*);
 
   InlineFn() noexcept = default;
-  InlineFn(std::nullptr_t) noexcept {}  // NOLINT: mirrors std::function
 
   // Wraps any callable; an empty std::function or null pointer yields an
   // empty InlineFn.
   template <typename F, typename D = std::decay_t<F>,
             typename = std::enable_if_t<!std::is_same_v<D, InlineFn> &&
                                         std::is_invocable_r_v<void, D&>>>
-  InlineFn(F&& fn) {  // NOLINT: implicit, like std::function
+  InlineFn(F&& fn) {  // implicit, like std::function
     if constexpr (std::is_constructible_v<bool, const D&>) {
       if (!static_cast<bool>(fn)) return;
     }
@@ -69,12 +68,11 @@ class InlineFn {
   // Calling an empty InlineFn is a program bug.
   void operator()() { ops_->invoke(storage_); }
 
-  // Destroys the held closure, leaving this empty.
+ private:
   void reset() noexcept {
     if (ops_ != nullptr) std::exchange(ops_, nullptr)->destroy(storage_);
   }
 
- private:
   struct Ops {
     void (*invoke)(void* self);
     // Move-constructs into dst from src, then destroys src.

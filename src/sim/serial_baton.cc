@@ -319,8 +319,10 @@ void SerialBaton::cancel(std::uint64_t event_id) {
   // Fired, already cancelled, or never issued: nothing to do.
   if (slot >= slots_.size() || slots_[slot].gen != gen) return;
   // Free the closure now — tombstones in the priority queue must not pin
-  // captured state (Works, tensors) until their deadline passes.
-  slots_[slot].fn.reset();
+  // captured state (Works, tensors) until their deadline passes. It is
+  // destroyed last, once the queue is consistent, in case its captures'
+  // destructors schedule or cancel events.
+  InlineFn discarded = std::move(slots_[slot].fn);
   retire_slot(slot);
   ++cancelled_in_queue_;
   maybe_purge_cancelled();

@@ -20,7 +20,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -29,6 +28,7 @@
 #include <vector>
 
 #include "src/common/inline_fn.h"
+#include "src/common/ring_queue.h"
 #include "src/common/status.h"
 #include "src/common/units.h"
 
@@ -172,7 +172,7 @@ class SerialBaton {
   // a ucontext_t points into itself and must not move.
   std::vector<Fiber> fibers_;
   Fiber caller_;
-  std::deque<detail::Actor*> run_queue_;
+  RingQueue<detail::Actor*> run_queue_;
   std::priority_queue<detail::QueuedEvent, std::vector<detail::QueuedEvent>,
                       detail::QueuedEventOrder>
       events_;
