@@ -534,9 +534,7 @@ std::shared_ptr<Rendezvous> CollectiveEngine::join(int idx, const OpDesc& desc,
 
 P2pOp::P2pOp(sim::Scheduler* sched, std::function<SimTime()> duration_fn)
     : HostOp(sched),
-      duration_fn_(std::move(duration_fn)),
-      send_gate_(std::make_shared<sim::StreamGate>()),
-      recv_gate_(std::make_shared<sim::StreamGate>()) {}
+      duration_fn_(std::move(duration_fn)) {}
 
 void P2pOp::set_send(Tensor t) {
   MCRDL_CHECK(!have_send_) << "send side already set";
@@ -561,8 +559,8 @@ void P2pOp::mark_recv_ready() {
 }
 
 void P2pOp::open_gates() {
-  send_gate_->open();
-  recv_gate_->open();
+  send_gate_.open();
+  recv_gate_.open();
 }
 
 void P2pOp::maybe_finish() {

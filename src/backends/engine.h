@@ -254,8 +254,10 @@ class P2pOp : public HostOp, public std::enable_shared_from_this<P2pOp> {
   void mark_send_ready();
   void mark_recv_ready();
 
-  const std::shared_ptr<sim::StreamGate>& send_gate() { return send_gate_; }
-  const std::shared_ptr<sim::StreamGate>& recv_gate() { return recv_gate_; }
+  // The gates the sender's and receiver's streams wait behind; like a
+  // rendezvous, the op owns them and the returned pointers keep it alive.
+  std::shared_ptr<sim::StreamGate> send_gate() { return {shared_from_this(), &send_gate_}; }
+  std::shared_ptr<sim::StreamGate> recv_gate() { return {shared_from_this(), &recv_gate_}; }
 
  private:
   void maybe_finish();
@@ -265,7 +267,7 @@ class P2pOp : public HostOp, public std::enable_shared_from_this<P2pOp> {
   Tensor send_tensor_, recv_tensor_;
   bool have_send_ = false, have_recv_ = false;
   bool send_ready_ = false, recv_ready_ = false;
-  std::shared_ptr<sim::StreamGate> send_gate_, recv_gate_;
+  sim::StreamGate send_gate_, recv_gate_;
 };
 
 // FIFO tag-matching of sends and recvs per (src, dst) pair.

@@ -275,6 +275,8 @@ class FinishStage : public OpStage {
       }
     }
   };
+  static_assert(sizeof(FinishRecord) <= InlineFn::kCapacity,
+                "the common finish record must fit the completion callback's inline buffer");
 
   // Registry references are stable for its lifetime, so handles are resolved
   // once per (backend, op) pair instead of building label maps — four
