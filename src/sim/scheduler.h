@@ -130,8 +130,6 @@ class SimCondition {
 
   void notify_all();
 
-  bool has_waiters() const { return head_ != nullptr; }
-
  private:
   // One suspended wait(), linked in arrival order. It lives in the waiting
   // actor's frame and unlinks itself when the wait ends, however it ends,

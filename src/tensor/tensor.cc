@@ -123,8 +123,8 @@ Tensor::Tensor(std::shared_ptr<Storage> storage, std::int64_t offset_elems,
     : storage_(std::move(storage)),
       offset_elems_(offset_elems),
       numel_(shape_numel(shape)),
-      rank_(static_cast<std::uint8_t>(shape.size())),
       dtype_(dtype),
+      rank_(static_cast<std::uint8_t>(shape.size())),
       device_(device) {
   if (shape.size() > kMaxRank) {
     throw InvalidArgument("tensor rank " + std::to_string(shape.size()) + " exceeds the maximum " +

@@ -107,13 +107,14 @@ class Tensor {
 
   void require_materialized(const char* what) const;
 
+  // Element access reads the first five fields; the shape comes last.
   std::shared_ptr<Storage> storage_;  // null => phantom
   std::int64_t offset_elems_ = 0;
   std::int64_t numel_ = -1;  // -1 => undefined tensor
-  std::array<std::int64_t, kMaxRank> dims_{};
-  std::uint8_t rank_ = 0;
   DType dtype_ = DType::F32;
+  std::uint8_t rank_ = 0;
   sim::Device* device_ = nullptr;
+  std::array<std::int64_t, kMaxRank> dims_{};
 };
 
 using TensorList = std::vector<Tensor>;
