@@ -122,8 +122,8 @@ class CollectiveEngine;
 // An all-ranks collective at one sequence position of a communicator.
 class Rendezvous : public HostOp, public std::enable_shared_from_this<Rendezvous> {
  public:
-  // `engine` prices the operation and books its wire time; it outlives
-  // every rendezvous it creates.
+  // `engine` prices the operation and books its wire time once the last
+  // rank is ready.
   Rendezvous(sim::Scheduler* sched, int expected, OpDesc desc, CollectiveEngine* engine);
 
   const OpDesc& desc() const { return desc_; }
