@@ -1,7 +1,6 @@
 #include "src/backends/backend.h"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 
 namespace mcrdl {
@@ -25,32 +24,46 @@ net::CostModel instrumented_cost_model(Backend* backend) {
   return model;
 }
 
+// Each global rank's dense index in `ranks`, indexed by global rank, with -1
+// for non-members. Validates the group before the engines see it, and before
+// a rank past the world can size the index.
+std::vector<int> dense_group_index(const std::vector<int>& ranks, int world_size) {
+  MCRDL_REQUIRE(!ranks.empty(), "communicator needs at least one rank");
+  MCRDL_REQUIRE(*std::min_element(ranks.begin(), ranks.end()) >= 0,
+                "negative rank in communicator group");
+  const int top = *std::max_element(ranks.begin(), ranks.end());
+  MCRDL_REQUIRE(top < world_size, "rank out of range for communicator group");
+  std::vector<int> index(static_cast<std::size_t>(top) + 1, -1);
+  for (std::size_t i = 0; i < ranks.size(); ++i) {
+    int& slot = index[static_cast<std::size_t>(ranks[i])];
+    MCRDL_REQUIRE(slot < 0, "duplicate rank in communicator group");
+    slot = static_cast<int>(i);
+  }
+  return index;
+}
+
 }  // namespace
 
 Comm::Comm(Backend* backend, std::vector<int> ranks)
     : backend_(backend),
       ranks_(std::move(ranks)),
+      group_rank_(dense_group_index(ranks_, backend->cluster()->world_size())),
       engine_(&backend->cluster()->scheduler(), instrumented_cost_model(backend),
               net::CommShape::of(backend->cluster()->topology(), ranks_),
               static_cast<int>(ranks_.size()), ranks_, &backend->cluster()->faults(),
               backend->profile().name),
       p2p_(&backend->cluster()->scheduler(), instrumented_cost_model(backend), ranks_,
-           &backend->cluster()->faults(), backend->profile().name) {
-  MCRDL_REQUIRE(!ranks_.empty(), "communicator needs at least one rank");
-  std::set<int> seen;
-  for (std::size_t i = 0; i < ranks_.size(); ++i) {
-    MCRDL_REQUIRE(seen.insert(ranks_[i]).second, "duplicate rank in communicator group");
-    group_rank_[ranks_[i]] = static_cast<int>(i);
-  }
-}
+           &backend->cluster()->faults(), backend->profile().name) {}
 
 int Comm::group_rank(int global_rank) const {
-  auto it = group_rank_.find(global_rank);
-  MCRDL_REQUIRE(it != group_rank_.end(), "rank is not a member of this communicator");
-  return it->second;
+  MCRDL_REQUIRE(contains(global_rank), "rank is not a member of this communicator");
+  return group_rank_[static_cast<std::size_t>(global_rank)];
 }
 
-bool Comm::contains(int global_rank) const { return group_rank_.count(global_rank) > 0; }
+bool Comm::contains(int global_rank) const {
+  return global_rank >= 0 && static_cast<std::size_t>(global_rank) < group_rank_.size() &&
+         group_rank_[static_cast<std::size_t>(global_rank)] >= 0;
+}
 
 void Comm::validate_root(int root) const {
   MCRDL_REQUIRE(root >= 0 && root < size(), "root out of range for communicator");

@@ -97,7 +97,8 @@ class Comm {
 
   Backend* backend_;
   std::vector<int> ranks_;
-  std::map<int, int> group_rank_;  // global rank -> dense index
+  // Dense index by global rank; -1 for ranks outside the group.
+  std::vector<int> group_rank_;
   backends_detail::CollectiveEngine engine_;
   backends_detail::P2pEngine p2p_;
   // issue()'s `comm_ops{backend, op}` and `comm_bytes{backend}` counters,

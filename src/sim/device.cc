@@ -72,13 +72,13 @@ Stream::~Stream() {
   }
 }
 
-void Stream::launch_kernel(SimTime duration, InlineFn on_complete, std::string label) {
+void Stream::launch_kernel(SimTime duration, InlineFn on_complete, const char* label) {
   MCRDL_REQUIRE(duration >= 0.0, "kernel duration must be non-negative");
   Op op;
   op.kind = Op::Kind::Kernel;
   op.duration = duration;
   op.fn = std::move(on_complete);
-  op.label = std::move(label);
+  op.label = label;
   enqueue(std::move(op));
 }
 
@@ -203,8 +203,8 @@ Stream* Device::create_stream(std::string name) {
   return streams_.back().get();
 }
 
-void Device::compute(SimTime duration, std::string label) {
-  default_stream_->launch_kernel(duration, {}, std::move(label));
+void Device::compute(SimTime duration, const char* label) {
+  default_stream_->launch_kernel(duration, {}, label);
 }
 
 }  // namespace mcrdl::sim

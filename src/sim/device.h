@@ -112,8 +112,9 @@ class Stream {
 
   // Enqueues a kernel that occupies the stream for `duration` virtual µs;
   // on_complete (optional) runs at the kernel's completion time — backends
-  // use it to apply the data effect of a transfer or reduction.
-  void launch_kernel(SimTime duration, InlineFn on_complete = {}, std::string label = {});
+  // use it to apply the data effect of a transfer or reduction. `label` is
+  // kept as a pointer, not copied: pass a string literal.
+  void launch_kernel(SimTime duration, InlineFn on_complete = {}, const char* label = nullptr);
 
   // cudaEventRecord: the event completes when the stream reaches this point.
   void record_event(const std::shared_ptr<Event>& event);
@@ -152,7 +153,7 @@ class Stream {
     InlineFn fn;
     std::shared_ptr<Event> event;
     std::shared_ptr<StreamGate> gate;
-    std::string label;
+    const char* label = nullptr;
   };
 
   void enqueue(Op op);
@@ -194,7 +195,8 @@ class Device {
   Scheduler* scheduler() { return sched_; }
 
   // Convenience: run a compute kernel of `duration` on the default stream.
-  void compute(SimTime duration, std::string label = {});
+  // `label` is a string literal, as for Stream::launch_kernel.
+  void compute(SimTime duration, const char* label = nullptr);
 
  private:
   Scheduler* sched_;

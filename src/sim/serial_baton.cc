@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <climits>
 #include <cstdlib>
+#include <new>
 #include <sstream>
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -19,6 +20,88 @@
 #endif
 
 #include "src/common/logging.h"
+
+#if !defined(__x86_64__)
+#error "fiber switch is x86-64 only: port mcrdl_sim_swap_stacks and its trampoline below"
+#endif
+
+// The fiber switch, in the x86-64 System V ABI. mcrdl_sim_swap_stacks(save,
+// load) pushes the callee-saved registers (rbp, rbx, r12-r15) and the
+// callee-saved control state (MXCSR, x87 control word) onto the current stack,
+// stores the stack pointer through `save`, switches to the stack pointer
+// `load`, and pops the same set from there. The caller-saved registers need no
+// saving: to the compiler this is an ordinary call. It makes no syscall and
+// leaves the signal mask alone. Returning into another stack does not work
+// under CET shadow stacks; a process that enables them needs a port too.
+//
+// A fiber's first switch pops the frame run() built: rbx holds the baton,
+// r12 the entry function, and the return address is mcrdl_sim_fiber_start,
+// which calls entry(baton). Its CFI marks the return address undefined, so
+// unwinders and sanitizer backtraces stop there.
+asm(R"(
+        .text
+        .p2align 4
+        .globl  mcrdl_sim_swap_stacks
+        .hidden mcrdl_sim_swap_stacks
+        .type   mcrdl_sim_swap_stacks, @function
+mcrdl_sim_swap_stacks:
+        .cfi_startproc
+        pushq   %rbp
+        .cfi_adjust_cfa_offset 8
+        pushq   %rbx
+        .cfi_adjust_cfa_offset 8
+        pushq   %r12
+        .cfi_adjust_cfa_offset 8
+        pushq   %r13
+        .cfi_adjust_cfa_offset 8
+        pushq   %r14
+        .cfi_adjust_cfa_offset 8
+        pushq   %r15
+        .cfi_adjust_cfa_offset 8
+        subq    $8, %rsp
+        .cfi_adjust_cfa_offset 8
+        stmxcsr (%rsp)
+        fnstcw  4(%rsp)
+        movq    %rsp, (%rdi)
+        movq    %rsi, %rsp
+        ldmxcsr (%rsp)
+        fldcw   4(%rsp)
+        addq    $8, %rsp
+        .cfi_adjust_cfa_offset -8
+        popq    %r15
+        .cfi_adjust_cfa_offset -8
+        popq    %r14
+        .cfi_adjust_cfa_offset -8
+        popq    %r13
+        .cfi_adjust_cfa_offset -8
+        popq    %r12
+        .cfi_adjust_cfa_offset -8
+        popq    %rbx
+        .cfi_adjust_cfa_offset -8
+        popq    %rbp
+        .cfi_adjust_cfa_offset -8
+        ret
+        .cfi_endproc
+        .size   mcrdl_sim_swap_stacks, .-mcrdl_sim_swap_stacks
+
+        .p2align 4
+        .globl  mcrdl_sim_fiber_start
+        .hidden mcrdl_sim_fiber_start
+        .type   mcrdl_sim_fiber_start, @function
+mcrdl_sim_fiber_start:
+        .cfi_startproc
+        .cfi_undefined rip
+        movq    %rbx, %rdi
+        call    *%r12
+        ud2
+        .cfi_endproc
+        .size   mcrdl_sim_fiber_start, .-mcrdl_sim_fiber_start
+)");
+
+extern "C" {
+void mcrdl_sim_swap_stacks(void** save, void* load);
+void mcrdl_sim_fiber_start();
+}
 
 namespace mcrdl::sim {
 namespace {
@@ -54,6 +137,40 @@ std::size_t actor_stack_size() {
   return size;
 }
 
+// The frame mcrdl_sim_swap_stacks pops, lowest address first.
+struct SwitchFrame {
+  std::uint32_t mxcsr = 0;
+  std::uint16_t x87_cw = 0;
+  std::uint16_t pad = 0;
+  void* r15 = nullptr;
+  void* r14 = nullptr;
+  void* r13 = nullptr;
+  void* r12 = nullptr;
+  void* rbx = nullptr;
+  void* rbp = nullptr;
+  void* ret = nullptr;
+};
+static_assert(sizeof(SwitchFrame) == 64);
+
+// Builds a fiber's first frame at the top of its stack and returns the stack
+// pointer that resumes it in mcrdl_sim_fiber_start. The frame ends at the
+// 16-byte-aligned top, so the trampoline's call enters `entry` with the
+// alignment the ABI requires. MXCSR and the x87 control word start as the
+// thread's.
+void* initial_stack_pointer(void* stack_top, void (*entry)(void*), void* arg) {
+  std::uint32_t mxcsr = 0;
+  std::uint16_t x87_cw = 0;
+  asm volatile("stmxcsr %0" : "=m"(mxcsr));
+  asm volatile("fnstcw %0" : "=m"(x87_cw));
+  const auto top = reinterpret_cast<std::uintptr_t>(stack_top) & ~std::uintptr_t{15};
+  return new (reinterpret_cast<void*>(top - sizeof(SwitchFrame)))
+      SwitchFrame{.mxcsr = mxcsr,
+                  .x87_cw = x87_cw,
+                  .r12 = reinterpret_cast<void*>(entry),
+                  .rbx = arg,
+                  .ret = reinterpret_cast<void*>(&mcrdl_sim_fiber_start)};
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -73,7 +190,6 @@ void SerialBaton::run() {
   live_actors_ = static_cast<int>(actors_.size());
   const std::size_t guard = page_size();
   const std::size_t stack = actor_stack_size();
-  const auto baton = reinterpret_cast<std::uintptr_t>(this);
   fibers_ = std::vector<Fiber>(actors_.size());
   for (auto& a : actors_) {
     Fiber& f = fiber_of(a.get());
@@ -83,14 +199,10 @@ void SerialBaton::run() {
     if (f.map == MAP_FAILED) f.map = nullptr;
     MCRDL_CHECK(f.map != nullptr) << "cannot map a stack for actor " << a->name;
     MCRDL_CHECK(mprotect(f.map, guard, PROT_NONE) == 0) << "cannot guard a fiber stack";
-    getcontext(&f.ctx);
-    f.ctx.uc_stack.ss_sp = static_cast<char*>(f.map) + guard;
-    f.ctx.uc_stack.ss_size = stack;
-    f.ctx.uc_link = nullptr;
-    f.stack_bottom = f.ctx.uc_stack.ss_sp;
+    f.stack_bottom = static_cast<char*>(f.map) + guard;
     f.stack_size = stack;
-    makecontext(&f.ctx, reinterpret_cast<void (*)()>(&SerialBaton::fiber_entry), 2,
-                static_cast<unsigned>(baton >> 32), static_cast<unsigned>(baton));
+    f.sp = initial_stack_pointer(static_cast<char*>(f.map) + f.map_size,
+                                 &SerialBaton::fiber_entry, this);
 #if defined(__SANITIZE_THREAD__)
     f.tsan_fiber = __tsan_create_fiber(0);
 #endif
@@ -131,9 +243,7 @@ SerialBaton::Fiber::~Fiber() {
   munmap(map, map_size);
 }
 
-void SerialBaton::fiber_entry(unsigned hi, unsigned lo) {
-  reinterpret_cast<SerialBaton*>((std::uintptr_t{hi} << 32) | lo)->actor_main();
-}
+void SerialBaton::fiber_entry(void* baton) { static_cast<SerialBaton*>(baton)->actor_main(); }
 
 void SerialBaton::actor_main() {
 #if defined(__SANITIZE_ADDRESS__)
@@ -192,7 +302,7 @@ void SerialBaton::switch_fiber(Fiber& from, Fiber& to, [[maybe_unused]] bool fro
 #if defined(__SANITIZE_THREAD__)
   __tsan_switch_to_fiber(to.tsan_fiber, 0);
 #endif
-  swapcontext(&from.ctx, &to.ctx);
+  mcrdl_sim_swap_stacks(&from.sp, to.sp);
 #if defined(__SANITIZE_ADDRESS__)
   __sanitizer_finish_switch_fiber(from.asan_fake_stack, nullptr, nullptr);
 #endif

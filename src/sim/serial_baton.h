@@ -1,9 +1,9 @@
 // SerialBaton — the simulator's execution engine (DESIGN.md §4).
 //
-// Every actor is a fiber: a ucontext with its own mmap'd, guard-paged stack,
-// and all of them run on the thread that calls run(). Exactly one executes
-// at any instant: a "baton" is handed from actor to actor by a direct
-// context switch, so all simulated state is implicitly protected and every
+// Every actor is a fiber with its own mmap'd, guard-paged stack, and all of
+// them run on the thread that calls run(). Exactly one executes at any
+// instant: a "baton" is handed from actor to actor by a direct, register-only
+// fiber switch, so all simulated state is implicitly protected and every
 // run is deterministic. Virtual time only advances when every actor is
 // blocked: the blocking actor drains the timed event queue until some actor
 // becomes runnable again; if none can, the system has genuinely deadlocked
@@ -15,8 +15,6 @@
 // The Scheduler facade (scheduler.h) owns one SerialBaton and forwards to
 // it; code outside src/sim talks to the Scheduler.
 #pragma once
-
-#include <ucontext.h>
 
 #include <cstddef>
 #include <cstdint>
@@ -125,7 +123,9 @@ class SerialBaton {
     Fiber& operator=(const Fiber&) = delete;
     ~Fiber();  // unmaps the stack, if this fiber has one
 
-    ucontext_t ctx{};
+    // The stack pointer mcrdl_sim_swap_stacks saved when this context last
+    // switched away (serial_baton.cc); its registers sit on its own stack.
+    void* sp = nullptr;
     // The whole stack mapping, guard page included (null for the caller).
     void* map = nullptr;
     std::size_t map_size = 0;
@@ -140,7 +140,7 @@ class SerialBaton {
     void* tsan_fiber = nullptr;
   };
 
-  static void fiber_entry(unsigned hi, unsigned lo);
+  static void fiber_entry(void* baton);
   void actor_main();
   // Hands the baton onwards (or back to run()) when the current actor exits.
   [[noreturn]] void pass_baton_and_exit();
@@ -168,8 +168,8 @@ class SerialBaton {
   // sleep timer) may still point at them.
   std::vector<std::unique_ptr<detail::Actor>> retired_;
   // One fiber per actor of the current run(), indexed by actor id (its
-  // position in actors_). Sized once before any context is captured, since
-  // a ucontext_t points into itself and must not move.
+  // position in actors_). Sized once per run(): each fiber owns its stack
+  // mapping, and switch_fiber() holds references into the vector.
   std::vector<Fiber> fibers_;
   Fiber caller_;
   RingQueue<detail::Actor*> run_queue_;

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/backends/backend.h"
 
@@ -232,6 +234,48 @@ TEST_F(SemanticsTest, GroupRankMapping) {
   EXPECT_TRUE(odd->contains(3));
   EXPECT_FALSE(odd->contains(0));
   EXPECT_THROW(odd->group_rank(0), InvalidArgument);
+}
+
+// The dense index spans global ranks 0..200 for a two-member group; every
+// rank outside the group, negative or past the end included, is rejected
+// with the same message. Groups with a duplicate, negative or out-of-world
+// rank, or no rank, are rejected when built.
+TEST_F(SemanticsTest, GroupRankOnASparseGroup) {
+  make_cluster(64);  // 256 ranks
+  Backend* mpi = add("mv2-gdr");
+  Comm* sparse = mpi->group({200, 3});
+  EXPECT_EQ(sparse->size(), 2);
+  EXPECT_EQ(sparse->group_rank(200), 0);
+  EXPECT_EQ(sparse->group_rank(3), 1);
+  EXPECT_TRUE(sparse->contains(3));
+  EXPECT_TRUE(sparse->contains(200));
+  for (int rank : {-1, 0, 4, 199, 201, 255, 1000}) {
+    EXPECT_FALSE(sparse->contains(rank)) << rank;
+    try {
+      (void)sparse->group_rank(rank);
+      ADD_FAILURE() << "group_rank(" << rank << ") did not throw";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("rank is not a member of this communicator"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  auto construction_error = [&](const std::vector<int>& ranks) -> std::string {
+    try {
+      mpi->group(ranks);
+    } catch (const InvalidArgument& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_NE(construction_error({3, 200, 3}).find("duplicate rank in communicator group"),
+            std::string::npos);
+  EXPECT_NE(construction_error({-1, 3}).find("negative rank in communicator group"),
+            std::string::npos);
+  EXPECT_NE(construction_error({3, 256}).find("rank out of range for communicator group"),
+            std::string::npos);
+  EXPECT_NE(construction_error({}).find("communicator needs at least one rank"),
+            std::string::npos);
 }
 
 TEST_F(SemanticsTest, GroupsAreCached) {

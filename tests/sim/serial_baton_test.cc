@@ -3,11 +3,15 @@
 // cancel-after-fire, FIFO ordering of simultaneous timed events, stale
 // wait-token rejection, and deadlock detection — plus cross-time ordering.
 // The engine runs its actors as fibers on one thread, so the suite also pins
-// what a fiber must keep per actor (C++ exception state, a thread-sized
-// stack) and that every run() frees the stacks it mapped.
+// what a fiber must keep per actor (C++ exception state, the floating-point
+// control state, an ABI-aligned thread-sized stack) and that every run()
+// frees the stacks it mapped.
 #include <gtest/gtest.h>
 
+#include <xmmintrin.h>
+
 #include <array>
+#include <cfenv>
 #include <cinttypes>
 #include <cstdio>
 #include <exception>
@@ -348,6 +352,78 @@ TEST(SerialBaton, ExceptionStateIsPerActor) {
   EXPECT_EQ(a_uncaught_late, 0);
   EXPECT_EQ(b_uncaught_unwinding, 1);
   EXPECT_EQ(b_uncaught_handler, 0);
+}
+
+// 1/3 in the current SSE rounding mode (volatile, so it is computed now).
+double one_third() {
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  return one / three;
+}
+
+// The rounding mode lives in MXCSR (SSE) and the x87 control word, both of
+// which a fiber switch saves per actor. A peer entered for the first time
+// starts with the thread's mode as of run(), not the setter's; the setter
+// gets its own mode back after a wait, and run()'s caller keeps its own.
+TEST(SerialBaton, FloatingPointControlStateIsPerActor) {
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  const double nearest = one_third();
+  Scheduler sched;
+  int setter_mode_after_wait = -1, peer_mode_first = -1, peer_mode_after_wait = -1;
+  double setter_third = 0.0, peer_third_first = 0.0, peer_third_after_wait = 0.0;
+  sched.spawn("setter", [&] {
+    ASSERT_EQ(std::fesetround(FE_UPWARD), 0);
+    sched.sleep_until(10.0);
+    setter_mode_after_wait = std::fegetround();
+    setter_third = one_third();
+    std::fesetround(FE_TONEAREST);
+  });
+  sched.spawn("peer", [&] {
+    peer_mode_first = std::fegetround();
+    peer_third_first = one_third();
+    sched.sleep_until(5.0);
+    peer_mode_after_wait = std::fegetround();
+    peer_third_after_wait = one_third();
+  });
+  std::fesetround(FE_TONEAREST);
+  sched.run();
+  EXPECT_EQ(peer_mode_first, FE_TONEAREST);
+  EXPECT_EQ(peer_mode_after_wait, FE_TONEAREST);
+  EXPECT_EQ(peer_third_first, nearest);
+  EXPECT_EQ(peer_third_after_wait, nearest);
+  EXPECT_EQ(setter_mode_after_wait, FE_UPWARD);
+  EXPECT_GT(setter_third, nearest);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  EXPECT_EQ(one_third(), nearest);
+}
+
+// Misaligned by 8 bytes, an actor's stack would put this alignas(16) local
+// off a 16-byte boundary and the movaps of _mm_store_ps would fault; check
+// on first entry and again on a stack resumed after a wait.
+[[gnu::noinline]] std::uintptr_t aligned_store_misalignment(float value) {
+  alignas(16) float lanes[4];
+  _mm_store_ps(lanes, _mm_set1_ps(value));
+  asm volatile("" : : "r"(lanes) : "memory");
+  EXPECT_EQ(lanes[0] + lanes[3], 2.0f * value);
+  return reinterpret_cast<std::uintptr_t>(lanes) % 16;
+}
+
+TEST(SerialBaton, ActorsRunOn16ByteAlignedStacks) {
+  Scheduler sched;
+  std::vector<std::uintptr_t> misalignments;
+  for (int i = 0; i < 2; ++i) {
+    sched.spawn("a" + std::to_string(i), [&, i] {
+      alignas(16) volatile unsigned char local[16] = {};
+      misalignments.push_back(reinterpret_cast<std::uintptr_t>(&local[0]) % 16);
+      misalignments.push_back(aligned_store_misalignment(1.0f + i));
+      sched.sleep_for(1.0);
+      misalignments.push_back(aligned_store_misalignment(3.0f + i));
+      misalignments.push_back(reinterpret_cast<std::uintptr_t>(&local[0]) % 16);
+    });
+  }
+  sched.run();
+  ASSERT_EQ(misalignments.size(), 8u);
+  for (std::uintptr_t m : misalignments) EXPECT_EQ(m, 0u);
 }
 
 // Actors keep the stack depth they had as threads: a 1 MiB frame that stays

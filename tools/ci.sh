@@ -218,6 +218,13 @@ cmake --build "${asan_dir}" -j "${jobs}"
 ( cd "${asan_dir}" && ASAN_OPTIONS=detect_leaks=1 \
     UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ctest --output-on-failure -j "${jobs}" )
+# The fiber switch hands each fiber's ASan fake stack over through the
+# sanitizer fiber hooks (src/sim/serial_baton.cc). Stack-use-after-return
+# detection puts every instrumented frame on a fake stack, so run the sim
+# suite again with it on.
+( cd "${asan_dir}" && ASAN_OPTIONS=detect_leaks=1:detect_stack_use_after_return=1 \
+    UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ctest --output-on-failure -j "${jobs}" -L sim )
 
 # Race-check what can run concurrently: separate ClusterContexts on separate
 # host threads (GoldenTrace.TwoContextsOnTwoThreadsMatchGolden runs the full
