@@ -2,7 +2,8 @@
 
 namespace mcrdl {
 
-ClusterContext::ClusterContext(net::SystemConfig config) : topo_(std::move(config)) {
+ClusterContext::ClusterContext(net::SystemConfig config, sim::StackPool* stacks)
+    : sched_(stacks), topo_(std::move(config)) {
   const int world = topo_.world_size();
   devices_.reserve(world);
   for (int rank = 0; rank < world; ++rank) {

@@ -21,8 +21,11 @@ class ClusterContext {
  public:
   // Everything simulated on a ClusterContext runs on the thread that calls
   // run_spmd(); separate contexts share no state and may run on separate
-  // threads.
-  explicit ClusterContext(net::SystemConfig config);
+  // threads. `stacks`, when given, lends the actor stacks and must outlive
+  // the context: contexts may share one pool only if they run on one thread,
+  // one at a time (src/sim/stack_pool.h). Without one, the context's
+  // scheduler keeps its own, so consecutive run_spmd()s reuse their stacks.
+  explicit ClusterContext(net::SystemConfig config, sim::StackPool* stacks = nullptr);
 
   sim::Scheduler& scheduler() { return sched_; }
   const net::Topology& topology() const { return topo_; }

@@ -102,7 +102,7 @@ ShrunkGroups shrink_process_groups(const ProcessGroups& old, const std::vector<i
   const int new_ep = ep_ok ? old.expert_parallel() : 1;
 
   ShrunkGroups out{ProcessGroups(new_world, new_tp, new_ep), std::move(survivors),
-                   std::move(old_to_new), tp_ok, ep_ok};
+                   std::move(old_to_new), tp_ok, ep_ok, {}};
   return out;
 }
 

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "src/models/comm_plan.h"
+#include "src/sim/stack_pool.h"
 
 namespace mcrdl::models {
 
@@ -69,6 +70,8 @@ class TrainingHarness {
 
  private:
   net::SystemConfig system_;
+  // Lent to every run()'s cluster, so consecutive runs reuse actor stacks.
+  sim::StackPool stacks_;
 };
 
 // Scaling efficiency relative to the smallest scale in a sweep:

@@ -25,7 +25,9 @@
 // spawn()/run(). No code may hold a host lock across a scheduler wait: every
 // actor shares one OS thread, so the next actor to take that lock
 // self-deadlocks. Independent Schedulers share nothing and may run on
-// different threads.
+// different threads. Schedulers that run on one thread, one at a time, may
+// share a StackPool (stack_pool.h) for their actor stacks; one that is given
+// none keeps its own, so its consecutive run()s reuse their stacks too.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +46,10 @@ class Scheduler {
   // Identifies one suspension of one actor; handed to wake sources.
   using WaitToken = sim::WaitToken;
 
-  Scheduler() = default;
+  // Actor stacks come from `stacks`, which must outlive the scheduler, or
+  // from the scheduler's own pool when it is null.
+  explicit Scheduler(StackPool* stacks = nullptr)
+      : baton_(stacks != nullptr ? stacks : &own_stacks_) {}
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
@@ -109,6 +114,7 @@ class Scheduler {
   std::uint64_t pending_events() const { return baton_.pending_events(); }
 
  private:
+  StackPool own_stacks_;  // declared first, so it outlives baton_'s fibers
   SerialBaton baton_;
 };
 

@@ -1,18 +1,13 @@
 #include "src/sim/serial_baton.h"
 
 #include <cxxabi.h>
-#include <sys/mman.h>
-#include <sys/resource.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <climits>
 #include <cstdlib>
 #include <new>
 #include <sstream>
 
 #if defined(__SANITIZE_ADDRESS__)
-#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 #if defined(__SANITIZE_THREAD__)
@@ -116,27 +111,6 @@ struct EhGlobals {
 
 EhGlobals* eh_globals() { return reinterpret_cast<EhGlobals*>(abi::__cxa_get_globals()); }
 
-std::size_t page_size() {
-  static const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
-  return page;
-}
-
-// The stack an actor had when it was a pthread: RLIMIT_STACK, or glibc's
-// 2 MiB default when that is unlimited.
-std::size_t actor_stack_size() {
-  static const std::size_t size = [] {
-    std::size_t bytes = std::size_t{2} << 20;
-    rlimit limit{};
-    if (getrlimit(RLIMIT_STACK, &limit) == 0 && limit.rlim_cur != RLIM_INFINITY) {
-      bytes = static_cast<std::size_t>(limit.rlim_cur);
-    }
-    bytes = std::max(bytes, static_cast<std::size_t>(PTHREAD_STACK_MIN));
-    const std::size_t page = page_size();
-    return (bytes + page - 1) / page * page;
-  }();
-  return size;
-}
-
 // The frame mcrdl_sim_swap_stacks pops, lowest address first.
 struct SwitchFrame {
   std::uint32_t mxcsr = 0;
@@ -188,20 +162,14 @@ void SerialBaton::run() {
   MCRDL_CHECK(!actors_.empty()) << "run() with no actors";
   running_ = true;
   live_actors_ = static_cast<int>(actors_.size());
-  const std::size_t guard = page_size();
-  const std::size_t stack = actor_stack_size();
   fibers_ = std::vector<Fiber>(actors_.size());
   for (auto& a : actors_) {
     Fiber& f = fiber_of(a.get());
-    f.map_size = guard + stack;
-    f.map = mmap(nullptr, f.map_size, PROT_READ | PROT_WRITE,
-                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
-    if (f.map == MAP_FAILED) f.map = nullptr;
-    MCRDL_CHECK(f.map != nullptr) << "cannot map a stack for actor " << a->name;
-    MCRDL_CHECK(mprotect(f.map, guard, PROT_NONE) == 0) << "cannot guard a fiber stack";
-    f.stack_bottom = static_cast<char*>(f.map) + guard;
-    f.stack_size = stack;
-    f.sp = initial_stack_pointer(static_cast<char*>(f.map) + f.map_size,
+    f.stack = stacks_->acquire();
+    f.pool = stacks_;
+    f.stack_bottom = f.stack;
+    f.stack_size = StackPool::stack_size();
+    f.sp = initial_stack_pointer(static_cast<char*>(f.stack) + f.stack_size,
                                  &SerialBaton::fiber_entry, this);
 #if defined(__SANITIZE_THREAD__)
     f.tsan_fiber = __tsan_create_fiber(0);
@@ -216,7 +184,8 @@ void SerialBaton::run() {
   run_queue_.pop_front();
   switch_fiber(caller_, fiber_of(current_));
 
-  // The last actor switched back here; no fiber stack is in use any more.
+  // The last actor switched back here; no fiber stack is in use any more,
+  // so each goes back to the pool.
   MCRDL_CHECK(live_actors_ == 0) << live_actors_ << " actors left suspended";
   fibers_.clear();
   for (auto& a : actors_) retired_.push_back(std::move(a));
@@ -230,17 +199,11 @@ void SerialBaton::run() {
 }
 
 SerialBaton::Fiber::~Fiber() {
-  if (map == nullptr) return;
-#if defined(__SANITIZE_ADDRESS__)
-  // Frames still live when the fiber switched away for the last time leave
-  // their redzones poisoned; a later mapping at this address must not
-  // inherit them.
-  ASAN_UNPOISON_MEMORY_REGION(map, map_size);
-#endif
+  if (stack == nullptr) return;
 #if defined(__SANITIZE_THREAD__)
   if (tsan_fiber != nullptr) __tsan_destroy_fiber(tsan_fiber);
 #endif
-  munmap(map, map_size);
+  pool->release(stack);
 }
 
 void SerialBaton::fiber_entry(void* baton) { static_cast<SerialBaton*>(baton)->actor_main(); }

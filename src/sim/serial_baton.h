@@ -1,10 +1,10 @@
 // SerialBaton — the simulator's execution engine (DESIGN.md §4).
 //
-// Every actor is a fiber with its own mmap'd, guard-paged stack, and all of
-// them run on the thread that calls run(). Exactly one executes at any
-// instant: a "baton" is handed from actor to actor by a direct, register-only
-// fiber switch, so all simulated state is implicitly protected and every
-// run is deterministic. Virtual time only advances when every actor is
+// Every actor is a fiber on a guard-paged stack borrowed from a StackPool
+// (stack_pool.h) for the length of one run(), and all of them run on the
+// thread that calls run(). Exactly one executes at any instant: a "baton" is
+// handed from actor to actor by a direct, register-only fiber switch, so all
+// simulated state is implicitly protected and every run is deterministic. Virtual time only advances when every actor is
 // blocked: the blocking actor drains the timed event queue until some actor
 // becomes runnable again; if none can, the system has genuinely deadlocked
 // and every actor is woken with DeadlockError.
@@ -29,6 +29,7 @@
 #include "src/common/ring_queue.h"
 #include "src/common/status.h"
 #include "src/common/units.h"
+#include "src/sim/stack_pool.h"
 
 namespace mcrdl::sim {
 
@@ -91,7 +92,8 @@ struct WaitToken {
 // forwards one-to-one.
 class SerialBaton {
  public:
-  SerialBaton() = default;
+  // Actor stacks come from `stacks`, which must outlive the baton.
+  explicit SerialBaton(StackPool* stacks) : stacks_(stacks) {}
   SerialBaton(const SerialBaton&) = delete;
   SerialBaton& operator=(const SerialBaton&) = delete;
 
@@ -121,14 +123,15 @@ class SerialBaton {
     Fiber() = default;
     Fiber(const Fiber&) = delete;
     Fiber& operator=(const Fiber&) = delete;
-    ~Fiber();  // unmaps the stack, if this fiber has one
+    ~Fiber();  // returns the stack to its pool, if this fiber has one
 
     // The stack pointer mcrdl_sim_swap_stacks saved when this context last
     // switched away (serial_baton.cc); its registers sit on its own stack.
     void* sp = nullptr;
-    // The whole stack mapping, guard page included (null for the caller).
-    void* map = nullptr;
-    std::size_t map_size = 0;
+    // The borrowed stack's lowest usable address and the pool it goes back
+    // to (both null for the caller).
+    void* stack = nullptr;
+    StackPool* pool = nullptr;
     // This context's copy of the thread's C++ exception state (libstdc++'s
     // __cxa_eh_globals), which is per thread, not per fiber.
     void* eh_caught = nullptr;
@@ -167,9 +170,11 @@ class SerialBaton {
   // allocated because stale wait tokens (a force-woken wait, a pending
   // sleep timer) may still point at them.
   std::vector<std::unique_ptr<detail::Actor>> retired_;
+  StackPool* stacks_;
   // One fiber per actor of the current run(), indexed by actor id (its
-  // position in actors_). Sized once per run(): each fiber owns its stack
-  // mapping, and switch_fiber() holds references into the vector.
+  // position in actors_). Sized once per run(): each fiber holds a pooled
+  // stack until run() clears the vector, and switch_fiber() holds references
+  // into it.
   std::vector<Fiber> fibers_;
   Fiber caller_;
   RingQueue<detail::Actor*> run_queue_;

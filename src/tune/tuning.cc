@@ -205,14 +205,17 @@ TuningTable TuningSuite::generate(const TuningConfig& config) {
 
   measurements_.clear();
   TuningTable table;
+  // Grid points run one after another on this thread, so they share one
+  // pool of actor stacks.
+  sim::StackPool stacks;
   for (int world : cfg.world_sizes) {
     net::SystemConfig sys = base_;
     sys.num_nodes = (world + base_.gpus_per_node - 1) / base_.gpus_per_node;
     for (const auto& backend_name : cfg.backends) {
-      // A fresh cluster per (world, backend) keeps grid points independent.
       for (OpType op : cfg.ops) {
         for (std::size_t bytes : cfg.sizes) {
-          ClusterContext cluster(sys);
+          // A fresh cluster per grid point keeps the points independent.
+          ClusterContext cluster(sys, &stacks);
           auto backend = make_backend(backend_name, &cluster);
           backend->init();
           SimTime t = 0.0;

@@ -40,7 +40,7 @@ TEST(JsonEscape, EveryEscapedStringParsesBackToTheOriginal) {
   std::string nasty;
   for (int c = 0; c < 0x30; ++c) nasty.push_back(static_cast<char>(c));
   nasty += "\"\\plain";
-  const JsonValue v = parse_json("\"" + json_escape(nasty) + "\"");
+  const JsonValue v = parse_json(std::string("\"").append(json_escape(nasty)).append("\""));
   ASSERT_TRUE(v.is_string());
   EXPECT_EQ(v.str, nasty);
 }

@@ -165,7 +165,7 @@ TEST(MetricsEndToEnd, PipelineRunPopulatesCountersHistogramsAndGauges) {
 
   // Every built-in stage observed every op.
   const std::uint64_t total_ops = (kIters + 1) * world;
-  for (const std::string& stage : {"overhead", "resolve", "fusion", "compression",
+  for (const char* stage : {"overhead", "resolve", "fusion", "compression",
                                    "finish", "recover", "route", "issue"}) {
     const Histogram* h = m.find_histogram("pipeline_stage_us", {{"stage", stage}});
     ASSERT_NE(h, nullptr) << stage;
@@ -203,7 +203,7 @@ TEST(MetricsEndToEnd, StageTimesAreExclusive) {
   MetricsRegistry& m = cluster.metrics();
   double stage_sum = 0.0;
   std::uint64_t stage_count = 0;
-  for (const std::string& stage : {"overhead", "resolve", "fusion", "compression",
+  for (const char* stage : {"overhead", "resolve", "fusion", "compression",
                                    "finish", "recover", "route", "issue"}) {
     const Histogram* h = m.find_histogram("pipeline_stage_us", {{"stage", stage}});
     ASSERT_NE(h, nullptr) << stage;

@@ -102,7 +102,7 @@ TEST(Scheduler, ConditionNotifyAllWakesAllWaiters) {
   bool flag = false;
   int woke = 0;
   for (int i = 0; i < 5; ++i) {
-    sched.spawn("w" + std::to_string(i), [&] {
+    sched.spawn(std::string("w").append(std::to_string(i)), [&] {
       cond.wait([&] { return flag; });
       ++woke;
     });
@@ -218,7 +218,7 @@ TEST(Scheduler, ManyActorsBarrierStyleRendezvous) {
   int arrived = 0;
   int released = 0;
   for (int i = 0; i < kN; ++i) {
-    sched.spawn("r" + std::to_string(i), [&, i] {
+    sched.spawn(std::string("r").append(std::to_string(i)), [&, i] {
       sched.sleep_for(static_cast<SimTime>(i));  // staggered arrivals
       ++arrived;
       cond.notify_all();
@@ -238,7 +238,7 @@ TEST(Scheduler, DeterministicAcrossRuns) {
     SimCondition cond(&sched);
     int token = 0;
     for (int i = 0; i < 8; ++i) {
-      sched.spawn("p" + std::to_string(i), [&, i] {
+      sched.spawn(std::string("p").append(std::to_string(i)), [&, i] {
         for (int step = 0; step < 4; ++step) {
           cond.wait([&] { return token % 8 == i; });
           trace.push_back(i * 100 + step);

@@ -4,8 +4,9 @@
 // wait-token rejection, and deadlock detection — plus cross-time ordering.
 // The engine runs its actors as fibers on one thread, so the suite also pins
 // what a fiber must keep per actor (C++ exception state, the floating-point
-// control state, an ABI-aligned thread-sized stack) and that every run()
-// frees the stacks it mapped.
+// control state, an ABI-aligned thread-sized stack) and what happens to the
+// stacks between runs: a scheduler's runs reuse them, each keeps its guard
+// page, and they are unmapped when their pool goes.
 #include <gtest/gtest.h>
 
 #include <xmmintrin.h>
@@ -17,29 +18,48 @@
 #include <exception>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 #include "src/sim/scheduler.h"
 
 namespace mcrdl::sim {
 namespace {
 
-// True if some mapping in /proc/self/maps contains `addr`. Actors record their frame address to check that run() unmapped their stacks.
-bool is_mapped(const void* addr) {
+// One line of /proc/self/maps: the range [lo, hi) and its permissions.
+struct Mapping {
+  std::uintptr_t lo = 0;
+  std::uintptr_t hi = 0;
+  std::string perms;
+  bool contains(const void* addr) const {
+    const auto a = reinterpret_cast<std::uintptr_t>(addr);
+    return lo <= a && a < hi;
+  }
+};
+
+// The mapping that contains `addr`, if any. Actors record their frame
+// address to find the stack they ran on.
+std::optional<Mapping> mapping_of(const void* addr) {
   std::ifstream maps("/proc/self/maps");
-  const auto a = reinterpret_cast<std::uintptr_t>(addr);
   std::string line;
   while (std::getline(maps, line)) {
-    std::uintptr_t lo = 0, hi = 0;
-    if (std::sscanf(line.c_str(), "%" SCNxPTR "-%" SCNxPTR, &lo, &hi) == 2 && lo <= a &&
-        a < hi) {
-      return true;
+    Mapping m;
+    char perms[5] = {};
+    if (std::sscanf(line.c_str(), "%" SCNxPTR "-%" SCNxPTR " %4s", &m.lo, &m.hi, perms) == 3) {
+      m.perms = perms;
+      if (m.contains(addr)) return m;
     }
   }
-  return false;
+  return std::nullopt;
 }
+
+bool is_mapped(const void* addr) { return mapping_of(addr).has_value(); }
 
 TEST(SerialBaton, ActorsRunAndTimeAdvances) {
   Scheduler sched;
@@ -160,27 +180,31 @@ TEST(SerialBaton, SecondWakeOnSameTokenIsRejected) {
   EXPECT_EQ(accepted, 1);
 }
 
+// The stacks are checked once the scheduler, and with it the pool that kept
+// them for reuse, is gone: the deadlock path leaks none.
 TEST(SerialBaton, DeadlockIsDetectedAndNamesBlockedActors) {
-  Scheduler sched;
-  SimCondition never(&sched);
   int deadlocked = 0;
   const std::array<const char*, 2> names{"alpha", "beta"};
   std::array<const void*, 2> frames{};
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    sched.spawn(names[i], [&, i] {
-      frames[i] = __builtin_frame_address(0);
-      try {
-        never.wait();
-        ADD_FAILURE() << "wait returned without a wake";
-      } catch (const DeadlockError& e) {
-        ++deadlocked;
-        EXPECT_NE(std::string(e.what()).find("alpha"), std::string::npos);
-        EXPECT_NE(std::string(e.what()).find("beta"), std::string::npos);
-        throw;
-      }
-    });
+  {
+    Scheduler sched;
+    SimCondition never(&sched);
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      sched.spawn(names[i], [&, i] {
+        frames[i] = __builtin_frame_address(0);
+        try {
+          never.wait();
+          ADD_FAILURE() << "wait returned without a wake";
+        } catch (const DeadlockError& e) {
+          ++deadlocked;
+          EXPECT_NE(std::string(e.what()).find("alpha"), std::string::npos);
+          EXPECT_NE(std::string(e.what()).find("beta"), std::string::npos);
+          throw;
+        }
+      });
+    }
+    EXPECT_THROW(sched.run(), DeadlockError);
   }
-  EXPECT_THROW(sched.run(), DeadlockError);
   EXPECT_EQ(deadlocked, 2);
   for (const void* frame : frames) EXPECT_FALSE(is_mapped(frame)) << "fiber stack left mapped";
 }
@@ -208,7 +232,7 @@ TEST(SerialBaton, ConditionWakesAllWaiters) {
   bool go = false;
   int woke = 0;
   for (int i = 0; i < 4; ++i) {
-    sched.spawn("w" + std::to_string(i), [&] {
+    sched.spawn(std::string("w").append(std::to_string(i)), [&] {
       cond.wait([&] { return go; });
       ++woke;
     });
@@ -222,28 +246,31 @@ TEST(SerialBaton, ConditionWakesAllWaiters) {
   EXPECT_EQ(woke, 4);
 }
 
+// As above, the stack is checked once the scheduler and its pool are gone.
 TEST(SerialBaton, ActorExceptionPropagatesFromRun) {
-  Scheduler sched;
   struct Unwound {
     bool* flag;
     ~Unwound() { *flag = true; }
   };
   bool bystander_unwound = false;
   const void* boom_frame = nullptr;
-  sched.spawn("boom", [&] {
-    boom_frame = __builtin_frame_address(0);
-    sched.sleep_for(5.0);
-    throw std::runtime_error("actor failed");
-  });
-  sched.spawn("bystander", [&] {
-    Unwound guard{&bystander_unwound};
-    sched.sleep_for(500.0);
-  });
-  try {
-    sched.run();
-    FAIL() << "expected the actor's exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "actor failed");
+  {
+    Scheduler sched;
+    sched.spawn("boom", [&] {
+      boom_frame = __builtin_frame_address(0);
+      sched.sleep_for(5.0);
+      throw std::runtime_error("actor failed");
+    });
+    sched.spawn("bystander", [&] {
+      Unwound guard{&bystander_unwound};
+      sched.sleep_for(500.0);
+    });
+    try {
+      sched.run();
+      FAIL() << "expected the actor's exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "actor failed");
+    }
   }
   EXPECT_TRUE(bystander_unwound) << "the bystander must unwind, not be abandoned";
   EXPECT_FALSE(is_mapped(boom_frame)) << "fiber stack left mapped";
@@ -265,7 +292,7 @@ TEST(SerialBaton, ManyActorsManySleepsStress) {
   constexpr int kRounds = 40;
   int done = 0;
   for (int a = 0; a < kActors; ++a) {
-    sched.spawn("s" + std::to_string(a), [&, a] {
+    sched.spawn(std::string("s").append(std::to_string(a)), [&, a] {
       for (int r = 0; r < kRounds; ++r) sched.sleep_for(1.0 + (a % 3));
       ++done;
     });
@@ -412,7 +439,7 @@ TEST(SerialBaton, ActorsRunOn16ByteAlignedStacks) {
   Scheduler sched;
   std::vector<std::uintptr_t> misalignments;
   for (int i = 0; i < 2; ++i) {
-    sched.spawn("a" + std::to_string(i), [&, i] {
+    sched.spawn(std::string("a").append(std::to_string(i)), [&, i] {
       alignas(16) volatile unsigned char local[16] = {};
       misalignments.push_back(reinterpret_cast<std::uintptr_t>(&local[0]) % 16);
       misalignments.push_back(aligned_store_misalignment(1.0f + i));
@@ -451,7 +478,7 @@ TEST(SerialFibers, TwoThousandActorRingHandsOffInOrder) {
   for (int i = 0; i < kActors; ++i) turn_changed.push_back(std::make_unique<SimCondition>(&sched));
   int turn = 0;
   for (int i = 0; i < kActors; ++i) {
-    sched.spawn("r" + std::to_string(i), [&, i] {
+    sched.spawn(std::string("r").append(std::to_string(i)), [&, i] {
       for (int lap = 0; lap < kLaps; ++lap) {
         const int mine = lap * kActors + i;
         turn_changed[i]->wait([&] { return turn == mine; });
@@ -466,21 +493,112 @@ TEST(SerialFibers, TwoThousandActorRingHandsOffInOrder) {
   EXPECT_DOUBLE_EQ(sched.now(), 1.0 * kActors * kLaps);
 }
 
-TEST(SerialFibers, EachRunUnmapsItsActorStacks) {
+// A scheduler keeps its actor stacks for its next run(): every stack of the
+// second run is one the first run mapped, and none was unmapped in between.
+TEST(SerialFibers, RunsOfOneSchedulerReuseTheirStacks) {
+  constexpr std::size_t kActors = 3;
   Scheduler sched;
-  for (int r = 0; r < 2; ++r) {
-    const void* frame = nullptr;
-    bool mapped_while_running = false;
-    sched.spawn("run" + std::to_string(r), [&] {
-      frame = __builtin_frame_address(0);
-      sched.sleep_for(1.0);
-      mapped_while_running = is_mapped(frame);
-    });
+  std::array<std::array<const void*, kActors>, 2> frames{};
+  std::vector<Mapping> first_run;
+  for (std::size_t r = 0; r < frames.size(); ++r) {
+    for (std::size_t i = 0; i < kActors; ++i) {
+      sched.spawn("run" + std::to_string(r) + "." + std::to_string(i), [&, r, i] {
+        frames[r][i] = __builtin_frame_address(0);
+        sched.sleep_for(1.0);
+      });
+    }
     sched.run();
-    EXPECT_TRUE(mapped_while_running);
-    EXPECT_FALSE(is_mapped(frame)) << "run " << r << " left its actor stack mapped";
+    for (const void* frame : frames[r]) {
+      const std::optional<Mapping> m = mapping_of(frame);
+      ASSERT_TRUE(m.has_value()) << "run " << r << " unmapped an actor stack";
+      if (r == 0) first_run.push_back(*m);
+    }
+  }
+  for (const void* frame : frames[1]) {
+    bool reused = false;
+    for (const Mapping& m : first_run) reused = reused || m.contains(frame);
+    EXPECT_TRUE(reused) << "the second run mapped a stack of its own";
   }
   EXPECT_DOUBLE_EQ(sched.now(), 2.0);
+}
+
+TEST(SerialFibers, DestroyingThePoolUnmapsEveryStack) {
+  std::array<const void*, 3> frames{};
+  {
+    Scheduler sched;
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      sched.spawn(std::string("a").append(std::to_string(i)), [&, i] {
+        frames[i] = __builtin_frame_address(0);
+        sched.sleep_for(1.0);
+      });
+    }
+    sched.run();
+    for (const void* frame : frames) EXPECT_TRUE(is_mapped(frame)) << "pooled stack unmapped";
+  }
+  for (const void* frame : frames) EXPECT_FALSE(is_mapped(frame)) << "fiber stack left mapped";
+}
+
+TEST(SerialFibers, ReusedStackKeepsItsGuardPage) {
+  Scheduler sched;
+  std::array<const void*, 2> frames{};
+  std::optional<Mapping> stack;
+  std::optional<Mapping> below;
+  for (std::size_t r = 0; r < frames.size(); ++r) {
+    sched.spawn("run" + std::to_string(r), [&, r] {
+      frames[r] = __builtin_frame_address(0);
+      if (r == 0) return;
+      stack = mapping_of(frames[r]);
+      if (stack) below = mapping_of(reinterpret_cast<const void*>(stack->lo - 1));
+    });
+    sched.run();
+  }
+  ASSERT_TRUE(stack.has_value());
+  EXPECT_TRUE(stack->contains(frames[0])) << "the second run did not reuse the stack";
+  ASSERT_TRUE(below.has_value()) << "nothing mapped below the stack";
+  EXPECT_EQ(below->perms, "---p");
+  EXPECT_EQ(below->hi, stack->lo);
+}
+
+constexpr std::size_t kDeepFrame = std::size_t{64} << 10;
+
+// Fills a frame of 64 KiB, keeps it live across a wait, then sums it.
+[[gnu::noinline]] std::uint64_t deep_frame_sum(Scheduler& sched) {
+  std::array<volatile unsigned char, kDeepFrame> buf;
+  for (std::size_t i = 0; i < buf.size(); ++i) buf[i] = static_cast<unsigned char>(i);
+  sched.sleep_for(1.0);
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < buf.size(); ++i) sum += buf[i];
+  return sum;
+}
+
+// A reused stack must carry no sanitizer state from its last fiber. Under
+// ASan the first run leaves the deep frame's span poisoned, as a frame that
+// never returned would, and the second run must find that span clean before
+// its own deep frame lands there. Under detect_stack_use_after_return each
+// fiber also has a fake stack of its own.
+TEST(SerialFibers, DeepFrameRunsTwiceOnAReusedStack) {
+  Scheduler sched;
+  std::array<const void*, 2> frames{};
+  std::array<std::uint64_t, 2> sums{};
+  const void* stale_poison = nullptr;
+  for (std::size_t r = 0; r < frames.size(); ++r) {
+    sched.spawn("deep" + std::to_string(r), [&, r] {
+      frames[r] = __builtin_frame_address(0);
+      [[maybe_unused]] char* const deep =
+          static_cast<char*>(__builtin_frame_address(0)) - kDeepFrame - 4096;
+#if defined(__SANITIZE_ADDRESS__)
+      if (r == 1) stale_poison = __asan_region_is_poisoned(deep, kDeepFrame);
+#endif
+      sums[r] = deep_frame_sum(sched);
+#if defined(__SANITIZE_ADDRESS__)
+      if (r == 0) ASAN_POISON_MEMORY_REGION(deep, kDeepFrame);
+#endif
+    });
+    sched.run();
+  }
+  EXPECT_EQ(frames[0], frames[1]) << "the second run did not reuse the stack";
+  EXPECT_EQ(stale_poison, nullptr) << "the reused stack kept its last fiber's poison";
+  for (std::uint64_t sum : sums) EXPECT_EQ(sum, std::uint64_t{256} * (255 * 256 / 2));
 }
 
 }  // namespace

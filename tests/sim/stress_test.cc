@@ -17,7 +17,7 @@ TEST(SchedulerStress, RandomSleepProgramsAreDeterministic) {
     Scheduler sched;
     std::vector<double> trace;
     for (int a = 0; a < 32; ++a) {
-      sched.spawn("a" + std::to_string(a), [&, a] {
+      sched.spawn(std::string("a").append(std::to_string(a)), [&, a] {
         Rng rng(seed * 1000 + a);
         for (int i = 0; i < 50; ++i) {
           sched.sleep_for(rng.uniform(0.1, 10.0));

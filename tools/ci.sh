@@ -27,7 +27,8 @@ if grep -rnE 'std::thread|thread_local|condition_variable|std::atomic|mutex' \
 fi
 
 rm -rf "${build_dir}"
-cmake -B "${build_dir}" -S "${repo_root}"
+# Warnings fail the build here, so a new one cannot slip in unnoticed.
+cmake -B "${build_dir}" -S "${repo_root}" -DMCRDL_WERROR=ON
 cmake --build "${build_dir}" -j "${jobs}"
 
 cd "${build_dir}"
@@ -238,7 +239,7 @@ rm -rf "${tsan_dir}"
 cmake -B "${tsan_dir}" -S "${repo_root}" -DMCRDL_SANITIZE=thread
 cmake --build "${tsan_dir}" -j "${jobs}" --target \
     sim_scheduler_test sim_serial_baton_test sim_device_test sim_stress_test \
-    core_golden_trace_test
+    sim_stack_pool_test core_golden_trace_test
 ( cd "${tsan_dir}" && ctest --output-on-failure -j "${jobs}" -L sim )
 ( cd "${tsan_dir}" && ctest --output-on-failure \
     -R '^GoldenTrace\.TwoContextsOnTwoThreadsMatchGolden$' )
