@@ -67,6 +67,8 @@ class TrainingHarness {
                 HarnessOptions options = {}, const TuningTable* table = nullptr, int world = -1);
 
   const net::SystemConfig& system() const { return system_; }
+  // Actor stacks mapped across every run() so far.
+  std::size_t stacks_mapped() const { return stacks_.mapped(); }
 
  private:
   net::SystemConfig system_;

@@ -71,7 +71,12 @@ std::unique_ptr<models::Model> make_model(JobModel kind, const net::SystemConfig
 }  // namespace
 
 JobCostCache::JobCostCache(net::SystemConfig system, std::string plan, bool quick_models)
-    : system_(std::move(system)), plan_(std::move(plan)), quick_models_(quick_models) {
+    : system_(std::move(system)),
+      plan_(std::move(plan)),
+      quick_models_(quick_models),
+      harness_(system_),
+      index_(static_cast<std::size_t>(kNumJobModels) * (system_.world_size() + 1) * kNumRungs,
+             nullptr) {
   MCRDL_REQUIRE(!plan_.empty(), "cost cache needs a plan name");
 }
 
@@ -98,10 +103,13 @@ const TuningTable& JobCostCache::table_for(int ranks) {
 const JobProfile& JobCostCache::profile(JobModel model, int ranks, double inter_contention) {
   MCRDL_REQUIRE(ranks >= 1 && ranks <= system_.world_size(),
                 "job slice exceeds the shared world");
-  const Key key{static_cast<int>(model), ranks, rung_of(inter_contention)};
-  auto it = cache_.find(key);
-  if (it != cache_.end()) return it->second;
-  return cache_.emplace(key, measure(model, ranks, kContentionLadder[key.rung])).first->second;
+  const int rung = rung_of(inter_contention);
+  const std::size_t slot =
+      (static_cast<std::size_t>(model) * (system_.world_size() + 1) + ranks) * kNumRungs + rung;
+  if (index_[slot] == nullptr) {
+    index_[slot] = &entries_.emplace_back(measure(model, ranks, kContentionLadder[rung]));
+  }
+  return *index_[slot];
 }
 
 JobProfile JobCostCache::measure(JobModel model, int ranks, double contention) {
@@ -121,10 +129,9 @@ JobProfile JobCostCache::measure(JobModel model, int ranks, double contention) {
   options.measured_steps = 1;
   options.contention.inter = contention;
 
-  models::TrainingHarness harness(system_);
   const std::unique_ptr<models::Model> workload = make_model(model, system_, quick_models_);
   const models::RunResult result =
-      harness.run(*workload, plan, models::FrameworkModel::raw(), options, table, ranks);
+      harness_.run(*workload, plan, models::FrameworkModel::raw(), options, table, ranks);
 
   JobProfile profile;
   profile.step_time_us = result.step_time_us;

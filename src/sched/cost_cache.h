@@ -6,11 +6,15 @@
 // full OpRequest pipeline, mixed/tuned backend routing, and the net cost
 // models with the tenant-contention scale installed — then replays cached
 // step times. Contention factors are quantised onto a fixed ladder so the
-// cache stays bounded no matter how load fluctuates.
+// cache stays bounded no matter how load fluctuates. A hit is one load from a
+// flat [model][ranks][rung] index; every measurement runs on one
+// TrainingHarness, so the entries share its actor stacks.
 #pragma once
 
+#include <deque>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "src/models/workload.h"
 #include "src/sched/job.h"
@@ -48,28 +52,23 @@ class JobCostCache {
   // (1, 1.5, 2, 3, 4, 6, 8, 12, 16, 24, 32; clamped at the top).
   static double quantize_contention(double factor);
 
-  std::size_t entries() const { return cache_.size(); }
+  std::size_t entries() const { return entries_.size(); }
   const std::string& plan_name() const { return plan_; }
+  // Actor stacks the shared measurement harness has mapped.
+  std::size_t stacks_mapped() const { return harness_.stacks_mapped(); }
 
  private:
-  struct Key {
-    int model;
-    int ranks;
-    int rung;  // index into the contention ladder
-    bool operator<(const Key& other) const {
-      if (model != other.model) return model < other.model;
-      if (ranks != other.ranks) return ranks < other.ranks;
-      return rung < other.rung;
-    }
-  };
-
   JobProfile measure(JobModel model, int ranks, double contention);
   const TuningTable& table_for(int ranks);
 
   net::SystemConfig system_;
   std::string plan_;
   bool quick_models_;
-  std::map<Key, JobProfile> cache_;
+  models::TrainingHarness harness_;
+  std::deque<JobProfile> entries_;  // measured profiles, in measurement order
+  // [model][ranks][rung] -> entry, null until measured. Deque elements stay
+  // put as entries are added, so the pointers never dangle.
+  std::vector<const JobProfile*> index_;
   std::map<int, TuningTable> tables_;  // per slice width, "tuned" plan only
 };
 

@@ -34,6 +34,8 @@ const std::vector<QosClass>& all_qos_classes();
 // Which workload model (src/models/) the job trains.
 enum class JobModel { MoE, DLRM, Megatron, ResNet };
 
+inline constexpr int kNumJobModels = 4;
+
 const char* job_model_name(JobModel model);
 bool job_model_from_name(const std::string& name, JobModel& out);
 

@@ -8,6 +8,7 @@ RankAllocator::RankAllocator(int world, int alignment) : world_(world), alignmen
   MCRDL_REQUIRE(world >= 1, "allocator needs a non-empty world");
   MCRDL_REQUIRE(alignment >= 1, "alignment must be >= 1");
   free_.push_back(RankRange{0, world});
+  update_largest_runs();
 }
 
 int RankAllocator::fit_begin(const RankRange& range, int count) const {
@@ -16,12 +17,19 @@ int RankAllocator::fit_begin(const RankRange& range, int count) const {
   return begin + count <= range.end() ? begin : -1;
 }
 
-bool RankAllocator::fits(int count) const {
-  if (count < 1 || count > world_) return false;
+void RankAllocator::update_largest_runs() {
+  largest_run_ = 0;
+  largest_aligned_run_ = 0;
   for (const RankRange& range : free_) {
-    if (fit_begin(range, count) >= 0) return true;
+    const int aligned_begin = ((range.begin + alignment_ - 1) / alignment_) * alignment_;
+    largest_run_ = std::max(largest_run_, range.count);
+    largest_aligned_run_ = std::max(largest_aligned_run_, range.end() - aligned_begin);
   }
-  return false;
+}
+
+bool RankAllocator::fits(int count) const {
+  // fit_begin aligns only counts of a node or more.
+  return count >= 1 && count <= (count >= alignment_ ? largest_aligned_run_ : largest_run_);
 }
 
 std::optional<RankRange> RankAllocator::allocate(int count) {
@@ -35,6 +43,7 @@ std::optional<RankRange> RankAllocator::allocate(int count) {
     auto it = free_.erase(free_.begin() + static_cast<std::ptrdiff_t>(i));
     if (after.count > 0) it = free_.insert(it, after);
     if (before.count > 0) free_.insert(it, before);
+    update_largest_runs();
     return taken;
   }
   return std::nullopt;
@@ -59,6 +68,7 @@ void RankAllocator::release(const RankRange& range) {
     std::prev(it)->count += it->count;
     free_.erase(it);
   }
+  update_largest_runs();
 }
 
 int RankAllocator::free_ranks() const {

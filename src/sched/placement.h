@@ -23,7 +23,8 @@ class RankAllocator {
   // First-fit allocation of `count` contiguous ranks; node-aligned when
   // count >= alignment. Returns nullopt when no free range fits.
   std::optional<RankRange> allocate(int count);
-  // True iff allocate(count) would succeed (no state change).
+  // True iff allocate(count) would succeed (no state change). O(1): it reads
+  // the largest runs, which allocate() and release() keep current.
   bool fits(int count) const;
   void release(const RankRange& range);
 
@@ -35,10 +36,14 @@ class RankAllocator {
  private:
   // Aligned first-fit begin within `range`, or -1 if `count` does not fit.
   int fit_begin(const RankRange& range, int count) const;
+  // Recomputes the two largest runs from the free list.
+  void update_largest_runs();
 
   int world_;
   int alignment_;
   std::vector<RankRange> free_;  // ascending, disjoint, coalesced
+  int largest_run_ = 0;          // longest free range
+  int largest_aligned_run_ = 0;  // longest aligned tail of a free range
 };
 
 }  // namespace mcrdl::sched

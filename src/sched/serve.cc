@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <string_view>
 
 #include "src/sched/placement.h"
 
@@ -16,19 +18,22 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // step and far above double rounding.
 constexpr double kStepEps = 1e-7;
 
-// Weighted max-min (water-filling) split of `capacity` among demands.
-// Iteratively freezes every flow whose demand fits inside its weighted
-// share of the remaining capacity; the rest split what is left by weight.
-// Deterministic: pure arithmetic over vector order.
-std::vector<double> water_fill(const std::vector<double>& demand,
-                               const std::vector<double>& weight, double capacity) {
+// Weighted max-min (water-filling) split of `capacity` among demands into
+// `alloc`. Iteratively freezes every flow whose demand fits inside its
+// weighted share of the remaining capacity; the rest split what is left by
+// weight. Deterministic: pure arithmetic over vector order. `frozen` is
+// scratch; both outputs keep their capacity across calls.
+void water_fill(const std::vector<double>& demand, const std::vector<double>& weight,
+                double capacity, std::vector<double>& alloc, std::vector<bool>& frozen) {
   const std::size_t n = demand.size();
-  std::vector<double> alloc(n, 0.0);
   double total = 0.0;
   for (double d : demand) total += d;
-  if (total <= capacity) return demand;  // nobody is constrained
-
-  std::vector<bool> frozen(n, false);
+  if (total <= capacity) {  // nobody is constrained
+    alloc = demand;
+    return;
+  }
+  alloc.assign(n, 0.0);
+  frozen.assign(n, false);
   double cap = capacity;
   bool progressed = true;
   while (progressed) {
@@ -37,7 +42,7 @@ std::vector<double> water_fill(const std::vector<double>& demand,
     for (std::size_t i = 0; i < n; ++i) {
       if (!frozen[i] && demand[i] > 0.0) weight_sum += weight[i];
     }
-    if (weight_sum <= 0.0) return alloc;
+    if (weight_sum <= 0.0) return;
     for (std::size_t i = 0; i < n; ++i) {
       if (frozen[i] || demand[i] <= 0.0) continue;
       const double share = cap * weight[i] / weight_sum;
@@ -61,11 +66,29 @@ std::vector<double> water_fill(const std::vector<double>& demand,
   for (std::size_t i = 0; i < n; ++i) {
     if (!frozen[i] && demand[i] > 0.0) alloc[i] = cap * weight[i] / weight_sum;
   }
-  return alloc;
 }
 
 obs::Labels tenant_labels(const JobSpec& spec) {
   return obs::Labels{{"tenant", spec.tenant}, {"qos", qos_name(spec.qos)}};
+}
+
+// Nearest-rank percentile of an ascending, non-empty sample: the smallest
+// value with at least q% of the sample at or below it.
+double sorted_percentile(const std::vector<double>& sorted, double q) {
+  const std::size_t rank = static_cast<std::size_t>(std::ceil(q / 100.0 * sorted.size()));
+  return sorted[rank == 0 ? 0 : rank - 1];
+}
+
+// Fills `stats`' p50/p99/mean from an unsorted latency sample, sorting it in
+// place once for both percentiles.
+template <typename Stats>
+void summarize_latencies(std::vector<double>& latencies, Stats& stats) {
+  double sum = 0.0;
+  for (double l : latencies) sum += l;  // in replay order, before the sort
+  stats.mean_latency_us = sum / static_cast<double>(latencies.size());
+  std::sort(latencies.begin(), latencies.end());
+  stats.p50_latency_us = sorted_percentile(latencies, 50.0);
+  stats.p99_latency_us = sorted_percentile(latencies, 99.0);
 }
 
 }  // namespace
@@ -74,10 +97,7 @@ double percentile(std::vector<double> values, double q) {
   MCRDL_REQUIRE(!values.empty(), "percentile of an empty sample");
   MCRDL_REQUIRE(q > 0.0 && q <= 100.0, "percentile rank must be in (0, 100]");
   std::sort(values.begin(), values.end());
-  // Nearest-rank: the smallest value with at least q% of the sample at or
-  // below it.
-  const std::size_t rank = static_cast<std::size_t>(std::ceil(q / 100.0 * values.size()));
-  return values[rank == 0 ? 0 : rank - 1];
+  return sorted_percentile(values, q);
 }
 
 ServeScheduler::ServeScheduler(ServeConfig config)
@@ -133,28 +153,27 @@ SimTime ServeScheduler::next_dip_edge(SimTime t) const {
 }
 
 void ServeScheduler::recompute_rates(std::vector<Active>& active,
-                                     const std::vector<JobRecord>& jobs, SimTime now,
+                                     const std::vector<JobRecord>& jobs, double chaos,
                                      double* peak_contention) {
   if (active.empty()) return;
   const int world = config_.system.world_size();
   const int gpn = config_.system.gpus_per_node;
-  const double chaos = chaos_factor_at(now);
 
   // Fabric demand: each multi-node job asks for its slice's share of the
   // full-bisection fabric, scaled by how much of a step it keeps its links
   // busy when running alone. Single-node jobs live on NVLink and place no
   // demand on the shared core.
-  std::vector<double> demand(active.size(), 0.0);
-  std::vector<double> weight(active.size(), 0.0);
-  std::vector<bool> multi_node(active.size(), false);
+  demand_.assign(active.size(), 0.0);
+  weight_.assign(active.size(), 0.0);
+  multi_node_.assign(active.size(), false);
   for (std::size_t i = 0; i < active.size(); ++i) {
     const JobRecord& job = jobs[active[i].job];
     const RankRange& placement = job.placement;
-    multi_node[i] = placement.begin / gpn != (placement.end() - 1) / gpn;
-    weight[i] = qos_weight(job.spec.qos) * job.spec.ranks;
-    if (multi_node[i]) {
+    multi_node_[i] = placement.begin / gpn != (placement.end() - 1) / gpn;
+    weight_[i] = qos_weight(job.spec.qos) * job.spec.ranks;
+    if (multi_node_[i]) {
       const JobProfile& alone = cache_.profile(job.spec.model, job.spec.ranks, 1.0);
-      demand[i] =
+      demand_[i] =
           (static_cast<double>(job.spec.ranks) / world) * alone.comm_fraction();
     }
   }
@@ -162,13 +181,14 @@ void ServeScheduler::recompute_rates(std::vector<Active>& active,
   // The tapered core sustains only 1/oversubscription of aggregate
   // injection; QoS-weighted max-min fairness splits it under overload.
   const double capacity = 1.0 / config_.fabric_oversubscription;
-  const std::vector<double> alloc = water_fill(demand, weight, capacity);
+  water_fill(demand_, weight_, capacity, alloc_, frozen_);
 
   for (std::size_t i = 0; i < active.size(); ++i) {
     const JobRecord& job = jobs[active[i].job];
     double factor = 1.0;
-    if (multi_node[i]) {
-      const double share = demand[i] > 0.0 && alloc[i] > 0.0 ? demand[i] / alloc[i] : 1.0;
+    if (multi_node_[i]) {
+      const double share =
+          demand_[i] > 0.0 && alloc_[i] > 0.0 ? demand_[i] / alloc_[i] : 1.0;
       factor = JobCostCache::quantize_contention(std::max(1.0, share) * chaos);
     }
     const JobProfile& profile = cache_.profile(job.spec.model, job.spec.ranks, factor);
@@ -191,31 +211,71 @@ ServeResult ServeScheduler::run(const ArrivalTrace& trace) {
     record.spec = spec;
     jobs.push_back(std::move(record));
   }
-  std::stable_sort(jobs.begin(), jobs.end(), [](const JobRecord& a, const JobRecord& b) {
+  const auto replay_order = [](const JobRecord& a, const JobRecord& b) {
     if (a.spec.arrival_us != b.spec.arrival_us) return a.spec.arrival_us < b.spec.arrival_us;
     return a.spec.id < b.spec.id;
-  });
+  };
+  // Generated and parsed traces usually arrive in replay order already.
+  if (!std::is_sorted(jobs.begin(), jobs.end(), replay_order)) {
+    std::stable_sort(jobs.begin(), jobs.end(), replay_order);
+  }
+
+  // Dense tenant ids in name order: the dip-end un-shed probe sweep walks
+  // tenants in this order, and the instruments and roll-up index by id.
+  std::map<std::string_view, std::size_t> tenant_ids;
+  for (const JobRecord& job : jobs) tenant_ids.emplace(job.spec.tenant, 0);
+  std::vector<std::string> tenants;
+  tenants.reserve(tenant_ids.size());
+  for (auto& [name, id] : tenant_ids) {
+    id = tenants.size();
+    tenants.emplace_back(name);
+  }
+  std::vector<std::size_t> tenant_of(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    tenant_of[i] = tenant_ids.find(jobs[i].spec.tenant)->second;
+  }
+
+  // Per-(tenant, qos) instruments, resolved on first use so the registry
+  // holds exactly the instruments the replay records into.
+  struct TenantInstruments {
+    obs::Counter* completed = nullptr;
+    obs::Counter* rejected = nullptr;
+    obs::Counter* shed = nullptr;
+    obs::Histogram* latency = nullptr;
+  };
+  std::vector<TenantInstruments> instruments(tenants.size() * kNumQosClasses);
+  const auto instruments_of = [&](std::size_t index) -> TenantInstruments& {
+    return instruments[tenant_of[index] * kNumQosClasses +
+                       static_cast<std::size_t>(jobs[index].spec.qos)];
+  };
+  const auto tenant_counter = [&](obs::Counter*& slot, const char* name,
+                                  std::size_t index) -> obs::Counter& {
+    if (slot == nullptr) slot = &metrics_.counter(name, tenant_labels(jobs[index].spec));
+    return *slot;
+  };
 
   AdmissionController admission(world, config_.admission);
   RankAllocator allocator(world, config_.system.gpus_per_node);
   std::vector<Active> active;
+  std::vector<std::size_t> done;
   SimTime now = 0.0;
   double busy_rank_us = 0.0;
   std::size_t next_arrival = 0;
+  // Rates hold until the running set changes or the chaos factor moves.
+  // No factor is 0, so the first event with a running job computes them.
+  bool running_changed = false;
+  double rates_chaos = 0.0;
 
-  const auto fits = [&](const JobSpec& spec) { return allocator.fits(spec.ranks); };
+  const std::function<bool(const JobSpec&)> fits = [&allocator](const JobSpec& spec) {
+    return allocator.fits(spec.ranks);
+  };
 
-  // Capacity dips hold allocator ranges while active; sorted tenant names
-  // drive the deterministic un-shed probe sweep at each dip end.
+  // Capacity dips hold allocator ranges while active.
   struct DipState {
     bool active = false;
     std::vector<RankRange> reserved;
   };
   std::vector<DipState> dips(config_.dips.size());
-  std::vector<std::string> tenants;
-  for (const JobRecord& job : jobs) tenants.push_back(job.spec.tenant);
-  std::sort(tenants.begin(), tenants.end());
-  tenants.erase(std::unique(tenants.begin(), tenants.end()), tenants.end());
 
   const auto process_dip_edges = [&] {
     const int gpn = config_.system.gpus_per_node;
@@ -261,6 +321,17 @@ ServeResult ServeScheduler::run(const ArrivalTrace& trace) {
     job.placement = *placement;
     job.start_us = now;
     active.push_back(Active{index, static_cast<double>(job.spec.steps), 0.0, 1.0});
+    running_changed = true;
+  };
+
+  // Queued jobs start while a head fits; the sweep is skipped outright
+  // while every queue is empty.
+  const auto start_runnable = [&] {
+    while (admission.total_queued() > 0) {
+      const std::optional<std::size_t> index = admission.pop_runnable(fits);
+      if (!index.has_value()) break;
+      start_job(*index);
+    }
   };
 
   const auto finish_job = [&](std::size_t index) {
@@ -270,9 +341,12 @@ ServeResult ServeScheduler::run(const ArrivalTrace& trace) {
     allocator.release(job.placement);
     admission.note_finished(job.spec);
     ++result.completed;
-    metrics_.counter("serve_jobs_completed", tenant_labels(job.spec)).inc();
-    metrics_.histogram("serve_job_latency_us", tenant_labels(job.spec))
-        .observe(job.latency_us());
+    TenantInstruments& instrument = instruments_of(index);
+    tenant_counter(instrument.completed, "serve_jobs_completed", index).inc();
+    if (instrument.latency == nullptr) {
+      instrument.latency = &metrics_.histogram("serve_job_latency_us", tenant_labels(job.spec));
+    }
+    instrument.latency->observe(job.latency_us());
     if (config_.breaker_enabled) {
       // SLO: a job may take slo_factor x its uncontended service time
       // (queueing included) before the tenant counts it as failed.
@@ -291,7 +365,7 @@ ServeResult ServeScheduler::run(const ArrivalTrace& trace) {
     job.state = JobState::Rejected;
     job.reject_reason = std::move(reason);
     ++result.rejected;
-    metrics_.counter("serve_jobs_rejected", tenant_labels(job.spec)).inc();
+    tenant_counter(instruments_of(index).rejected, "serve_jobs_rejected", index).inc();
   };
 
   process_dip_edges();  // a dip starting at t=0 holds its nodes from the start
@@ -340,7 +414,7 @@ ServeResult ServeScheduler::run(const ArrivalTrace& trace) {
 
     // Completions first — they free ranks and quota for everything below.
     // Ascending job order keeps tie-breaks deterministic.
-    std::vector<std::size_t> done;
+    done.clear();
     for (std::size_t i = 0; i < active.size(); ++i) {
       if (active[i].remaining_steps <= kStepEps) done.push_back(active[i].job);
     }
@@ -350,6 +424,7 @@ ServeResult ServeScheduler::run(const ArrivalTrace& trace) {
                                   [](const Active& a) { return a.remaining_steps <= kStepEps; }),
                    active.end());
       for (std::size_t index : done) finish_job(index);
+      running_changed = true;
     }
 
     // Dip edges after completions (an ending dip frees capacity for the
@@ -357,9 +432,7 @@ ServeResult ServeScheduler::run(const ArrivalTrace& trace) {
     process_dip_edges();
 
     // Queued jobs outrank same-instant arrivals for the freed capacity.
-    while (const std::optional<std::size_t> index = admission.pop_runnable(fits)) {
-      start_job(*index);
-    }
+    start_runnable();
 
     while (next_arrival < jobs.size() && jobs[next_arrival].spec.arrival_us <= now) {
       const std::size_t index = next_arrival++;
@@ -372,7 +445,7 @@ ServeResult ServeScheduler::run(const ArrivalTrace& trace) {
         jobs[index].state = JobState::Rejected;
         jobs[index].reject_reason = "shed: tenant breaker open";
         ++result.shed;
-        metrics_.counter("serve_jobs_shed", tenant_labels(spec)).inc();
+        tenant_counter(instruments_of(index).shed, "serve_jobs_shed", index).inc();
         continue;
       }
       std::string reason;
@@ -388,11 +461,14 @@ ServeResult ServeScheduler::run(const ArrivalTrace& trace) {
       }
     }
 
-    while (const std::optional<std::size_t> index = admission.pop_runnable(fits)) {
-      start_job(*index);
-    }
+    start_runnable();
 
-    recompute_rates(active, jobs, now, &result.peak_contention);
+    const double chaos = chaos_factor_at(now);
+    if (running_changed || chaos != rates_chaos) {
+      recompute_rates(active, jobs, chaos, &result.peak_contention);
+      running_changed = false;
+      rates_chaos = chaos;
+    }
   }
 
   // Roll up latency statistics per tenant and in aggregate.
@@ -401,25 +477,28 @@ ServeResult ServeScheduler::run(const ArrivalTrace& trace) {
       now > 0.0 ? busy_rank_us / (static_cast<double>(world) * now) : 0.0;
   metrics_.gauge("serve_avg_utilization").set(result.avg_utilization);
 
+  std::vector<TenantStats> stats(tenants.size());
+  std::vector<std::vector<double>> tenant_latencies(tenants.size());
   std::vector<double> all_latencies;
-  std::map<std::string, std::vector<double>> tenant_latencies;
-  for (const JobRecord& job : jobs) {
-    TenantStats& stats = result.tenants[job.spec.tenant];
-    if (stats.tenant.empty()) {
-      stats.tenant = job.spec.tenant;
-      stats.qos = job.spec.qos;
+  all_latencies.reserve(result.completed);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const JobRecord& job = jobs[i];
+    TenantStats& tenant = stats[tenant_of[i]];
+    if (tenant.tenant.empty()) {
+      tenant.tenant = job.spec.tenant;
+      tenant.qos = job.spec.qos;
     }
     switch (job.state) {
       case JobState::Completed:
-        ++stats.completed;
-        tenant_latencies[job.spec.tenant].push_back(job.latency_us());
+        ++tenant.completed;
+        tenant_latencies[tenant_of[i]].push_back(job.latency_us());
         all_latencies.push_back(job.latency_us());
         break;
       case JobState::Rejected:
         if (job.reject_reason.rfind("shed:", 0) == 0) {
-          ++stats.shed;
+          ++tenant.shed;
         } else {
-          ++stats.rejected;
+          ++tenant.rejected;
         }
         break;
       case JobState::Queued:
@@ -429,21 +508,11 @@ ServeResult ServeScheduler::run(const ArrivalTrace& trace) {
         break;
     }
   }
-  for (auto& [tenant, latencies] : tenant_latencies) {
-    TenantStats& stats = result.tenants[tenant];
-    stats.p50_latency_us = percentile(latencies, 50.0);
-    stats.p99_latency_us = percentile(latencies, 99.0);
-    double sum = 0.0;
-    for (double l : latencies) sum += l;
-    stats.mean_latency_us = sum / static_cast<double>(latencies.size());
+  for (std::size_t id = 0; id < tenants.size(); ++id) {
+    if (!tenant_latencies[id].empty()) summarize_latencies(tenant_latencies[id], stats[id]);
+    result.tenants.emplace(tenants[id], std::move(stats[id]));
   }
-  if (!all_latencies.empty()) {
-    result.p50_latency_us = percentile(all_latencies, 50.0);
-    result.p99_latency_us = percentile(all_latencies, 99.0);
-    double sum = 0.0;
-    for (double l : all_latencies) sum += l;
-    result.mean_latency_us = sum / static_cast<double>(all_latencies.size());
-  }
+  if (!all_latencies.empty()) summarize_latencies(all_latencies, result);
   return result;
 }
 

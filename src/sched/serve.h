@@ -143,14 +143,19 @@ class ServeScheduler {
   // part of the event-time minimum even while nothing runs: a dip end is
   // what un-wedges a queue waiting for capacity to grow back.
   SimTime next_dip_edge(SimTime t) const;
-  // Recomputes every active job's contention factor and step rate.
+  // Recomputes every active job's contention factor and step rate under
+  // the chaos slowdown `chaos`. run() calls it only when the running set or
+  // the chaos factor changed; otherwise every rate would come out the same.
   void recompute_rates(std::vector<Active>& active, const std::vector<JobRecord>& jobs,
-                       SimTime now, double* peak_contention);
+                       double chaos, double* peak_contention);
 
   ServeConfig config_;
   JobCostCache cache_;
   obs::MetricsRegistry metrics_;
   fault::CircuitBreaker breaker_;
+  // recompute_rates' per-job working set, kept so an update allocates nothing.
+  std::vector<double> demand_, weight_, alloc_;
+  std::vector<bool> multi_node_, frozen_;
 };
 
 }  // namespace mcrdl::sched

@@ -1,7 +1,7 @@
 // Steady-state allocation budget of the dispatch path (DESIGN.md §14).
 //
-// This binary replaces the global operator new/delete with counting
-// versions and measures heap allocations per dispatched operation for a
+// This binary links the counting operator new/delete of
+// tests/common/counting_new.cc and measures heap allocations per dispatched operation for a
 // fixed 8-rank phantom mix of async all_reduce / all_to_all_single /
 // broadcast on "auto", whose tuning table sends small messages to mv2-gdr
 // and large ones to nccl, with a synchronize() every 64 ops. The scenario
@@ -11,61 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <string>
 
 #include "src/core/mcr_dl.h"
-
-namespace {
-
-std::uint64_t g_allocations = 0;
-
-void* counted_alloc(std::size_t n) {
-  ++g_allocations;
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-
-void* counted_aligned_alloc(std::size_t n, std::align_val_t align) {
-  ++g_allocations;
-  const auto a = static_cast<std::size_t>(align);
-  const std::size_t size = (n + a - 1) / a * a;
-  if (void* p = std::aligned_alloc(a, size == 0 ? a : size)) return p;
-  throw std::bad_alloc();
-}
-
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  try {
-    return counted_alloc(n);
-  } catch (...) {
-    return nullptr;
-  }
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  try {
-    return counted_alloc(n);
-  } catch (...) {
-    return nullptr;
-  }
-}
-void* operator new(std::size_t n, std::align_val_t a) { return counted_aligned_alloc(n, a); }
-void* operator new[](std::size_t n, std::align_val_t a) { return counted_aligned_alloc(n, a); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+#include "tests/common/counting_new.h"
 
 namespace mcrdl {
 namespace {
@@ -92,7 +42,7 @@ TuningTable crossover_table() {
 // Heap allocations made by one complete run (set-up, `windows` windows of
 // kOpsPerWindow ops on every rank, teardown).
 std::uint64_t allocations_for(int windows, bool logger) {
-  const std::uint64_t before = g_allocations;
+  const std::uint64_t before = heap_allocations();
   {
     ClusterContext cluster(net::SystemConfig::lassen(kWorld / 4));
     McrDl mcr(&cluster);
@@ -127,7 +77,7 @@ std::uint64_t allocations_for(int windows, bool logger) {
       }
     });
   }
-  return g_allocations - before;
+  return heap_allocations() - before;
 }
 
 double allocations_per_op(bool logger) {
@@ -154,14 +104,14 @@ TEST(AllocBudget, SteadyStateDispatchLoggerOn) {
 TEST(AllocBudget, CopyingATensorDoesNotAllocate) {
   const Tensor phantom = Tensor::phantom({16, 4}, DType::F32, nullptr);
   const Tensor dense = Tensor::zeros({2, 3}, DType::F64, nullptr);
-  const std::uint64_t before = g_allocations;
+  const std::uint64_t before = heap_allocations();
   Tensor a = phantom;
   Tensor b = dense;
   Tensor c = a;
   c = b;
   Tensor v = dense.view(1, 4);
   Tensor p = phantom.view(0, 8);
-  const std::uint64_t made = g_allocations - before;
+  const std::uint64_t made = heap_allocations() - before;
   EXPECT_EQ(made, 0u);
   EXPECT_EQ(c.numel(), 6);
   EXPECT_EQ(v.numel(), 4);

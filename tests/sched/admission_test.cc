@@ -3,6 +3,7 @@
 // rank allocator.
 #include <gtest/gtest.h>
 
+#include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/fault/checkpoint.h"
 #include "src/sched/admission.h"
@@ -200,6 +201,41 @@ TEST(Placement, FitsMatchesAllocate) {
   EXPECT_TRUE(allocator.fits(4));
   EXPECT_FALSE(allocator.fits(8));
   EXPECT_FALSE(allocator.allocate(8).has_value());
+}
+
+// fits() answers from cached largest runs; a brute-force scan of the free
+// list must agree with it after every step of random allocate/release
+// sequences, for every count up to one past the world.
+TEST(Placement, FitsAgreesWithAFreeListScan) {
+  constexpr int kWorld = 64;
+  constexpr int kAlign = 4;
+  const auto scan_fits = [](const RankAllocator& allocator, int count) {
+    const int align = count >= kAlign ? kAlign : 1;
+    for (const RankRange& range : allocator.free_list()) {
+      const int begin = (range.begin + align - 1) / align * align;
+      if (begin + count <= range.end()) return true;
+    }
+    return false;
+  };
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    RankAllocator allocator(kWorld, kAlign);
+    std::vector<RankRange> held;
+    for (int step = 0; step < 400; ++step) {
+      if (held.empty() || rng.next_below(2) == 0) {
+        const int count = 1 + static_cast<int>(rng.next_below(24));
+        if (const auto range = allocator.allocate(count)) held.push_back(*range);
+      } else {
+        const std::size_t pick = rng.next_below(held.size());
+        allocator.release(held[pick]);
+        held.erase(held.begin() + static_cast<std::ptrdiff_t>(pick));
+      }
+      for (int count = 1; count <= kWorld + 1; ++count) {
+        ASSERT_EQ(allocator.fits(count), scan_fits(allocator, count))
+            << "seed " << seed << " step " << step << " count " << count;
+      }
+    }
+  }
 }
 
 TEST(Placement, DoubleReleaseThrows) {

@@ -1,0 +1,47 @@
+// Allocation budget of a warm serve replay (DESIGN.md §10, §14).
+//
+// The perfbench `serve` shape: a seeded 20,000-job trace on 16 Lassen nodes
+// with an 8x chaos window over the middle half. A first replay fills the
+// JobCostCache; the second, counted, replay measures what the event loop
+// itself allocates per job: the result records, queue nodes and the reject
+// reasons the result reports. The bound may be tightened, never loosened.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <string>
+
+#include "src/sched/serve.h"
+#include "tests/common/counting_new.h"
+
+namespace mcrdl::sched {
+namespace {
+
+constexpr int kJobs = 20000;
+// Measured at 2.04 per job when the bound was set.
+constexpr double kBudgetPerJob = 2.5;
+
+TEST(ReplayAllocBudget, WarmReplayPerJob) {
+  TraceConfig trace_config;
+  trace_config.num_jobs = kJobs;
+  trace_config.seed = 1;
+  const ArrivalTrace trace = generate_trace(trace_config);
+  const double horizon = trace.jobs.back().arrival_us;
+  ServeConfig config;
+  config.chaos.push_back(ChaosWindow{0.25 * horizon, 0.75 * horizon, 8.0});
+  ServeScheduler scheduler(config);
+  const ServeResult cold = scheduler.run(trace);
+  ASSERT_GT(cold.completed, 0u);
+
+  const std::uint64_t before = heap_allocations();
+  const ServeResult warm = scheduler.run(trace);
+  const std::uint64_t made = heap_allocations() - before;
+  EXPECT_EQ(warm.completed, cold.completed);
+  const double per_job = static_cast<double>(made) / kJobs;
+  RecordProperty("allocations_per_job", std::to_string(per_job));
+  std::printf("allocations per job: %.3f\n", per_job);
+  EXPECT_LE(per_job, kBudgetPerJob);
+}
+
+}  // namespace
+}  // namespace mcrdl::sched

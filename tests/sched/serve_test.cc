@@ -4,6 +4,11 @@
 // shedding a struggling tenant's arrivals.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+
 #include "bench/experiments.h"
 #include "src/common/status.h"
 #include "src/sched/serve.h"
@@ -39,6 +44,21 @@ TEST(Percentile, NearestRank) {
   EXPECT_DOUBLE_EQ(percentile({42.0}, 50.0), 42.0);
   EXPECT_THROW(percentile({}, 50.0), InvalidArgument);
   EXPECT_THROW(percentile({1.0}, 0.0), InvalidArgument);
+}
+
+// Every cache entry is measured on the cache's one TrainingHarness, so the
+// actor stacks mapped for the widest slice serve every later entry.
+TEST(JobCostCache, EntriesShareOneHarnessStackPool) {
+  JobCostCache cache(net::SystemConfig::lassen(4));
+  (void)cache.profile(JobModel::ResNet, 16);
+  const std::size_t after_first = cache.stacks_mapped();
+  EXPECT_GT(after_first, 0u) << "the entry was not measured on the cache's harness";
+  (void)cache.profile(JobModel::MoE, 8);
+  (void)cache.profile(JobModel::DLRM, 16, 2.0);
+  (void)cache.profile(JobModel::Megatron, 4, 4.0);
+  (void)cache.profile(JobModel::ResNet, 16, 1.5);
+  EXPECT_EQ(cache.entries(), 5u);
+  EXPECT_EQ(cache.stacks_mapped(), after_first) << "a later entry mapped stacks of its own";
 }
 
 TEST(ServeScheduler, ReplayIsDeterministic) {
@@ -314,6 +334,83 @@ TEST(ServeScheduler, DipConfigIsValidated) {
   EXPECT_THROW(ServeScheduler{config}, InvalidArgument);
   config.dips.back() = CapacityDip{0.0, 100.0, 0};
   EXPECT_THROW(ServeScheduler{config}, InvalidArgument);
+}
+
+// --- pinned replay -----------------------------------------------------------
+//
+// A 2,000-job replay with a chaos window, a capacity dip and the SLO breakers
+// on, serialised with every double as a hex float and compared byte for byte
+// against a checked-in golden: totals, percentiles, per-tenant stats, every
+// job's state, placement and start/finish, and the metrics snapshot. Replay
+// optimisations (caching, skipped rate recomputation) must leave it intact.
+// To regenerate after an *intentional* behaviour change:
+//   MCRDL_UPDATE_GOLDEN=1 ./build/tests/sched/sched_serve_test
+
+std::string hex(double value) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%a", value);
+  return buf;
+}
+
+std::string dump_replay(const ServeResult& r, const std::string& metrics_json) {
+  std::ostringstream out;
+  out << "completed " << r.completed << "\nrejected " << r.rejected << "\nshed " << r.shed
+      << "\ndeadlocks " << r.deadlocks << "\nunshed_probes " << r.unshed_probes
+      << "\np50 " << hex(r.p50_latency_us) << "\np99 " << hex(r.p99_latency_us)
+      << "\nmean " << hex(r.mean_latency_us) << "\nmakespan " << hex(r.makespan_us)
+      << "\navg_utilization " << hex(r.avg_utilization) << "\npeak_contention "
+      << hex(r.peak_contention) << "\n";
+  for (const auto& [name, t] : r.tenants) {
+    out << "tenant " << name << " " << qos_name(t.qos) << " " << t.completed << " "
+        << t.rejected << " " << t.shed << " " << hex(t.p50_latency_us) << " "
+        << hex(t.p99_latency_us) << " " << hex(t.mean_latency_us) << "\n";
+  }
+  // id state placement start finish
+  for (const JobRecord& job : r.jobs) {
+    out << job.spec.id << " " << job_state_name(job.state) << " " << job.placement.begin << "+"
+        << job.placement.count << " " << hex(job.start_us) << " " << hex(job.finish_us)
+        << "\n";
+  }
+  out << "metrics " << metrics_json << "\n";
+  return out.str();
+}
+
+TEST(ServeScheduler, ReplayMatchesPinnedGolden) {
+  TraceConfig trace_config;
+  trace_config.num_jobs = 2000;
+  trace_config.seed = 3;
+  const ArrivalTrace trace = generate_trace(trace_config);
+  const double horizon = trace.jobs.back().arrival_us;
+
+  ServeConfig config;  // 16 Lassen nodes, breakers on
+  config.chaos.push_back(ChaosWindow{0.25 * horizon, 0.75 * horizon, 8.0});
+  config.dips.push_back(CapacityDip{0.45 * horizon, 0.55 * horizon, 2});
+  ServeScheduler scheduler(config);
+  const ServeResult result = scheduler.run(trace);
+  ASSERT_GT(result.shed, 0u) << "the pinned replay must exercise the breakers";
+  ASSERT_GT(result.unshed_probes, 0u) << "the pinned replay must exercise the dip's end";
+  const std::string actual = dump_replay(result, scheduler.metrics().to_json());
+
+  const std::string path = std::string(MCRDL_GOLDEN_DIR) + "/replay_2000.txt";
+  if (std::getenv("MCRDL_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path);
+    ASSERT_TRUE(out.good()) << "cannot write golden " << path;
+    out << actual;
+    GTEST_SKIP() << "golden regenerated: " << path;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing golden file " << path;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  const std::string expected = buf.str();
+  if (expected != actual) {
+    std::istringstream ea(expected), aa(actual);
+    std::string el, al;
+    int line = 1;
+    while (std::getline(ea, el) && std::getline(aa, al) && el == al) ++line;
+    FAIL() << "replay diverges from golden at line " << line << "\n  golden: " << el
+           << "\n  actual: " << al;
+  }
 }
 
 TEST(RunServe, QuickReportIsSchemaShapedAndChaosDegrades) {

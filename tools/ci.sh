@@ -55,6 +55,12 @@ ctest --output-on-failure -j "${jobs}" -L coll
 # leg below runs it again as part of the full suite.
 ctest --output-on-failure -j "${jobs}" -L alloc
 
+# The host-speed benchmark (perfbench/) is a separate CMake package that
+# builds src/ on its own, so a src/ change can break it without breaking the
+# tree above. Build it and run its self-tests, in CI's scratch dir.
+echo "== perfbench: build + self-test =="
+CARGO_TARGET_DIR="${build_dir}/perfbench-build" python3 "${repo_root}/perfbench/run.py" --self-test
+
 # Chaos-differential smoke: kill rank 3 at t=2500us mid-run and require a
 # clean elastic recovery — exit 0 (planned casualty only, survivors agree)
 # AND at least one op actually quiesced and replayed on the shrunk
