@@ -191,7 +191,7 @@ ResilienceBenchReport run_resilience(const ResilienceOptions& options = {});
 // Hot-path dispatch experiment (DESIGN.md §14): wall-clock throughput of a
 // small-allreduce loop on the same workload with and without bucketing —
 //
-//   "dispatch/fast"     — arena OpCalls + precompiled stage plans
+//   "dispatch/fast"     — arena OpCalls through the fixed stage sequence
 //   "dispatch/bucketed" — the same dispatch with gradient bucketing
 //                         coalescing the small collectives into fused issues
 //

@@ -152,8 +152,6 @@ void McrDl::finalize() {
 
 fault::RecoveryManager& McrDl::recovery() const { return cluster_->faults().recovery(); }
 
-std::vector<std::string> McrDl::get_backends() const { return backend_order_; }
-
 bool McrDl::has_backend(const std::string& name) const { return backends_.count(name) > 0; }
 
 Backend* McrDl::backend(const std::string& name) const {

@@ -63,8 +63,8 @@ struct McrDlOptions {
   // Opt-in composite collectives (src/coll/): hierarchical two-level
   // allreduce, reduce-scatter+allgather decomposition, and the overlap
   // scheduler interleaving chunks of independent composites. Disabled by
-  // default: composite strings are rejected like unknown backends, the coll
-  // pipeline stage is provably no-op, and runs stay byte-identical.
+  // default: composite strings are rejected like unknown backends, the
+  // pipeline bypasses its coll stage, and runs stay byte-identical.
   coll::CollConfig coll;
 };
 
@@ -82,7 +82,7 @@ class McrDl {
   void init(const std::vector<std::string>& backend_names);
   void finalize();
   bool initialized() const { return initialized_; }
-  std::vector<std::string> get_backends() const;
+  const std::vector<std::string>& get_backends() const { return backend_order_; }
   Backend* backend(const std::string& name) const;
   bool has_backend(const std::string& name) const;
 

@@ -77,8 +77,6 @@ FusionManager::~FusionManager() {
 void FusionManager::set_config(FusionConfig config) {
   admit_mask_ = compute_admit_mask(config);
   config_ = std::move(config);
-  // A pipeline seeing the new version recompiles its stage plans.
-  ++version_;
 }
 
 bool FusionManager::eligible(OpType op, const Tensor& t) const {
@@ -224,7 +222,7 @@ void FusionManager::flush_batch(const Key& key, Batch& batch) {
   // The same closure bills every entry's end-to-end latency — completion
   // instant minus that entry's submit instant, the dispatch layer's
   // convention for works without an execution window. Billing here, once per
-  // batch, is what lets FinishStage skip its per-op completion closure for
+  // batch, is what lets the finish stage skip its per-op completion closure for
   // fused ops entirely (the bucketed hot path's largest allocation).
   obs::Histogram* latency = &cluster_->metrics().histogram(
       "op_latency_us", {{"backend", comm->backend()->name()}, {"op", op_name(op)}});

@@ -46,11 +46,8 @@ class FusionManager {
   void set_config(FusionConfig config);
 
   // True if `op` is in the configured bucketable set (a bit mask read by
-  // the pipeline's plan compiler and by every dispatch).
+  // every dispatch).
   bool admits(OpType op) const { return (admit_mask_ >> static_cast<unsigned>(op)) & 1u; }
-  // Bumped by every set_config; the pipeline recompiles its stage plans when
-  // this moves.
-  std::uint32_t config_version() const { return version_; }
 
   // True if this (op, tensor) should go through a fusion bucket.
   bool eligible(OpType op, const Tensor& t) const;
@@ -110,7 +107,6 @@ class FusionManager {
   // Mirror of config_.ops for the dispatch hot path: the admitted-op bit
   // mask (OpType fits in 32 bits).
   std::uint32_t admit_mask_ = 0;
-  std::uint32_t version_ = 0;
   std::map<Key, Batch> batches_;
   int flush_count_ = 0;
   int timeout_flush_count_ = 0;

@@ -1,7 +1,6 @@
 #include "src/core/op_pipeline.h"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -11,6 +10,135 @@
 #include "src/tune/online_tuner.h"
 
 namespace mcrdl {
+
+namespace {
+
+constexpr const char* kStageNames[kPipelineStages] = {
+    "overhead", "resolve", "fusion", "compression", "finish", "recover", "coll", "route", "issue"};
+
+// What only the online tuner and the logger need at completion.
+struct FinishDetail {
+  tune::OnlineTuner* tuner = nullptr;
+  OpType op = OpType::Barrier;
+  int world = 0;
+  std::size_t bytes = 0;
+  std::string backend;
+  CommLogger* logger = nullptr;
+  CommRecord rec;
+};
+
+// The finish stage's completion closure.
+struct FinishRecord {
+  Work w;
+  obs::Histogram* latency = nullptr;
+  std::unique_ptr<FinishDetail> detail;
+
+  void operator()() {
+    const SimTime start = w->exec_start >= 0.0 ? w->exec_start : w->posted_at;
+    const SimTime end = w->complete_time();
+    if (latency != nullptr) latency->observe(end - start);
+    if (detail == nullptr) return;
+    FinishDetail& d = *detail;
+    if (d.tuner != nullptr) d.tuner->observe(d.op, d.world, d.bytes, d.backend, end - start);
+    if (d.logger != nullptr) {
+      d.rec.end = end;
+      // Bill only the execution window when the backend reported one, so
+      // compute-overlapped queueing time does not count as communication.
+      if (w->exec_start >= 0.0) d.rec.start = w->exec_start;
+      d.logger->record(std::move(d.rec));
+    }
+  }
+};
+static_assert(sizeof(FinishRecord) <= InlineFn::kCapacity,
+              "the common finish record must fit the completion callback's inline buffer");
+
+// Collectives whose buffer layout is a function of the communicator size.
+// Their outputs were sized for the old world, so a replay on a smaller group
+// cannot produce what the caller allocated for — the loss is unrecoverable
+// at this layer and surfaces as RankLostError.
+bool shape_coupled(OpType op) {
+  switch (op) {
+    case OpType::AllGather:
+    case OpType::AllGatherV:
+    case OpType::Gather:
+    case OpType::GatherV:
+    case OpType::Scatter:
+    case OpType::ScatterV:
+    case OpType::ReduceScatter:
+    case OpType::AllToAllSingle:
+    case OpType::AllToAll:
+    case OpType::AllToAllV:
+      return true;
+    default:
+      return false;
+  }
+}
+
+// Remaps a call issued under the original membership onto the survivors of
+// the current recovery epoch, and re-resolves its backend for the shrunk
+// world.
+void remap(OpCall& c, fault::RecoveryManager& rec, const std::vector<int>& original_group,
+           int original_root, int original_peer) {
+  std::vector<int> members = original_group;
+  if (members.empty()) {
+    const int world = c.ctx->cluster()->world_size();
+    members.reserve(static_cast<std::size_t>(world));
+    for (int r = 0; r < world; ++r) members.push_back(r);
+  }
+  const std::vector<int> shrunk = rec.shrink_group(members);
+  if (shrunk.empty()) {
+    throw RankLostError(std::string("cannot replay ") + op_name(c.req.op) +
+                        ": every member of its communicator was permanently lost");
+  }
+  if (shrunk.size() != members.size() && shape_coupled(c.req.op)) {
+    throw RankLostError(std::string(op_name(c.req.op)) +
+                        " buffers are laid out for the pre-loss communicator size; not "
+                        "replayable across a shrink — reshard and reissue");
+  }
+  const auto remap_index = [&](int index, const char* role) {
+    MCRDL_CHECK(index >= 0 && index < static_cast<int>(members.size()))
+        << role << " index " << index << " out of range for group of " << members.size();
+    const int global = members[static_cast<std::size_t>(index)];
+    const auto it = std::find(shrunk.begin(), shrunk.end(), global);
+    if (it == shrunk.end()) {
+      throw RankLostError(std::string(role) + " rank " + std::to_string(global) + " of " +
+                          op_name(c.req.op) + " was permanently lost; unrecoverable");
+    }
+    return static_cast<int>(it - shrunk.begin());
+  };
+  switch (c.req.op) {
+    case OpType::Broadcast:
+    case OpType::Reduce:
+    case OpType::Gather:
+    case OpType::GatherV:
+    case OpType::Scatter:
+    case OpType::ScatterV:
+      c.req.root = remap_index(original_root, "root");
+      break;
+    case OpType::Send:
+    case OpType::Recv:
+      c.req.peer = remap_index(original_peer, "peer");
+      break;
+    default:
+      break;
+  }
+  c.group = shrunk;
+  // A composite keeps its algorithm across the replay (stable choice, like
+  // a concrete backend string would be) and re-derives its subgroups from
+  // the shrunk membership at launch — nothing to re-resolve here.
+  if (c.is_composite) return;
+  // Re-resolve for the shrunk world: tuning tables are keyed on message
+  // size *and* world size, so "auto" may legitimately pick a different
+  // backend after the shrink.
+  if (c.req.op == OpType::Send || c.req.op == OpType::Recv) {
+    c.resolved = c.ctx->backend(c.req.backend);
+  } else {
+    c.resolved = c.ctx->resolve(c.req.backend, c.req.op, c.bytes, c.world_size(), c.rank);
+  }
+  c.requested = c.resolved->name();
+}
+
+}  // namespace
 
 int OpCall::world_size() const {
   return group.empty() ? ctx->cluster()->world_size() : static_cast<int>(group.size());
@@ -43,619 +171,14 @@ void OpCall::recycle() {
   composite.intra.clear();
   composite.inter.clear();
   composite.text.clear();
-  plan = nullptr;
-  // stage_child_us keeps its buffer; execute() re-sizes it per dispatch.
+  stage_child_us.fill(0.0);
+  timed_stage = -1;
 }
 
-Work OpNext::operator()() const { return pipeline_->invoke(pos_, *call_); }
-
-namespace {
-
-// --- overhead: per-call host-side cost (paper C3 / Figure 7) ----------------
-
-class OverheadStage : public OpStage {
- public:
-  const char* name() const override { return "overhead"; }
-  Work run(OpCall& c, const OpNext& next) override {
-    // Nested sub-ops of a composite pay no host overhead of their own: the
-    // caller made ONE MCR-DL call, billed on the parent's pass through here.
-    if (!c.req.nested && c.ctx->options().per_call_overhead_us > 0.0) {
-      c.ctx->cluster()->scheduler().sleep_for(c.ctx->options().per_call_overhead_us);
-    }
-    return next();
-  }
-  bool provably_noop(const StagePlanInputs& in) const override { return !in.overhead_on; }
-};
-
-// --- resolve: backend string -> Backend*, "auto" via the tuning table -------
-
-class ResolveStage : public OpStage {
- public:
-  const char* name() const override { return "resolve"; }
-  Work run(OpCall& c, const OpNext& next) override {
-    c.bytes = c.req.payload_bytes();
-    if (c.req.op == OpType::Send || c.req.op == OpType::Recv) {
-      // "auto" is collective-only; p2p resolves the literal name.
-      c.resolved = c.ctx->backend(c.req.backend);
-      c.requested = c.resolved->name();
-      return next();
-    }
-    const std::string choice =
-        c.ctx->resolve_string(c.req.backend, c.req.op, c.bytes, c.world_size(), c.rank);
-    // With composites enabled the choice may be an algorithm string rather
-    // than a backend — either passed explicitly or picked by the tuner from
-    // its composite arms. `resolved` stays null; the coll stage launches it.
-    // Nested sub-ops always name concrete backends (no composite recursion).
-    if (c.ctx->coll_enabled() && !c.req.nested) {
-      if (auto spec = coll::parse(choice)) {
-        if (c.req.op != OpType::AllReduce) {
-          throw InvalidArgument("composite '" + choice + "' implements all_reduce only, not " +
-                                op_name(c.req.op));
-        }
-        c.ctx->validate_composite(*spec);
-        c.is_composite = true;
-        c.composite = std::move(*spec);
-        c.requested = c.composite.text;
-        return next();
-      }
-    }
-    c.resolved = c.ctx->backend(choice);
-    c.requested = c.resolved->name();
-    return next();
-  }
-};
-
-// --- fusion: bucketing admission for small collectives (paper V-C) ----------
-//
-// Admission is decided once, before routing: eligibility depends only on the
-// fusion config, the op and the tensor, never on which backend an attempt
-// lands on.
-
-class FusionStage : public OpStage {
- public:
-  const char* name() const override { return "fusion"; }
-  Work run(OpCall& c, const OpNext& next) override {
-    // Composites and their nested sub-ops never bucket: a fused sub-op would
-    // complete only at the next flush, stalling the chain's phase progression.
-    c.admit_fusion = !c.req.nested && !c.is_composite &&
-                     c.ctx->fusion().eligible(c.req.op, c.req.tensor);
-    return next();
-  }
-  bool provably_noop(const StagePlanInputs& in) const override {
-    return !in.fusion_on || !in.ctx->fusion().admits(in.op);
-  }
-};
-
-// --- compression: admission by op/dtype/size (paper V-E) --------------------
-
-class CompressionStage : public OpStage {
- public:
-  const char* name() const override { return "compression"; }
-  Work run(OpCall& c, const OpNext& next) override {
-    const Tensor& payload = c.req.op == OpType::Broadcast ? c.req.tensor : c.req.input;
-    // Nested sub-ops carry slices of an uncompressed parent payload; lossy
-    // per-leg compression would compound across the composite's levels.
-    c.admit_compression = !c.req.nested && !c.is_composite &&
-                          c.ctx->compression().eligible(c.req.op, payload);
-    return next();
-  }
-  bool provably_noop(const StagePlanInputs& in) const override {
-    return !in.compression_on || !CompressionLayer::op_supported(in.op);
-  }
-};
-
-// --- finish: CommLogger record attached on completion (paper V-D) -----------
-//
-// Listed before routing so that, on the unwinding completion path, it sees
-// the final outcome of the whole retry/failover loop: the backend the op
-// completed on, total attempts, and the last injected fault.
-
-class FinishStage : public OpStage {
- public:
-  const char* name() const override { return "finish"; }
-  Work run(OpCall& c, const OpNext& next) override {
-    Work w = next();
-    // Always-on metrics, independent of the (opt-in) CommLogger: one
-    // completion count per op/backend pair, plus an end-to-end latency
-    // histogram billed with the logger's convention (execution window when
-    // the backend reported one, posted-at otherwise), through the
-    // per-(backend, op) handle cache.
-    const Handles& h = cached(c.completed_on, c.req.op, c.ctx->cluster()->metrics());
-    h.ops->inc();
-    obs::Histogram* latency = h.latency;
-    // Bucketed ops bill latency differently: the fusion layer observes every
-    // entry's end-to-end latency in ONE batch-level closure at flush
-    // completion (src/core/fusion.cc), so the common bucketed dispatch — no
-    // tuner (always skipped for fused ops) and no logger — registers no
-    // per-op completion closure at all. With the logger enabled a closure is
-    // still built for the trace record, but its latency handle is nulled so
-    // the histogram is never fed twice.
-    if (c.fused) {
-      if (!c.ctx->logger().enabled()) return w;
-      latency = nullptr;
-    }
-    // Online-tuner feedback: every plain collective completion — whatever
-    // backend string the caller passed — teaches the tuner about the backend
-    // it actually completed on. Fused/compressed completions are skipped
-    // (their latency reflects the optimisation, not the backend), as is p2p
-    // ("auto" is collective-only). Pure observation: nothing moves in
-    // virtual time, and with the tuner disabled this block is dead code.
-    tune::OnlineTuner* tuner = c.ctx->online_tuner();
-    // Nested sub-ops of a composite are also skipped: the parent composite's
-    // completion is the one that teaches the tuner about its arm — crediting
-    // each leg separately would double-count the composite's latency.
-    if (tuner != nullptr && (c.req.op == OpType::Send || c.req.op == OpType::Recv || c.fused ||
-                             c.compressed || c.req.nested)) {
-      tuner = nullptr;
-    }
-    CommLogger* logger = c.ctx->logger().enabled() ? &c.ctx->logger() : nullptr;
-    if (tuner == nullptr && logger == nullptr && w->test()) {
-      // Already complete (synchronous issue): observe inline instead of
-      // allocating a completion closure that would fire immediately.
-      latency->observe(w->complete_time() - (w->exec_start >= 0.0 ? w->exec_start : w->posted_at));
-      return w;
-    }
-    // One merged completion callback instead of three. Without a tuner or
-    // logger it carries just the Work and the latency handle, which fit the
-    // callback's inline buffer; only the optional feedback and trace record
-    // go on the heap. Capturing the shared handle keeps it alive until
-    // completion; the completion ownership rule (src/common/completion.h)
-    // frees a never-firing Work.
-    FinishRecord done;
-    done.w = w;
-    done.latency = latency;
-    if (tuner != nullptr || logger != nullptr) {
-      done.detail = std::make_unique<FinishDetail>();
-      FinishDetail& d = *done.detail;
-      d.tuner = tuner;
-      if (tuner != nullptr) {
-        d.op = c.req.op;
-        d.world = c.world_size();
-        d.bytes = c.bytes;
-        d.backend = c.completed_on;
-      }
-      d.logger = logger;
-      if (logger != nullptr) {
-        CommRecord& rec = d.rec;
-        rec.rank = c.rank;
-        rec.op = c.req.op;
-        rec.backend = c.completed_on;
-        rec.bytes = c.bytes;
-        rec.start = w->posted_at;
-        rec.fused = c.fused;
-        rec.compressed = c.compressed;
-        rec.attempts = c.attempts;
-        rec.rerouted = c.rerouted;
-        // Always recorded — also when the op ran where it was asked to — so
-        // traces never carry stale routing info.
-        rec.requested_backend = c.requested;
-        rec.fault = c.fault;
-        rec.epoch = c.req.epoch;
-        rec.recovered = c.recovered;
-      }
-    }
-    w->on_complete(std::move(done));
-    return w;
-  }
-
- private:
-  struct Handles {
-    obs::Counter* ops = nullptr;
-    obs::Histogram* latency = nullptr;
-  };
-  // What only the online tuner and the logger need at completion.
-  struct FinishDetail {
-    tune::OnlineTuner* tuner = nullptr;
-    OpType op = OpType::Barrier;
-    int world = 0;
-    std::size_t bytes = 0;
-    std::string backend;
-    CommLogger* logger = nullptr;
-    CommRecord rec;
-  };
-  // The completion closure.
-  struct FinishRecord {
-    Work w;
-    obs::Histogram* latency = nullptr;
-    std::unique_ptr<FinishDetail> detail;
-
-    void operator()() {
-      const SimTime start = w->exec_start >= 0.0 ? w->exec_start : w->posted_at;
-      const SimTime end = w->complete_time();
-      if (latency != nullptr) latency->observe(end - start);
-      if (detail == nullptr) return;
-      FinishDetail& d = *detail;
-      if (d.tuner != nullptr) d.tuner->observe(d.op, d.world, d.bytes, d.backend, end - start);
-      if (d.logger != nullptr) {
-        d.rec.end = end;
-        // Bill only the execution window when the backend reported one, so
-        // compute-overlapped queueing time does not count as communication.
-        if (w->exec_start >= 0.0) d.rec.start = w->exec_start;
-        d.logger->record(std::move(d.rec));
-      }
-    }
-  };
-  static_assert(sizeof(FinishRecord) <= InlineFn::kCapacity,
-                "the common finish record must fit the completion callback's inline buffer");
-
-  // Registry references are stable for its lifetime, so handles are resolved
-  // once per (backend, op) pair instead of building label maps — four
-  // small-map node allocations — per dispatch. Backend names are SSO-short,
-  // so cache lookups do not allocate.
-  const Handles& cached(const std::string& backend, OpType op, obs::MetricsRegistry& metrics) {
-    const std::pair<std::string, int> key{backend, static_cast<int>(op)};
-    auto it = cache_.find(key);
-    if (it != cache_.end()) return it->second;
-    const obs::Labels labels{{"backend", backend}, {"op", op_name(op)}};
-    Handles h{&metrics.counter("pipeline_ops", labels),
-              &metrics.histogram("op_latency_us", labels)};
-    return cache_.emplace(key, h).first->second;
-  }
-
-  std::map<std::pair<std::string, int>, Handles> cache_;
-};
-
-// --- recover: elastic rank-loss recovery (src/fault/recovery.h) -------------
-//
-// Listed between `finish` and `route` so that, on the unwinding completion
-// path, the logging stage sees the final outcome of the replay loop. Each
-// pass stamps the request with the current recovery epoch and lets the rest
-// of the pipeline run; when a permanent rank loss surfaces as RankLostError,
-// the call parks until the epoch advances (quiesce -> shrink has completed),
-// remaps its communicator/root/peer onto the survivors and replays. With
-// recovery disarmed the stage is a pure pass-through — no scheduler
-// interaction, no allocation — so fault-free runs stay byte-identical (and
-// the plan compiler elides it outright).
-
-class RecoverStage : public OpStage {
- public:
-  const char* name() const override { return "recover"; }
-  bool provably_noop(const StagePlanInputs& in) const override { return !in.recovery_armed; }
-  Work run(OpCall& c, const OpNext& next) override {
-    fault::FaultInjector& faults = c.ctx->cluster()->faults();
-    fault::RecoveryManager& rec = faults.recovery();
-    if (!rec.armed()) return next();
-    // Nested sub-ops keep the epoch their parent composite stamped: a loss
-    // mid-chain must fail the whole chain (whose parent frame — or recover
-    // closure — replays the composite), not silently replay one leg on a
-    // communicator the other legs no longer match.
-    if (c.req.nested) return next();
-    // The caller's group/root/peer index the membership it was issued under;
-    // every replay remaps them from these originals onto the survivors, so
-    // repeated losses compose (epoch 2 remaps from the epoch-0 view, not the
-    // epoch-1 one).
-    const std::vector<int> original_group = c.group;
-    const int original_root = c.req.root;
-    const int original_peer = c.req.peer;
-    int prior_attempts = 0;
-    for (;;) {
-      const std::uint64_t epoch = rec.epoch();
-      c.req.epoch = epoch;
-      if (epoch > 0) remap(c, rec, original_group, original_root, original_peer);
-      try {
-        Work w = next();
-        c.attempts += prior_attempts;
-        if (c.recovered) {
-          rec.note_recovered();
-          c.ctx->cluster()->metrics().counter("ops_recovered", {{"backend", c.completed_on}}).inc();
-        }
-        return w;
-      } catch (const RankLostError&) {
-        // The casualty itself never replays: let the loss surface to the
-        // workload so the dying rank's actor unwinds.
-        if (faults.rank_lost(c.rank)) throw;
-        prior_attempts += c.attempts;
-        c.recovered = true;
-        c.fault = "rank_lost";
-        // Park until the cluster moved past the epoch this attempt ran
-        // under; replaying at the same epoch would be doomed immediately
-        // (the loss event may not even have fired yet — the join was doomed
-        // from the fault plan).
-        rec.wait_epoch_past(epoch);
-      }
-    }
-  }
-
- private:
-  // Collectives whose buffer layout is a function of the communicator size.
-  // Their outputs were sized for the old world, so a replay on a smaller
-  // group cannot produce what the caller allocated for — the loss is
-  // unrecoverable at this layer and surfaces as RankLostError.
-  static bool shape_coupled(OpType op) {
-    switch (op) {
-      case OpType::AllGather:
-      case OpType::AllGatherV:
-      case OpType::Gather:
-      case OpType::GatherV:
-      case OpType::Scatter:
-      case OpType::ScatterV:
-      case OpType::ReduceScatter:
-      case OpType::AllToAllSingle:
-      case OpType::AllToAll:
-      case OpType::AllToAllV:
-        return true;
-      default:
-        return false;
-    }
-  }
-
-  static void remap(OpCall& c, fault::RecoveryManager& rec,
-                    const std::vector<int>& original_group, int original_root,
-                    int original_peer) {
-    std::vector<int> members = original_group;
-    if (members.empty()) {
-      const int world = c.ctx->cluster()->world_size();
-      members.reserve(static_cast<std::size_t>(world));
-      for (int r = 0; r < world; ++r) members.push_back(r);
-    }
-    const std::vector<int> shrunk = rec.shrink_group(members);
-    if (shrunk.empty()) {
-      throw RankLostError(std::string("cannot replay ") + op_name(c.req.op) +
-                          ": every member of its communicator was permanently lost");
-    }
-    if (shrunk.size() != members.size() && shape_coupled(c.req.op)) {
-      throw RankLostError(std::string(op_name(c.req.op)) +
-                          " buffers are laid out for the pre-loss communicator size; not "
-                          "replayable across a shrink — reshard and reissue");
-    }
-    const auto remap_index = [&](int index, const char* role) {
-      MCRDL_CHECK(index >= 0 && index < static_cast<int>(members.size()))
-          << role << " index " << index << " out of range for group of " << members.size();
-      const int global = members[static_cast<std::size_t>(index)];
-      const auto it = std::find(shrunk.begin(), shrunk.end(), global);
-      if (it == shrunk.end()) {
-        throw RankLostError(std::string(role) + " rank " + std::to_string(global) + " of " +
-                            op_name(c.req.op) + " was permanently lost; unrecoverable");
-      }
-      return static_cast<int>(it - shrunk.begin());
-    };
-    switch (c.req.op) {
-      case OpType::Broadcast:
-      case OpType::Reduce:
-      case OpType::Gather:
-      case OpType::GatherV:
-      case OpType::Scatter:
-      case OpType::ScatterV:
-        c.req.root = remap_index(original_root, "root");
-        break;
-      case OpType::Send:
-      case OpType::Recv:
-        c.req.peer = remap_index(original_peer, "peer");
-        break;
-      default:
-        break;
-    }
-    c.group = shrunk;
-    // A composite keeps its algorithm across the replay (stable choice, like
-    // a concrete backend string would be) and re-derives its subgroups from
-    // the shrunk membership at launch — nothing to re-resolve here.
-    if (c.is_composite) return;
-    // Re-resolve for the shrunk world: tuning tables are keyed on message
-    // size *and* world size, so "auto" may legitimately pick a different
-    // backend after the shrink.
-    if (c.req.op == OpType::Send || c.req.op == OpType::Recv) {
-      c.resolved = c.ctx->backend(c.req.backend);
-    } else {
-      c.resolved = c.ctx->resolve(c.req.backend, c.req.op, c.bytes, c.world_size(), c.rank);
-    }
-    c.requested = c.resolved->name();
-  }
-};
-
-// --- coll: composite collective launch (src/coll/, DESIGN.md §15) -----------
-//
-// Terminal for composite calls: the resolve stage parsed the algorithm
-// string, this stage hands the call to coll::launch, which chains nested
-// sub-operations back through the full pipeline (each leg re-enters at the
-// top with req.nested set, so fault routing, metrics and traces see every
-// leg individually). Plain calls pass straight through to route/issue; with
-// the subsystem disabled the stage is provably no-op and elided.
-
-class CollStage : public OpStage {
- public:
-  const char* name() const override { return "coll"; }
-  bool provably_noop(const StagePlanInputs& in) const override { return !in.coll_on; }
-  Work run(OpCall& c, const OpNext& next) override {
-    if (!c.is_composite) return next();
-    // Stale-epoch guard, mirroring the issue stage: a composite stamped
-    // before a shrink would chain sub-ops against torn-down communicators.
-    // Rejecting here bounces the whole composite back to the recover stage.
-    fault::RecoveryManager& recovery = c.ctx->cluster()->faults().recovery();
-    if (recovery.armed() && c.req.epoch != recovery.epoch()) {
-      recovery.note_stale_rejection();
-      throw RankLostError("stale-epoch composite rejected: " + c.composite.text +
-                          " was stamped epoch " + std::to_string(c.req.epoch) +
-                          " but the cluster is at epoch " + std::to_string(recovery.epoch()) +
-                          " after rank loss; replay on the shrunk communicator");
-    }
-    Work w = coll::launch(c.ctx->coll_launch(), c.composite, c.rank, c.group, c.req);
-    c.completed_on = c.composite.text;
-    // Synchronous composites drive their chain to completion right here, so
-    // a rank loss surfaces as RankLostError inside this pipeline frame and
-    // the recover stage above parks, remaps and replays the whole composite.
-    if (!c.req.async_op) w->wait();
-    return w;
-  }
-};
-
-// --- route: fault-aware retry/backoff/failover (src/fault/) -----------------
-
-class RouteStage : public OpStage {
- public:
-  const char* name() const override { return "route"; }
-  Work run(OpCall& c, const OpNext& next) override {
-    fault::FailoverRouter* router = c.ctx->failover();
-    if (router == nullptr) {
-      // Fault subsystem disabled: issue exactly once on the resolved backend.
-      c.attempt_backend = c.resolved;
-      Work w = next();
-      c.completed_on = c.resolved->name();
-      return w;
-    }
-
-    // Preference order: the resolved backend first, then init() order. All
-    // ranks derive the identical order, and health is per-rank, driven only
-    // by the fault verdicts this rank has observed — which are identical
-    // across ranks at the same logical op (one stored verdict per
-    // rendezvous). Every rank therefore walks the same retry/re-route
-    // sequence for the same op, at its own pace, and collectives stay
-    // aligned across retries and failover even with stragglers in flight.
-    std::vector<std::string> order;
-    order.push_back(c.requested);
-    for (const auto& name : c.ctx->get_backends()) {
-      if (name != c.requested) order.push_back(name);
-    }
-
-    obs::MetricsRegistry& metrics = c.ctx->cluster()->metrics();
-    // Age the preferred backend's breaker toward its half-open probe before
-    // selecting, so the op that crosses the probe threshold becomes the
-    // probe itself. Collectives only: every rank issues the same collective
-    // sequence, so the skip counts — and the resulting probe op — line up
-    // across ranks, which rank-asymmetric p2p traffic would break.
-    if (c.req.op != OpType::Send && c.req.op != OpType::Recv) {
-      router->age_breaker(c.requested, c.rank);
-    }
-
-    std::string current = router->select(c.requested, order, c.rank);
-    if (current != c.requested) {
-      c.rerouted = true;
-      c.fault = "unavailable";
-      router->report().rerouted++;
-      router->report().by_backend[c.requested].rerouted++;
-      metrics.counter("failover_reroutes", {{"backend", c.requested}}).inc();
-    }
-
-    c.attempts = 0;
-    int attempts_on_current = 0;
-    for (;;) {
-      ++attempts_on_current;
-      ++c.attempts;
-      router->report().attempted++;
-      c.attempt_backend = c.ctx->backend(current);
-      try {
-        Work w = next();
-        router->record_success(current, c.rank);
-        router->report().succeeded++;
-        c.completed_on = current;
-        return w;
-      } catch (const TransientFault& tf) {
-        c.fault = "transient";
-        router->record_failure(current, c.rank);
-        if (attempts_on_current < router->retry().max_attempts &&
-            router->healthy(current, c.rank)) {
-          // Rank-keyed overload decorrelates retry storms when jitter is
-          // enabled; with jitter_seed == 0 (default) it is the plain schedule.
-          const SimTime backoff = router->retry().backoff(attempts_on_current, c.rank);
-          router->report().retried++;
-          router->report().backoff_time_us += backoff;
-          metrics.counter("failover_retries", {{"backend", current}}).inc();
-          c.ctx->cluster()->scheduler().sleep_for(backoff);
-          continue;
-        }
-        // Retries exhausted (or breaker opened mid-retry): move on if we can,
-        // otherwise surface the original fault as the operation's failure.
-        std::string failed_backend = current;
-        try {
-          current = router->next_healthy(current, order, c.rank);
-        } catch (const BackendUnavailable&) {
-          router->report().failed++;
-          router->report().by_backend[failed_backend].failed++;
-          metrics.counter("failover_failures", {{"backend", failed_backend}}).inc();
-          throw tf;
-        }
-        c.rerouted = true;
-        router->report().rerouted++;
-        router->report().by_backend[failed_backend].rerouted++;
-        metrics.counter("failover_reroutes", {{"backend", failed_backend}}).inc();
-        attempts_on_current = 0;
-      } catch (const BackendUnavailable&) {
-        c.fault = "unavailable";
-        router->record_failure(current, c.rank);
-        std::string next_backend;
-        try {
-          next_backend = router->next_healthy(current, order, c.rank);
-        } catch (const BackendUnavailable&) {
-          router->report().failed++;
-          router->report().by_backend[current].failed++;
-          metrics.counter("failover_failures", {{"backend", current}}).inc();
-          throw;
-        }
-        c.rerouted = true;
-        router->report().rerouted++;
-        router->report().by_backend[current].rerouted++;
-        metrics.counter("failover_reroutes", {{"backend", current}}).inc();
-        current = next_backend;
-        attempts_on_current = 0;
-      } catch (const TimeoutError&) {
-        // A watchdog timeout means peers are wedged mid-collective; re-routing
-        // one rank alone cannot realign the group, so it is always fatal.
-        router->record_failure(current, c.rank);
-        router->report().failed++;
-        router->report().by_backend[current].failed++;
-        metrics.counter("failover_failures", {{"backend", current}}).inc();
-        throw;
-      }
-    }
-  }
-};
-
-// --- issue: the terminal stage — hand the request to a backend (paper V-B) --
-//
-// Runs once per routing attempt. The fused/compressed admissions were fixed
-// upstream; whether the op runs natively or through an emulation recipe is
-// decided here because it depends on the current attempt's backend profile.
-
-class IssueStage : public OpStage {
- public:
-  const char* name() const override { return "issue"; }
-  Work run(OpCall& c, const OpNext&) override {
-    // Stale-epoch guard: after an elastic shrink every live communicator was
-    // rebuilt over the survivors. An op still stamped with an older epoch
-    // would rendezvous against torn-down state and deadlock the new groups —
-    // reject it here so the recover stage replays it instead.
-    fault::RecoveryManager& recovery = c.ctx->cluster()->faults().recovery();
-    if (recovery.armed() && c.req.epoch != recovery.epoch()) {
-      recovery.note_stale_rejection();
-      throw RankLostError("stale-epoch operation rejected: " + std::string(op_name(c.req.op)) +
-                          " was stamped epoch " + std::to_string(c.req.epoch) +
-                          " but the cluster is at epoch " + std::to_string(recovery.epoch()) +
-                          " after rank loss; replay on the shrunk communicator");
-    }
-    Backend* b = c.attempt_backend;
-    Comm* comm = c.comm_for(b);
-    c.fused = false;
-    c.compressed = false;
-    if (c.admit_fusion) {
-      Work w = c.ctx->fusion().submit(comm, c.rank, c.req.op, c.req.tensor, c.req.rop, c.req.root);
-      if (!c.req.async_op) w->wait();
-      c.fused = true;
-      return w;
-    }
-    if (c.admit_compression) {
-      c.compressed = true;
-      switch (c.req.op) {
-        case OpType::Broadcast:
-          return c.ctx->compression().broadcast(*comm, c.rank, c.req.tensor, c.req.root,
-                                                c.req.async_op);
-        case OpType::AllGather:
-          return c.ctx->compression().all_gather(*comm, c.rank, c.req.output, c.req.input,
-                                                 c.req.async_op);
-        case OpType::AllToAllSingle:
-          return c.ctx->compression().all_to_all_single(*comm, c.rank, c.req.output, c.req.input,
-                                                        c.req.async_op);
-        default:
-          MCRDL_CHECK(false) << "compression admitted unsupported op " << op_name(c.req.op);
-      }
-    }
-    if (b->profile().is_native(c.req.op)) return comm->issue(c.rank, c.req);
-    return emulation::issue(*comm, c.rank, c.req);
-  }
-};
-
-}  // namespace
+Work OpNext::operator()() const { return pipeline_->run_hooks(stage_, hook_, *call_); }
 
 // RAII lease of an arena OpCall: releases (recycles) the slot on every exit
-// path, including exceptions unwinding out of the stage chain. Safe because
+// path, including exceptions unwinding out of the stages. Safe because
 // nothing keeps a reference to the OpCall past execute() — completion
 // closures copy the fields they need.
 class OpPipeline::ArenaLease {
@@ -675,16 +198,10 @@ class OpPipeline::ArenaLease {
 
 OpPipeline::OpPipeline(McrDl* ctx) : ctx_(ctx) {
   MCRDL_REQUIRE(ctx_ != nullptr, "OpPipeline needs a context");
-  stages_.push_back(std::make_unique<OverheadStage>());
-  stages_.push_back(std::make_unique<ResolveStage>());
-  stages_.push_back(std::make_unique<FusionStage>());
-  stages_.push_back(std::make_unique<CompressionStage>());
-  stages_.push_back(std::make_unique<FinishStage>());
-  stages_.push_back(std::make_unique<RecoverStage>());
-  stages_.push_back(std::make_unique<CollStage>());
-  stages_.push_back(std::make_unique<RouteStage>());
-  stages_.push_back(std::make_unique<IssueStage>());
-  rebuild_stage_histograms();
+  for (std::size_t s = 0; s < kPipelineStages; ++s) {
+    stage_hist_[s] =
+        &ctx_->cluster()->metrics().histogram("pipeline_stage_us", {{"stage", kStageNames[s]}});
+  }
   pool_count_ = static_cast<std::size_t>(std::max(0, ctx_->cluster()->world_size()));
   pools_ = std::make_unique<RankPool[]>(pool_count_);
 }
@@ -692,135 +209,510 @@ OpPipeline::OpPipeline(McrDl* ctx) : ctx_(ctx) {
 OpPipeline::~OpPipeline() = default;
 
 Work OpPipeline::execute(int rank, const std::vector<int>& group, OpRequest req) {
-  const PlanTable* table = plan_table();
-  const StagePlan& plan =
-      table->plans[static_cast<std::size_t>(req.op) * kMaskCount + config_mask()];
   ArenaLease lease(this, rank);
   OpCall& call = lease.call();
   call.ctx = ctx_;
   call.rank = rank;
-  call.plan = &plan;
   // Copy-assign (not move) into the recycled slot so its container capacity
   // is reused instead of replaced.
   call.group = group;
   call.req = req;
-  call.stage_child_us.assign(plan.seq.size(), 0.0);
-  Work w = invoke(0, call);
-  // Elided stages observe exactly what their no-op invocation would have:
-  // zero exclusive virtual time, once per completed op.
-  for (const std::uint8_t idx : plan.skipped) stage_hist_[idx]->observe(0.0);
-  return w;
+  return next<kOverhead>(call);
 }
 
-// Resolves the `pipeline_stage_us{stage=...}` histogram of every stage up
-// front (registry references are stable). Runs at construction and after
-// each insert_*, so invoke() never looks a histogram up.
-void OpPipeline::rebuild_stage_histograms() {
-  stage_hist_.assign(stages_.size(), nullptr);
-  for (std::size_t i = 0; i < stages_.size(); ++i) {
-    stage_hist_[i] = &ctx_->cluster()->metrics().histogram("pipeline_stage_us",
-                                                           {{"stage", stages_[i]->name()}});
+// ---------------------------------------------------------------------------
+// Stage sequencing
+// ---------------------------------------------------------------------------
+
+constexpr OpPipeline::StageFn OpPipeline::stage_fn(std::size_t s) {
+  constexpr StageFn fns[kPipelineStages] = {
+      &OpPipeline::overhead, &OpPipeline::resolve, &OpPipeline::fusion,
+      &OpPipeline::compression, &OpPipeline::finish, &OpPipeline::recover,
+      &OpPipeline::coll, &OpPipeline::route, &OpPipeline::issue};
+  return fns[s];
+}
+
+template <std::size_t S>
+bool OpPipeline::bypassed(const OpCall& c) const {
+  if constexpr (S == kOverhead) {
+    return !(ctx_->options().per_call_overhead_us > 0.0);
+  } else if constexpr (S == kFusion) {
+    return !ctx_->fusion().config().enabled || !ctx_->fusion().admits(c.req.op);
+  } else if constexpr (S == kCompression) {
+    return !ctx_->compression().config().enabled || !CompressionLayer::op_supported(c.req.op);
+  } else if constexpr (S == kRecover) {
+    return !ctx_->cluster()->faults().recovery().armed();
+  } else if constexpr (S == kColl) {
+    return !ctx_->coll_enabled();
+  } else {
+    return false;
   }
 }
 
-// Each stage's histogram records its *exclusive* virtual time: the chain is
-// linear (plan position p only invokes position p+1, possibly several times
-// for retries), so exclusive time is this invocation's total minus the time
-// its child invocations accumulated into stage_child_us[pos]. Reading now()
-// is side-effect-free, so the instrumentation cannot move a virtual-time
-// stamp — the golden-trace tests pin this.
-Work OpPipeline::invoke(std::size_t pos, OpCall& call) {
-  const StagePlan& plan = *call.plan;
-  MCRDL_CHECK(pos < plan.seq.size()) << "pipeline ran off the end — missing terminal stage?";
-  const std::size_t index = plan.seq[pos];
+template <std::size_t S>
+Work OpPipeline::next(OpCall& c) {
+  if constexpr (S != kIssue) {
+    if (hooks_[S].empty() && bypassed<S>(c)) {
+      Work w = next<S + 1>(c);
+      // Exactly what running the stage would have measured, once per
+      // completed op.
+      stage_hist_[S]->observe(0.0);
+      return w;
+    }
+  }
+  return timed<S>(c);
+}
+
+// Each timed stage records its *exclusive* virtual time: the sequence is
+// linear (a stage only enters the stage after it, possibly several times for
+// retries), so exclusive time is this entry's total minus the time its
+// downstream entries accumulated into stage_child_us[S]. Reading now() is
+// side-effect-free, so the instrumentation cannot move a virtual-time stamp
+// — the golden-trace tests pin this.
+template <std::size_t S>
+Work OpPipeline::timed(OpCall& c) {
   sim::Scheduler& sched = ctx_->cluster()->scheduler();
   const SimTime start = sched.now();
-  const double child_before = call.stage_child_us[pos];
+  const double child_before = c.stage_child_us[S];
+  const int parent = c.timed_stage;
+  c.timed_stage = static_cast<int>(S);
   const auto settle = [&]() {
+    c.timed_stage = parent;
     const double total = sched.now() - start;
-    if (pos > 0) call.stage_child_us[pos - 1] += total;
-    return total - (call.stage_child_us[pos] - child_before);
+    if (parent >= 0) c.stage_child_us[static_cast<std::size_t>(parent)] += total;
+    return total - (c.stage_child_us[S] - child_before);
   };
   try {
-    Work w = stages_[index]->run(call, OpNext(this, &call, pos + 1));
-    stage_hist_[index]->observe(settle());
+    constexpr StageFn fn = stage_fn(S);
+    Work w = hooks_[S].empty() ? (this->*fn)(c) : run_hooks(S, 0, c);
+    stage_hist_[S]->observe(settle());
     return w;
   } catch (...) {
     // Failed attempts still credit their time to the parent so the routing
-    // stage's exclusive time stays exact; only completed invocations are
+    // stage's exclusive time stays exact; only completed entries are
     // observed in the histogram.
     settle();
     throw;
   }
 }
 
+Work OpPipeline::run_hooks(std::size_t s, std::size_t hook, OpCall& c) {
+  const std::vector<std::unique_ptr<OpStage>>& hooks = hooks_[s];
+  if (hook < hooks.size()) return hooks[hook]->run(c, OpNext(this, &c, s, hook + 1));
+  return (this->*stage_fn(s))(c);
+}
+
 // ---------------------------------------------------------------------------
-// Stage plans
+// Stages
 // ---------------------------------------------------------------------------
 
-unsigned OpPipeline::config_mask() const {
-  unsigned mask = 0;
-  if (ctx_->options().per_call_overhead_us > 0.0) mask |= kMaskOverhead;
-  if (ctx_->fusion().config().enabled) mask |= kMaskFusion;
-  if (ctx_->compression().config().enabled) mask |= kMaskCompression;
-  if (ctx_->cluster()->faults().recovery().armed()) mask |= kMaskRecovery;
-  if (ctx_->coll_enabled()) mask |= kMaskColl;
-  return mask;
+// overhead: per-call host-side cost (paper C3 / Figure 7).
+Work OpPipeline::overhead(OpCall& c) {
+  // Nested sub-ops of a composite pay no host overhead of their own: the
+  // caller made ONE MCR-DL call, billed on the parent's pass through here.
+  if (!c.req.nested && ctx_->options().per_call_overhead_us > 0.0) {
+    ctx_->cluster()->scheduler().sleep_for(ctx_->options().per_call_overhead_us);
+  }
+  return next<kResolve>(c);
 }
 
-std::uint64_t OpPipeline::config_version() const {
-  return static_cast<std::uint64_t>(ctx_->fusion().config_version()) |
-         (static_cast<std::uint64_t>(ctx_->compression().config_version()) << 32);
-}
-
-const OpPipeline::PlanTable* OpPipeline::plan_table() {
-  const std::uint64_t version = config_version();
-  if (plans_ != nullptr && plans_->config_version == version) return plans_;
-  return recompile_plans(version);
-}
-
-// Compiles the plan of every (op, dynamic-toggle mask) pair by asking each
-// stage whether it is provably a no-op under that snapshot. Rare: runs on
-// first dispatch, after insert_*, and when a fusion/compression set_config
-// bumps its version. Superseded tables are retired, not freed, so plan
-// pointers held by in-flight calls stay valid across a recompile.
-const OpPipeline::PlanTable* OpPipeline::recompile_plans(std::uint64_t version) {
-  auto table = std::make_unique<PlanTable>();
-  table->config_version = version;
-  table->plans.resize(kOpCount * kMaskCount);
-  for (std::size_t op = 0; op < kOpCount; ++op) {
-    for (std::size_t mask = 0; mask < kMaskCount; ++mask) {
-      StagePlanInputs in;
-      in.ctx = ctx_;
-      in.op = static_cast<OpType>(op);
-      in.overhead_on = (mask & kMaskOverhead) != 0;
-      in.fusion_on = (mask & kMaskFusion) != 0;
-      in.compression_on = (mask & kMaskCompression) != 0;
-      in.recovery_armed = (mask & kMaskRecovery) != 0;
-      in.coll_on = (mask & kMaskColl) != 0;
-      StagePlan& plan = table->plans[op * kMaskCount + mask];
-      for (std::size_t i = 0; i < stages_.size(); ++i) {
-        if (stages_[i]->provably_noop(in)) {
-          plan.skipped.push_back(static_cast<std::uint8_t>(i));
-        } else {
-          plan.seq.push_back(static_cast<std::uint8_t>(i));
-        }
+// resolve: backend string -> Backend*, "auto" via the tuning table.
+Work OpPipeline::resolve(OpCall& c) {
+  c.bytes = c.req.payload_bytes();
+  if (c.req.op == OpType::Send || c.req.op == OpType::Recv) {
+    // "auto" is collective-only; p2p resolves the literal name.
+    c.resolved = ctx_->backend(c.req.backend);
+    c.requested = c.resolved->name();
+    return next<kFusion>(c);
+  }
+  const std::string choice =
+      ctx_->resolve_string(c.req.backend, c.req.op, c.bytes, c.world_size(), c.rank);
+  // With composites enabled the choice may be an algorithm string rather
+  // than a backend — either passed explicitly or picked by the tuner from
+  // its composite arms. `resolved` stays null; the coll stage launches it.
+  // Nested sub-ops always name concrete backends (no composite recursion).
+  if (ctx_->coll_enabled() && !c.req.nested) {
+    if (auto spec = coll::parse(choice)) {
+      if (c.req.op != OpType::AllReduce) {
+        throw InvalidArgument("composite '" + choice + "' implements all_reduce only, not " +
+                              op_name(c.req.op));
       }
+      ctx_->validate_composite(*spec);
+      c.is_composite = true;
+      c.composite = std::move(*spec);
+      c.requested = c.composite.text;
+      return next<kFusion>(c);
     }
   }
-  plans_ = table.get();
-  plan_history_.push_back(std::move(table));
-  return plans_;
+  c.resolved = ctx_->backend(choice);
+  c.requested = c.resolved->name();
+  return next<kFusion>(c);
 }
 
-std::vector<std::string> OpPipeline::active_stage_names(OpType op) {
-  const PlanTable* table = plan_table();
-  const StagePlan& plan =
-      table->plans[static_cast<std::size_t>(op) * kMaskCount + config_mask()];
-  std::vector<std::string> names;
-  names.reserve(plan.seq.size());
-  for (const std::uint8_t idx : plan.seq) names.emplace_back(stages_[idx]->name());
-  return names;
+// fusion: bucketing admission for small collectives (paper V-C). Admission
+// is decided once, before routing: eligibility depends only on the fusion
+// config, the op and the tensor, never on which backend an attempt lands on.
+Work OpPipeline::fusion(OpCall& c) {
+  // Composites and their nested sub-ops never bucket: a fused sub-op would
+  // complete only at the next flush, stalling the chain's phase progression.
+  c.admit_fusion =
+      !c.req.nested && !c.is_composite && ctx_->fusion().eligible(c.req.op, c.req.tensor);
+  return next<kCompression>(c);
+}
+
+// compression: admission by op/dtype/size (paper V-E).
+Work OpPipeline::compression(OpCall& c) {
+  const Tensor& payload = c.req.op == OpType::Broadcast ? c.req.tensor : c.req.input;
+  // Nested sub-ops carry slices of an uncompressed parent payload; lossy
+  // per-leg compression would compound across the composite's levels.
+  c.admit_compression =
+      !c.req.nested && !c.is_composite && ctx_->compression().eligible(c.req.op, payload);
+  return next<kFinish>(c);
+}
+
+// finish: CommLogger record attached on completion (paper V-D). Runs before
+// recover and route so that, on the unwinding completion path, it sees the
+// final outcome of the whole retry/failover loop: the backend the op
+// completed on, total attempts, and the last injected fault.
+Work OpPipeline::finish(OpCall& c) {
+  Work w = next<kRecover>(c);
+  // Always-on metrics, independent of the (opt-in) CommLogger: one
+  // completion count per op/backend pair, plus an end-to-end latency
+  // histogram billed with the logger's convention (execution window when the
+  // backend reported one, posted-at otherwise), through the per-(backend, op)
+  // handle cache.
+  const FinishHandles& h = finish_handles(c.completed_on, c.req.op);
+  h.ops->inc();
+  obs::Histogram* latency = h.latency;
+  // Bucketed ops bill latency differently: the fusion layer observes every
+  // entry's end-to-end latency in ONE batch-level closure at flush
+  // completion (src/core/fusion.cc), so the common bucketed dispatch — no
+  // tuner (always skipped for fused ops) and no logger — registers no
+  // per-op completion closure at all. With the logger enabled a closure is
+  // still built for the trace record, but its latency handle is nulled so
+  // the histogram is never fed twice.
+  if (c.fused) {
+    if (!ctx_->logger().enabled()) return w;
+    latency = nullptr;
+  }
+  // Online-tuner feedback: every plain collective completion — whatever
+  // backend string the caller passed — teaches the tuner about the backend
+  // it actually completed on. Fused/compressed completions are skipped
+  // (their latency reflects the optimisation, not the backend), as is p2p
+  // ("auto" is collective-only). Pure observation: nothing moves in virtual
+  // time, and with the tuner disabled this block is dead code.
+  tune::OnlineTuner* tuner = ctx_->online_tuner();
+  // Nested sub-ops of a composite are also skipped: the parent composite's
+  // completion is the one that teaches the tuner about its arm — crediting
+  // each leg separately would double-count the composite's latency.
+  if (tuner != nullptr && (c.req.op == OpType::Send || c.req.op == OpType::Recv || c.fused ||
+                           c.compressed || c.req.nested)) {
+    tuner = nullptr;
+  }
+  CommLogger* logger = ctx_->logger().enabled() ? &ctx_->logger() : nullptr;
+  if (tuner == nullptr && logger == nullptr && w->test()) {
+    // Already complete (synchronous issue): observe inline instead of
+    // allocating a completion closure that would fire immediately.
+    latency->observe(w->complete_time() - (w->exec_start >= 0.0 ? w->exec_start : w->posted_at));
+    return w;
+  }
+  // One merged completion callback instead of three. Without a tuner or
+  // logger it carries just the Work and the latency handle, which fit the
+  // callback's inline buffer; only the optional feedback and trace record go
+  // on the heap. Capturing the shared handle keeps it alive until
+  // completion; the completion ownership rule (src/common/completion.h)
+  // frees a never-firing Work.
+  FinishRecord done;
+  done.w = w;
+  done.latency = latency;
+  if (tuner != nullptr || logger != nullptr) {
+    done.detail = std::make_unique<FinishDetail>();
+    FinishDetail& d = *done.detail;
+    d.tuner = tuner;
+    if (tuner != nullptr) {
+      d.op = c.req.op;
+      d.world = c.world_size();
+      d.bytes = c.bytes;
+      d.backend = c.completed_on;
+    }
+    d.logger = logger;
+    if (logger != nullptr) {
+      CommRecord& rec = d.rec;
+      rec.rank = c.rank;
+      rec.op = c.req.op;
+      rec.backend = c.completed_on;
+      rec.bytes = c.bytes;
+      rec.start = w->posted_at;
+      rec.fused = c.fused;
+      rec.compressed = c.compressed;
+      rec.attempts = c.attempts;
+      rec.rerouted = c.rerouted;
+      // Always recorded — also when the op ran where it was asked to — so
+      // traces never carry stale routing info.
+      rec.requested_backend = c.requested;
+      rec.fault = c.fault;
+      rec.epoch = c.req.epoch;
+      rec.recovered = c.recovered;
+    }
+  }
+  w->on_complete(std::move(done));
+  return w;
+}
+
+// Registry references are stable for its lifetime, so handles are resolved
+// once per (backend, op) pair instead of building label maps — four
+// small-map node allocations — per dispatch.
+const OpPipeline::FinishHandles& OpPipeline::finish_handles(const std::string& backend,
+                                                            OpType op) {
+  const std::pair<std::string, int> key{backend, static_cast<int>(op)};
+  auto it = finish_handles_.find(key);
+  if (it != finish_handles_.end()) return it->second;
+  obs::MetricsRegistry& metrics = ctx_->cluster()->metrics();
+  const obs::Labels labels{{"backend", backend}, {"op", op_name(op)}};
+  FinishHandles h{&metrics.counter("pipeline_ops", labels),
+                  &metrics.histogram("op_latency_us", labels)};
+  return finish_handles_.emplace(key, h).first->second;
+}
+
+// recover: elastic rank-loss recovery (src/fault/recovery.h). Runs between
+// finish and route so that, on the unwinding completion path, the finish
+// stage sees the final outcome of the replay loop. Each pass stamps the
+// request with the current recovery epoch and runs the tail; when a
+// permanent rank loss surfaces as RankLostError, the call parks until the
+// epoch advances (quiesce -> shrink has completed), remaps its
+// communicator/root/peer onto the survivors and replays. With recovery
+// disarmed the stage is bypassed — no scheduler interaction, no allocation
+// — so fault-free runs stay byte-identical.
+Work OpPipeline::recover(OpCall& c) {
+  fault::FaultInjector& faults = ctx_->cluster()->faults();
+  fault::RecoveryManager& rec = faults.recovery();
+  if (!rec.armed()) return next<kColl>(c);
+  // Nested sub-ops keep the epoch their parent composite stamped: a loss
+  // mid-chain must fail the whole chain (whose parent frame — or recover
+  // closure — replays the composite), not silently replay one leg on a
+  // communicator the other legs no longer match.
+  if (c.req.nested) return next<kColl>(c);
+  // The caller's group/root/peer index the membership it was issued under;
+  // every replay remaps them from these originals onto the survivors, so
+  // repeated losses compose (epoch 2 remaps from the epoch-0 view, not the
+  // epoch-1 one).
+  const std::vector<int> original_group = c.group;
+  const int original_root = c.req.root;
+  const int original_peer = c.req.peer;
+  int prior_attempts = 0;
+  for (;;) {
+    const std::uint64_t epoch = rec.epoch();
+    c.req.epoch = epoch;
+    if (epoch > 0) remap(c, rec, original_group, original_root, original_peer);
+    try {
+      Work w = next<kColl>(c);
+      c.attempts += prior_attempts;
+      if (c.recovered) {
+        rec.note_recovered();
+        ctx_->cluster()->metrics().counter("ops_recovered", {{"backend", c.completed_on}}).inc();
+      }
+      return w;
+    } catch (const RankLostError&) {
+      // The casualty itself never replays: let the loss surface to the
+      // workload so the dying rank's actor unwinds.
+      if (faults.rank_lost(c.rank)) throw;
+      prior_attempts += c.attempts;
+      c.recovered = true;
+      c.fault = "rank_lost";
+      // Park until the cluster moved past the epoch this attempt ran under;
+      // replaying at the same epoch would be doomed immediately (the loss
+      // event may not even have fired yet — the join was doomed from the
+      // fault plan).
+      rec.wait_epoch_past(epoch);
+    }
+  }
+}
+
+// coll: composite collective launch (src/coll/, DESIGN.md §15). Terminal for
+// composite calls: the resolve stage parsed the algorithm string, this stage
+// hands the call to coll::launch, which chains nested sub-operations back
+// through the full pipeline (each leg re-enters at the top with req.nested
+// set, so fault routing, metrics and traces see every leg individually).
+// Plain calls pass straight through to route/issue.
+Work OpPipeline::coll(OpCall& c) {
+  if (!c.is_composite) return next<kRoute>(c);
+  // Stale-epoch guard, mirroring the issue stage: a composite stamped before
+  // a shrink would chain sub-ops against torn-down communicators. Rejecting
+  // here bounces the whole composite back to the recover stage.
+  fault::RecoveryManager& recovery = ctx_->cluster()->faults().recovery();
+  if (recovery.armed() && c.req.epoch != recovery.epoch()) {
+    recovery.note_stale_rejection();
+    throw RankLostError("stale-epoch composite rejected: " + c.composite.text +
+                        " was stamped epoch " + std::to_string(c.req.epoch) +
+                        " but the cluster is at epoch " + std::to_string(recovery.epoch()) +
+                        " after rank loss; replay on the shrunk communicator");
+  }
+  Work w = coll::launch(ctx_->coll_launch(), c.composite, c.rank, c.group, c.req);
+  c.completed_on = c.composite.text;
+  // Synchronous composites drive their chain to completion right here, so a
+  // rank loss surfaces as RankLostError inside this pipeline frame and the
+  // recover stage above parks, remaps and replays the whole composite.
+  if (!c.req.async_op) w->wait();
+  return w;
+}
+
+// route: fault-aware retry/backoff/failover (src/fault/).
+Work OpPipeline::route(OpCall& c) {
+  fault::FailoverRouter* router = ctx_->failover();
+  if (router == nullptr) {
+    // Fault subsystem disabled: issue exactly once on the resolved backend.
+    c.attempt_backend = c.resolved;
+    Work w = next<kIssue>(c);
+    c.completed_on = c.resolved->name();
+    return w;
+  }
+
+  // Preference order: the resolved backend first, then init() order. All
+  // ranks derive the identical order, and health is per-rank, driven only by
+  // the fault verdicts this rank has observed — which are identical across
+  // ranks at the same logical op (one stored verdict per rendezvous). Every
+  // rank therefore walks the same retry/re-route sequence for the same op,
+  // at its own pace, and collectives stay aligned across retries and
+  // failover even with stragglers in flight.
+  const std::vector<std::string>& order = ctx_->get_backends();
+
+  obs::MetricsRegistry& metrics = ctx_->cluster()->metrics();
+  // Age the preferred backend's breaker toward its half-open probe before
+  // selecting, so the op that crosses the probe threshold becomes the probe
+  // itself. Collectives only: every rank issues the same collective
+  // sequence, so the skip counts — and the resulting probe op — line up
+  // across ranks, which rank-asymmetric p2p traffic would break.
+  if (c.req.op != OpType::Send && c.req.op != OpType::Recv) {
+    router->age_breaker(c.requested, c.rank);
+  }
+
+  std::string current = router->select(c.requested, order, c.rank);
+  if (current != c.requested) {
+    c.rerouted = true;
+    c.fault = "unavailable";
+    router->report().rerouted++;
+    router->report().by_backend[c.requested].rerouted++;
+    metrics.counter("failover_reroutes", {{"backend", c.requested}}).inc();
+  }
+
+  c.attempts = 0;
+  int attempts_on_current = 0;
+  for (;;) {
+    ++attempts_on_current;
+    ++c.attempts;
+    router->report().attempted++;
+    c.attempt_backend = ctx_->backend(current);
+    try {
+      Work w = next<kIssue>(c);
+      router->record_success(current, c.rank);
+      router->report().succeeded++;
+      c.completed_on = current;
+      return w;
+    } catch (const TransientFault& tf) {
+      c.fault = "transient";
+      router->record_failure(current, c.rank);
+      if (attempts_on_current < router->retry().max_attempts &&
+          router->healthy(current, c.rank)) {
+        // Rank-keyed overload decorrelates retry storms when jitter is
+        // enabled; with jitter_seed == 0 (default) it is the plain schedule.
+        const SimTime backoff = router->retry().backoff(attempts_on_current, c.rank);
+        router->report().retried++;
+        router->report().backoff_time_us += backoff;
+        metrics.counter("failover_retries", {{"backend", current}}).inc();
+        ctx_->cluster()->scheduler().sleep_for(backoff);
+        continue;
+      }
+      // Retries exhausted (or breaker opened mid-retry): move on if we can,
+      // otherwise surface the original fault as the operation's failure.
+      std::string failed_backend = current;
+      try {
+        current = router->next_healthy(current, c.requested, order, c.rank);
+      } catch (const BackendUnavailable&) {
+        router->report().failed++;
+        router->report().by_backend[failed_backend].failed++;
+        metrics.counter("failover_failures", {{"backend", failed_backend}}).inc();
+        throw tf;
+      }
+      c.rerouted = true;
+      router->report().rerouted++;
+      router->report().by_backend[failed_backend].rerouted++;
+      metrics.counter("failover_reroutes", {{"backend", failed_backend}}).inc();
+      attempts_on_current = 0;
+    } catch (const BackendUnavailable&) {
+      c.fault = "unavailable";
+      router->record_failure(current, c.rank);
+      std::string next_backend;
+      try {
+        next_backend = router->next_healthy(current, c.requested, order, c.rank);
+      } catch (const BackendUnavailable&) {
+        router->report().failed++;
+        router->report().by_backend[current].failed++;
+        metrics.counter("failover_failures", {{"backend", current}}).inc();
+        throw;
+      }
+      c.rerouted = true;
+      router->report().rerouted++;
+      router->report().by_backend[current].rerouted++;
+      metrics.counter("failover_reroutes", {{"backend", current}}).inc();
+      current = next_backend;
+      attempts_on_current = 0;
+    } catch (const TimeoutError&) {
+      // A watchdog timeout means peers are wedged mid-collective; re-routing
+      // one rank alone cannot realign the group, so it is always fatal.
+      router->record_failure(current, c.rank);
+      router->report().failed++;
+      router->report().by_backend[current].failed++;
+      metrics.counter("failover_failures", {{"backend", current}}).inc();
+      throw;
+    }
+  }
+}
+
+// issue: the terminal stage — hand the request to a backend (paper V-B).
+// Runs once per routing attempt. The fused/compressed admissions were fixed
+// upstream; whether the op runs natively or through an emulation recipe is
+// decided here because it depends on the current attempt's backend profile.
+Work OpPipeline::issue(OpCall& c) {
+  // Stale-epoch guard: after an elastic shrink every live communicator was
+  // rebuilt over the survivors. An op still stamped with an older epoch
+  // would rendezvous against torn-down state and deadlock the new groups —
+  // reject it here so the recover stage replays it instead.
+  fault::RecoveryManager& recovery = ctx_->cluster()->faults().recovery();
+  if (recovery.armed() && c.req.epoch != recovery.epoch()) {
+    recovery.note_stale_rejection();
+    throw RankLostError("stale-epoch operation rejected: " + std::string(op_name(c.req.op)) +
+                        " was stamped epoch " + std::to_string(c.req.epoch) +
+                        " but the cluster is at epoch " + std::to_string(recovery.epoch()) +
+                        " after rank loss; replay on the shrunk communicator");
+  }
+  Backend* b = c.attempt_backend;
+  Comm* comm = c.comm_for(b);
+  c.fused = false;
+  c.compressed = false;
+  if (c.admit_fusion) {
+    Work w = ctx_->fusion().submit(comm, c.rank, c.req.op, c.req.tensor, c.req.rop, c.req.root);
+    if (!c.req.async_op) w->wait();
+    c.fused = true;
+    return w;
+  }
+  if (c.admit_compression) {
+    c.compressed = true;
+    switch (c.req.op) {
+      case OpType::Broadcast:
+        return ctx_->compression().broadcast(*comm, c.rank, c.req.tensor, c.req.root,
+                                             c.req.async_op);
+      case OpType::AllGather:
+        return ctx_->compression().all_gather(*comm, c.rank, c.req.output, c.req.input,
+                                              c.req.async_op);
+      case OpType::AllToAllSingle:
+        return ctx_->compression().all_to_all_single(*comm, c.rank, c.req.output, c.req.input,
+                                                     c.req.async_op);
+      default:
+        MCRDL_CHECK(false) << "compression admitted unsupported op " << op_name(c.req.op);
+    }
+  }
+  if (b->profile().is_native(c.req.op)) return comm->issue(c.rank, c.req);
+  return emulation::issue(*comm, c.rank, c.req);
 }
 
 // ---------------------------------------------------------------------------
@@ -857,40 +749,27 @@ std::size_t OpPipeline::arena_slots() const {
 }
 
 // ---------------------------------------------------------------------------
-// Stage-list introspection and setup
+// Stage names and hooks
 // ---------------------------------------------------------------------------
 
 std::vector<std::string> OpPipeline::stage_names() const {
   std::vector<std::string> names;
-  names.reserve(stages_.size());
-  for (const auto& s : stages_) names.emplace_back(s->name());
-  return names;
-}
-
-std::size_t OpPipeline::index_of(const std::string& name) const {
-  for (std::size_t i = 0; i < stages_.size(); ++i) {
-    if (name == stages_[i]->name()) return i;
+  for (std::size_t s = 0; s < kPipelineStages; ++s) {
+    for (const auto& hook : hooks_[s]) names.emplace_back(hook->name());
+    names.emplace_back(kStageNames[s]);
   }
-  throw InvalidArgument("OpPipeline has no stage named '" + name + "'");
+  return names;
 }
 
 void OpPipeline::insert_before(const std::string& name, std::unique_ptr<OpStage> stage) {
   MCRDL_REQUIRE(stage != nullptr, "insert_before needs a stage");
-  MCRDL_CHECK(stages_.size() < 255) << "OpPipeline stage limit reached";
-  stages_.insert(stages_.begin() + static_cast<std::ptrdiff_t>(index_of(name)), std::move(stage));
-  rebuild_stage_histograms();
-  // Stage indices moved: invalidate compiled plans (in-flight calls keep
-  // their retired tables; this is a setup-time API).
-  plans_ = nullptr;
-}
-
-void OpPipeline::insert_after(const std::string& name, std::unique_ptr<OpStage> stage) {
-  MCRDL_REQUIRE(stage != nullptr, "insert_after needs a stage");
-  MCRDL_CHECK(stages_.size() < 255) << "OpPipeline stage limit reached";
-  stages_.insert(stages_.begin() + static_cast<std::ptrdiff_t>(index_of(name)) + 1,
-                 std::move(stage));
-  rebuild_stage_histograms();
-  plans_ = nullptr;
+  for (std::size_t s = 0; s < kPipelineStages; ++s) {
+    if (name == kStageNames[s]) {
+      hooks_[s].push_back(std::move(stage));
+      return;
+    }
+  }
+  throw InvalidArgument("OpPipeline has no built-in stage named '" + name + "'");
 }
 
 }  // namespace mcrdl

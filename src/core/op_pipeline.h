@@ -1,15 +1,16 @@
-// The composable operation pipeline behind the MCR-DL facade.
+// The operation pipeline behind the MCR-DL facade.
 //
 // Every Listing-1 call is packed into an OpRequest (src/backends/op_request.h)
-// and executed by the OpPipeline, a middleware chain of OpStages. A stage
-// receives the in-flight OpCall plus a `next` continuation; it may adjust the
-// call, invoke `next()` zero or more times (the fault stage re-invokes it per
-// retry/failover attempt), and post-process the returned Work. The request
-// path runs through the stages in list order; the completion path unwinds in
-// reverse, so the logging stage — though listed before routing — observes the
-// final outcome of the whole retry loop.
+// and executed by the OpPipeline: one fixed sequence of nine stages, each a
+// plain member function that calls the next one directly. A stage may adjust
+// the in-flight OpCall, run the rest of the sequence zero or more times (the
+// recover and route stages loop over the tail per replay/retry attempt), and
+// post-process the returned Work. The request path runs through the stages
+// in order; the completion path unwinds in reverse, so the finish stage —
+// though it runs before routing — observes the final outcome of the whole
+// retry loop.
 //
-// Built-in order (OpPipeline::stage_names()):
+// Stage order (OpPipeline::stage_names()):
 //
 //   overhead     per-call host overhead (paper C3)
 //   resolve      backend-string resolution; "auto" -> tuning table (V-F)
@@ -17,29 +18,35 @@
 //   compression  compression admission by op/dtype/size (V-E)
 //   finish       attaches the CommLogger record on completion (V-D)
 //   recover      elastic rank-loss recovery: epoch stamp + replay (src/fault/)
+//   coll         composite collective launch (src/coll/)
 //   route        fault-aware retry/backoff/failover (src/fault/)
 //   issue        terminal: fused / compressed / native / emulated issue (V-B)
 //
-// To add a layer (per-op metrics, batching, persistent-collective caching...),
-// implement OpStage and call insert_before/insert_after with a neighbour's
-// name — no per-op code needed, the stage sees every operation.
+// Each stage records its exclusive virtual time into its
+// `pipeline_stage_us{stage=...}` histogram once per completed op. A stage
+// whose feature is disabled (overhead 0, fusion or compression off or not
+// admitting the op, recovery disarmed, composites off) is bypassed: it
+// records a 0.0 observation — what running it would have measured — without
+// reading the clock, so every stage still counts every op.
+//
+// Hooks. insert_before(name, stage) attaches an OpStage that runs right
+// before the named built-in stage, on every op. Hooks get no histogram of
+// their own: their virtual time is charged to the stage they precede. The
+// list is empty in production; the benchmark's span probes use it.
 //
 // Hot path (DESIGN.md §14). Every op takes its OpCall from a per-rank arena
 // (container capacity survives recycling, so steady-state dispatch
-// allocates nothing), runs a precompiled StagePlan that omits provably
-// no-op stages, and the finish stage uses cached metric handles instead of
-// building label maps per call. The golden-trace tests pin the resulting
-// virtual time byte for byte.
-//
-// Skipped stages cannot move virtual time by construction (that is the
-// compile rule), and each one still gets a 0.0 observation into its
-// `pipeline_stage_us` histogram — exactly what its no-op invocation would
-// have recorded — so per-stage metrics count every op at every stage.
+// allocates nothing), and the finish stage uses cached metric handles
+// instead of building label maps per call. The golden-trace tests pin the
+// resulting virtual time byte for byte.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/backends/op_request.h"
@@ -49,33 +56,13 @@
 
 namespace mcrdl {
 
-class Api;
 class Backend;
 class Comm;
 class McrDl;
 class OpPipeline;
 
-// One precompiled pass over the stage list for a given (op, config) pair:
-// the stage indices to run, in order, plus the provably no-op stages that
-// were elided (each still receives a 0.0 histogram observation per op).
-struct StagePlan {
-  std::vector<std::uint8_t> seq;
-  std::vector<std::uint8_t> skipped;
-};
-
-// The config snapshot the plan compiler hands to OpStage::provably_noop.
-// The four booleans are the dynamic toggles re-read on every dispatch (they
-// index the plan table); everything else a stage wants to inspect is
-// reachable through ctx.
-struct StagePlanInputs {
-  McrDl* ctx = nullptr;
-  OpType op = OpType::Barrier;
-  bool overhead_on = false;
-  bool fusion_on = false;
-  bool compression_on = false;
-  bool recovery_armed = false;
-  bool coll_on = false;
-};
+// Number of built-in pipeline stages.
+inline constexpr std::size_t kPipelineStages = 9;
 
 // The mutable state of one operation travelling through the pipeline.
 struct OpCall {
@@ -115,14 +102,11 @@ struct OpCall {
   bool fused = false;
   bool compressed = false;
 
-  // The compiled stage sequence this call runs (owned by the pipeline's
-  // plan table, which outlives every in-flight call).
-  const StagePlan* plan = nullptr;
-
-  // Virtual time spent inside downstream stages, indexed by *plan position*;
-  // the pipeline uses it to compute each stage's *exclusive* time for the
-  // `pipeline_stage_us` histograms (sized by execute()).
-  std::vector<double> stage_child_us;
+  // Exclusive-time bookkeeping for the `pipeline_stage_us` histograms:
+  // virtual time spent inside each stage's downstream stages, and the
+  // innermost timed stage currently running (-1 before the first).
+  std::array<double, kPipelineStages> stage_child_us{};
+  int timed_stage = -1;
 
   // Size of the call's communicator (group or world).
   int world_size() const;
@@ -134,36 +118,30 @@ struct OpCall {
   void recycle();
 };
 
-// Continuation invoking the remainder of the pipeline on the current call.
-// A plain (pipeline, call, position) triple — constructing and copying one
-// never allocates, unlike the std::function it replaced (whose three-word
-// capture exceeded the small-buffer optimisation on every stage hop).
+// Continuation a hook calls to run the rest of the pipeline: the remaining
+// hooks of its stage, then the stage itself and everything after it. A plain
+// (pipeline, call, stage, hook) tuple, so constructing one never allocates.
 class OpNext {
  public:
   Work operator()() const;
 
  private:
   friend class OpPipeline;
-  OpNext(OpPipeline* pipeline, OpCall* call, std::size_t pos)
-      : pipeline_(pipeline), call_(call), pos_(pos) {}
+  OpNext(OpPipeline* pipeline, OpCall* call, std::size_t stage, std::size_t hook)
+      : pipeline_(pipeline), call_(call), stage_(stage), hook_(hook) {}
 
   OpPipeline* pipeline_;
   OpCall* call_;
-  std::size_t pos_;
+  std::size_t stage_;
+  std::size_t hook_;
 };
 
+// A hook run before one of the built-in stages (see insert_before).
 class OpStage {
  public:
   virtual ~OpStage() = default;
   virtual const char* name() const = 0;
   virtual Work run(OpCall& call, const OpNext& next) = 0;
-  // True if, under the given config snapshot, run() would provably neither
-  // move virtual time nor change the call — the plan compiler elides such
-  // stages from dispatch. Default false: custom stages always run.
-  virtual bool provably_noop(const StagePlanInputs& in) const {
-    (void)in;
-    return false;
-  }
 };
 
 class OpPipeline {
@@ -176,17 +154,13 @@ class OpPipeline {
   // Runs `req` through all stages on behalf of `rank`; `group` empty = world.
   Work execute(int rank, const std::vector<int>& group, OpRequest req);
 
-  // Stage names in request-path order.
+  // Stage and hook names in request-path order.
   std::vector<std::string> stage_names() const;
-  // The stages a dispatch of `op` would actually run under the
-  // current configuration (plan introspection for tests and tools).
-  std::vector<std::string> active_stage_names(OpType op);
-  // Insert a custom stage relative to an existing one (by name); throws
-  // InvalidArgument if no stage has that name. Setup-time API: calls in
-  // flight keep the plan they started with, so stages must be in place
-  // before operations start flowing.
+  // Attaches `stage` as a hook run right before the built-in stage `name`
+  // (after any hooks already there); throws InvalidArgument if no built-in
+  // stage has that name. Setup-time API: insert before operations start
+  // flowing.
   void insert_before(const std::string& name, std::unique_ptr<OpStage> stage);
-  void insert_after(const std::string& name, std::unique_ptr<OpStage> stage);
 
   // Total OpCall slots the dispatch arena has ever created (diagnostic: a
   // steady-state workload holds this constant after warm-up).
@@ -195,52 +169,70 @@ class OpPipeline {
  private:
   friend class OpNext;
 
-  // The full compiled plan set for one config fingerprint. Immutable once
-  // published; superseded tables are retired (not freed) until the pipeline
-  // dies, so a plan pointer held by an in-flight call can never dangle.
-  struct PlanTable {
-    std::uint64_t config_version = 0;
-    std::vector<StagePlan> plans;  // [op * kMaskCount + mask]
+  enum Stage : std::size_t {
+    kOverhead,
+    kResolve,
+    kFusion,
+    kCompression,
+    kFinish,
+    kRecover,
+    kColl,
+    kRoute,
+    kIssue,
   };
   class ArenaLease;
   struct RankPool {
     std::vector<std::unique_ptr<OpCall>> free;
     std::uint64_t created = 0;
   };
+  // Per-(backend, op) metric handles of the finish stage.
+  struct FinishHandles {
+    obs::Counter* ops = nullptr;
+    obs::Histogram* latency = nullptr;
+  };
 
-  static constexpr std::size_t kOpCount = kOpTypeCount;
-  static constexpr unsigned kMaskOverhead = 1u << 0;
-  static constexpr unsigned kMaskFusion = 1u << 1;
-  static constexpr unsigned kMaskCompression = 1u << 2;
-  static constexpr unsigned kMaskRecovery = 1u << 3;
-  static constexpr unsigned kMaskColl = 1u << 4;
-  static constexpr std::size_t kMaskCount = 1u << 5;
+  using StageFn = Work (OpPipeline::*)(OpCall&);
+  // The member function of stage `s`.
+  static constexpr StageFn stage_fn(std::size_t s);
 
-  Work invoke(std::size_t pos, OpCall& call);
-  std::size_t index_of(const std::string& name) const;
-  void rebuild_stage_histograms();
+  // Enters stage S: its hooks, then the stage itself, timed into its
+  // histogram — or, when the stage is bypassed, straight to the next one.
+  // Templates, so that a chain of bypassed stages inlines into one check
+  // each and every entry compiles to direct calls.
+  template <std::size_t S>
+  Work next(OpCall& c);
+  template <std::size_t S>
+  Work timed(OpCall& c);
+  // True when stage S provably neither moves virtual time nor changes the
+  // call under the current configuration.
+  template <std::size_t S>
+  bool bypassed(const OpCall& c) const;
+  // Runs hook `hook` of stage `s` (the stage itself once the hooks ran out).
+  Work run_hooks(std::size_t s, std::size_t hook, OpCall& c);
 
-  // Cheap per-dispatch reads of the dynamic config toggles.
-  unsigned config_mask() const;
-  std::uint64_t config_version() const;
-  // The current plan table, recompiling first if the config version moved.
-  const PlanTable* plan_table();
-  const PlanTable* recompile_plans(std::uint64_t version);
+  Work overhead(OpCall& c);
+  Work resolve(OpCall& c);
+  Work fusion(OpCall& c);
+  Work compression(OpCall& c);
+  Work finish(OpCall& c);
+  Work recover(OpCall& c);
+  Work coll(OpCall& c);
+  Work route(OpCall& c);
+  Work issue(OpCall& c);
+
+  const FinishHandles& finish_handles(const std::string& backend, OpType op);
 
   OpCall* arena_acquire(int rank);
   void arena_release(int rank, OpCall* call);
 
   McrDl* ctx_;
-  std::vector<std::unique_ptr<OpStage>> stages_;
-  // `pipeline_stage_us{stage=...}` histogram per stage, parallel to stages_;
-  // resolved eagerly at construction/insert time (registry references are
-  // stable) so the per-invocation read is a vector index.
-  std::vector<obs::Histogram*> stage_hist_;
-
-  // Current plan table; plan_history_ keeps superseded tables alive for
-  // in-flight calls.
-  const PlanTable* plans_ = nullptr;
-  std::vector<std::unique_ptr<const PlanTable>> plan_history_;
+  // `pipeline_stage_us{stage=...}` per built-in stage, resolved once at
+  // construction (registry references are stable).
+  std::array<obs::Histogram*, kPipelineStages> stage_hist_{};
+  std::array<std::vector<std::unique_ptr<OpStage>>, kPipelineStages> hooks_;
+  // Resolved once per (backend, op) pair instead of building label maps per
+  // dispatch. Backend names are SSO-short, so lookups do not allocate.
+  std::map<std::pair<std::string, int>, FinishHandles> finish_handles_;
 
   // Per-rank OpCall recycling pools, sized once at construction. A rank's
   // pool is touched only by that rank's actor (reentrant dispatch nests in

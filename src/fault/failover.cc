@@ -66,19 +66,35 @@ std::string FailoverRouter::select(const std::string& preferred,
   throw BackendUnavailable("no healthy backend available (preferred '" + preferred + "')");
 }
 
-std::string FailoverRouter::next_healthy(const std::string& failed,
+std::string FailoverRouter::next_healthy(const std::string& failed, const std::string& preferred,
                                          const std::vector<std::string>& order, int rank) const {
   if (!failover_) {
     throw BackendUnavailable("backend '" + failed + "' failed and failover is disabled");
   }
+  // The preference order is `preferred`, then `order` without it; entry k is
+  // found by walking `order`, which is a handful of names long.
+  const bool listed = std::find(order.begin(), order.end(), preferred) != order.end();
+  const std::size_t n = order.size() + (listed ? 0 : 1);
+  const auto at = [&](std::size_t k) -> const std::string& {
+    if (k == 0) return preferred;
+    for (const std::string& name : order) {
+      if (name != preferred && --k == 0) return name;
+    }
+    return preferred;  // unreachable: k < n
+  };
   // Prefer backends after the failed one in the order; wrap to earlier
   // entries only as a last resort (they were skipped for a reason, but a
   // reason that may have been health that has since not changed — still
   // better than failing the op outright).
-  auto it = std::find(order.begin(), order.end(), failed);
-  const std::size_t start = it == order.end() ? 0 : (it - order.begin()) + 1;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const std::string& candidate = order[(start + i) % order.size()];
+  std::size_t start = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    if (at(k) == failed) {
+      start = k + 1;
+      break;
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::string& candidate = at((start + i) % n);
     if (candidate != failed && healthy(candidate, rank)) return candidate;
   }
   throw BackendUnavailable("no healthy backend to fail over to (failed '" + failed + "')");

@@ -102,20 +102,23 @@ class FailoverRouter {
   // different decisions for the same op and desync sequence numbers.
   bool healthy(const std::string& backend, int rank) const;
 
+  // The preference order is `preferred` first, then `order` (init order)
+  // without it; neither call builds it.
+  //
   // Picks the backend `rank` issues on: `preferred` when healthy, otherwise
-  // the first healthy entry of `order`. Throws BackendUnavailable when
-  // nothing is healthy (or when failover is disabled and `preferred` is
-  // down).
+  // the first healthy entry of the preference order. Throws
+  // BackendUnavailable when nothing is healthy (or when failover is disabled
+  // and `preferred` is down).
   std::string select(const std::string& preferred, const std::vector<std::string>& order,
                      int rank) const;
 
-  // After `failed` errored out for `rank`: the next healthy backend
-  // strictly after it in `order` (entries before `failed` were already
-  // preferred and are reconsidered only if healthy — tuning order wins,
-  // then static order). Throws BackendUnavailable when no healthy
-  // candidate remains.
-  std::string next_healthy(const std::string& failed, const std::vector<std::string>& order,
-                           int rank) const;
+  // After `failed` errored out for `rank`: the next healthy backend strictly
+  // after it in the preference order (entries before `failed` were already
+  // preferred and are reconsidered only if healthy — tuning order wins, then
+  // static order). Throws BackendUnavailable when no healthy candidate
+  // remains.
+  std::string next_healthy(const std::string& failed, const std::string& preferred,
+                           const std::vector<std::string>& order, int rank) const;
 
   void record_success(const std::string& backend, int rank);
   // Returns true if this failure tripped the backend's breaker.

@@ -4,9 +4,11 @@
 // tests/common/counting_new.cc and measures heap allocations per dispatched operation for a
 // fixed 8-rank phantom mix of async all_reduce / all_to_all_single /
 // broadcast on "auto", whose tuning table sends small messages to mv2-gdr
-// and large ones to nccl, with a synchronize() every 64 ops. The scenario
-// runs twice on fresh runtimes, with a short and a long op program; the
-// difference between the two counts cancels set-up and warm-up, leaving
+// and large ones to nccl, with a synchronize() every 64 ops; once with the
+// logger off, once with it on, and once with the fault subsystem routing
+// every op and elastic recovery armed by a rank loss that never fires. The
+// scenario runs twice on fresh runtimes, with a short and a long op program;
+// the difference between the two counts cancels set-up and warm-up, leaving
 // the amortised per-op cost. The bound may be tightened, never loosened.
 #include <gtest/gtest.h>
 
@@ -39,16 +41,28 @@ TuningTable crossover_table() {
   return table;
 }
 
+struct Scenario {
+  bool logger = false;
+  // Fault subsystem on (every op goes through the failover router) with a
+  // rank loss scheduled far past the run's end, which arms the recover stage.
+  bool faults_recovery_armed = false;
+};
+
 // Heap allocations made by one complete run (set-up, `windows` windows of
 // kOpsPerWindow ops on every rank, teardown).
-std::uint64_t allocations_for(int windows, bool logger) {
+std::uint64_t allocations_for(int windows, Scenario scenario) {
   const std::uint64_t before = heap_allocations();
   {
+    McrDlOptions opts;
+    if (scenario.faults_recovery_armed) {
+      opts.fault.enabled = true;
+      opts.fault.plan.specs.push_back(fault::FaultSpec::lose_rank(0, 1e12));
+    }
     ClusterContext cluster(net::SystemConfig::lassen(kWorld / 4));
-    McrDl mcr(&cluster);
+    McrDl mcr(&cluster, opts);
     mcr.init({"nccl", "mv2-gdr"});
     mcr.set_tuning_table(crossover_table());
-    mcr.logger().set_enabled(logger);
+    mcr.logger().set_enabled(scenario.logger);
     cluster.run_spmd([&](int rank) {
       Api api = mcr.on(rank);
       sim::Device* dev = cluster.device(rank);
@@ -80,23 +94,33 @@ std::uint64_t allocations_for(int windows, bool logger) {
   return heap_allocations() - before;
 }
 
-double allocations_per_op(bool logger) {
+double allocations_per_op(Scenario scenario) {
   constexpr int kShort = 8;
   constexpr int kLong = 24;
-  const std::uint64_t shorter = allocations_for(kShort, logger);
-  const std::uint64_t longer = allocations_for(kLong, logger);
+  const std::uint64_t shorter = allocations_for(kShort, scenario);
+  const std::uint64_t longer = allocations_for(kLong, scenario);
   const double ops = static_cast<double>((kLong - kShort) * kOpsPerWindow * kWorld);
   return static_cast<double>(longer - shorter) / ops;
 }
 
 TEST(AllocBudget, SteadyStateDispatchLoggerOff) {
-  const double per_op = allocations_per_op(/*logger=*/false);
+  const double per_op = allocations_per_op(Scenario{});
   RecordProperty("allocations_per_op", std::to_string(per_op));
   EXPECT_LE(per_op, kBudgetPerOp);
 }
 
 TEST(AllocBudget, SteadyStateDispatchLoggerOn) {
-  const double per_op = allocations_per_op(/*logger=*/true);
+  Scenario scenario;
+  scenario.logger = true;
+  const double per_op = allocations_per_op(scenario);
+  RecordProperty("allocations_per_op", std::to_string(per_op));
+  EXPECT_LE(per_op, kBudgetPerOp);
+}
+
+TEST(AllocBudget, SteadyStateDispatchFaultsOnRecoveryArmed) {
+  Scenario scenario;
+  scenario.faults_recovery_armed = true;
+  const double per_op = allocations_per_op(scenario);
   RecordProperty("allocations_per_op", std::to_string(per_op));
   EXPECT_LE(per_op, kBudgetPerOp);
 }

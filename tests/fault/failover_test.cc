@@ -53,23 +53,36 @@ TEST(FailoverRouter, HealthIsPerRankAndIgnoresLiveOutageState) {
 
 TEST(FailoverRouter, NextHealthyScansPastTheFailedBackend) {
   FailoverRouter router(nullptr, RetryPolicy{}, 1, true);
-  EXPECT_EQ(router.next_healthy("nccl", kOrder, 0), "sccl");
+  EXPECT_EQ(router.next_healthy("nccl", "nccl", kOrder, 0), "sccl");
   router.record_failure("sccl", 0);
-  EXPECT_EQ(router.next_healthy("nccl", kOrder, 0), "mv2-gdr");
+  EXPECT_EQ(router.next_healthy("nccl", "nccl", kOrder, 0), "mv2-gdr");
+}
+
+// The preference order is the preferred backend, then init order without it.
+TEST(FailoverRouter, NextHealthyWalksPreferredThenInitOrder) {
+  FailoverRouter router(nullptr, RetryPolicy{}, 1, true);
+  // Order mv2-gdr, nccl, sccl: after nccl comes sccl.
+  EXPECT_EQ(router.next_healthy("nccl", "mv2-gdr", kOrder, 0), "sccl");
+  // After sccl the walk wraps to the preferred backend.
+  EXPECT_EQ(router.next_healthy("sccl", "mv2-gdr", kOrder, 0), "mv2-gdr");
+  router.record_failure("sccl", 0);
+  EXPECT_EQ(router.next_healthy("nccl", "mv2-gdr", kOrder, 0), "mv2-gdr");
+  router.record_failure("mv2-gdr", 0);
+  EXPECT_EQ(router.select("mv2-gdr", kOrder, 0), "nccl");
 }
 
 TEST(FailoverRouter, ThrowsWhenNothingIsHealthy) {
   FailoverRouter router(nullptr, RetryPolicy{}, 1, true);
   for (const auto& b : kOrder) router.record_failure(b, 0);
   EXPECT_THROW(router.select("nccl", kOrder, 0), BackendUnavailable);
-  EXPECT_THROW(router.next_healthy("nccl", kOrder, 0), BackendUnavailable);
+  EXPECT_THROW(router.next_healthy("nccl", "nccl", kOrder, 0), BackendUnavailable);
 }
 
 TEST(FailoverRouter, DisabledFailoverRefusesToReroute) {
   FailoverRouter router(nullptr, RetryPolicy{}, 1, /*failover_enabled=*/false);
   router.record_failure("nccl", 0);
   EXPECT_THROW(router.select("nccl", kOrder, 0), BackendUnavailable);
-  EXPECT_THROW(router.next_healthy("nccl", kOrder, 0), BackendUnavailable);
+  EXPECT_THROW(router.next_healthy("nccl", "nccl", kOrder, 0), BackendUnavailable);
 }
 
 // --- report formatting ------------------------------------------------------

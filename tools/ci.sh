@@ -61,6 +61,34 @@ ctest --output-on-failure -j "${jobs}" -L alloc
 echo "== perfbench: build + self-test =="
 CARGO_TARGET_DIR="${build_dir}/perfbench-build" python3 "${repo_root}/perfbench/run.py" --self-test
 
+# perfbench correctness smoke: each workload for one second at two seeds,
+# plus a traced dispatch run, whose span probes are pipeline hooks. Every
+# check the benchmark makes (routing anchors, cycles against a replay on a
+# rebuilt runtime, payload values, step identity, serve replay identity)
+# must pass: the result line must read "correct": true and "failed": 0.
+echo "== perfbench: correctness smoke =="
+perfbench_check() {
+  local out
+  if ! out="$(CARGO_TARGET_DIR="${build_dir}/perfbench-build" \
+      python3 "${repo_root}/perfbench/run.py" "$@")"; then
+    echo "perfbench smoke FAILED ($*): run.py exited non-zero" >&2
+    exit 1
+  fi
+  local result="${out##*$'\n'}"
+  if ! python3 -c 'import json, sys; r = json.loads(sys.argv[1]);
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "${result}"; then
+    echo "perfbench smoke FAILED ($*): ${out}" >&2
+    exit 1
+  fi
+  echo "   ok: $*"
+}
+for seed in 2 1000003; do
+  for workload in moe256 dispatch payload serve; do
+    perfbench_check --workload "${workload}" --seed "${seed}" --seconds 1
+  done
+done
+perfbench_check --workload dispatch --seed 2 --seconds 1 --trace 1
+
 # Chaos-differential smoke: kill rank 3 at t=2500us mid-run and require a
 # clean elastic recovery — exit 0 (planned casualty only, survivors agree)
 # AND at least one op actually quiesced and replayed on the shrunk
