@@ -1,31 +1,6 @@
 #include "src/core/process_groups.h"
 
-#include <algorithm>
-#include <map>
-
 namespace mcrdl {
-
-NodeGroups node_groups(const net::Topology& topo, const std::vector<int>& ranks) {
-  return net::node_partition(topo, ranks);
-}
-
-std::vector<int> intra_node_group(const net::Topology& topo, const std::vector<int>& ranks,
-                                  int rank) {
-  const int node = topo.node_of(rank);
-  std::vector<int> out;
-  for (int r : ranks) {
-    MCRDL_REQUIRE(r >= 0 && r < topo.world_size(), "rank out of range for topology");
-    if (topo.node_of(r) == node) out.push_back(r);
-  }
-  std::sort(out.begin(), out.end());
-  MCRDL_REQUIRE(std::find(out.begin(), out.end(), rank) != out.end(),
-                "rank is not a member of the group");
-  return out;
-}
-
-std::vector<int> inter_node_group(const net::Topology& topo, const std::vector<int>& ranks) {
-  return node_groups(topo, ranks).leaders;
-}
 
 ProcessGroups::ProcessGroups(int world, int tensor_parallel, int expert_parallel)
     : world_(world), tp_(tensor_parallel), ep_(expert_parallel) {
@@ -102,14 +77,7 @@ ShrunkGroups shrink_process_groups(const ProcessGroups& old, const std::vector<i
   const int new_ep = ep_ok ? old.expert_parallel() : 1;
 
   ShrunkGroups out{ProcessGroups(new_world, new_tp, new_ep), std::move(survivors),
-                   std::move(old_to_new), tp_ok, ep_ok, {}};
-  return out;
-}
-
-ShrunkGroups shrink_process_groups(const ProcessGroups& old, const std::vector<int>& lost,
-                                   const net::Topology& topo) {
-  ShrunkGroups out = shrink_process_groups(old, lost);
-  out.nodes = node_groups(topo, out.survivors);
+                   std::move(old_to_new), tp_ok, ep_ok};
   return out;
 }
 
@@ -119,11 +87,6 @@ ShrunkGroups rebuild_process_groups(const ProcessGroups& original,
   // must be the seed layout and `lost` the *current* lost set, so a grow
   // event that empties the set reproduces the seed groups exactly.
   return shrink_process_groups(original, lost);
-}
-
-ShrunkGroups rebuild_process_groups(const ProcessGroups& original, const std::vector<int>& lost,
-                                    const net::Topology& topo) {
-  return shrink_process_groups(original, lost, topo);
 }
 
 }  // namespace mcrdl

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/net/topology.h"
 
 namespace mcrdl {
 
@@ -43,26 +42,6 @@ class ProcessGroups {
   int ep_;
 };
 
-// The canonical two-level decomposition of a rank list: one communicator per
-// occupied node plus the leader group that stitches the nodes together.
-// Every hierarchical collective (src/coll/) and the recovery rebuild path
-// derive their subgroups through this instead of hand-slicing ranks. The
-// primitive lives in src/net/ (below both coll and core); this is the
-// core-facing spelling.
-using NodeGroups = net::NodePartition;
-
-// Partitions `ranks` into node-local groups and leaders under `topo`.
-NodeGroups node_groups(const net::Topology& topo, const std::vector<int>& ranks);
-
-// The intra-node subgroup of `ranks` containing `rank` (always includes
-// `rank` itself; singleton when it is alone on its node).
-std::vector<int> intra_node_group(const net::Topology& topo, const std::vector<int>& ranks,
-                                  int rank);
-
-// The inter-node subgroup of `ranks`: one leader (lowest rank) per occupied
-// node. Singleton when every rank shares a node.
-std::vector<int> inter_node_group(const net::Topology& topo, const std::vector<int>& ranks);
-
 // Result of rebuilding a hybrid-parallel layout after permanent rank loss
 // (src/fault/recovery.h): the survivors renumbered densely into a smaller
 // world, with flags recording which parallelism dimensions survived intact.
@@ -72,9 +51,6 @@ struct ShrunkGroups {
   std::vector<int> old_to_new;   // old global rank -> new rank, -1 if lost
   bool tp_preserved = true;      // old TP degree still divides the new world
   bool ep_preserved = true;      // old EP degree still divides the new DP
-  // Node-aligned subgroups over the survivors (global ranks); populated only
-  // by the topology-aware shrink/rebuild overloads, empty otherwise.
-  NodeGroups nodes;
 };
 
 // Shrinks `old` to the ranks not listed in `lost`. The old tensor-parallel
@@ -83,11 +59,6 @@ struct ShrunkGroups {
 // groups cannot be preserved in general); likewise EP against the new DP
 // degree. Requires at least one survivor.
 ShrunkGroups shrink_process_groups(const ProcessGroups& old, const std::vector<int>& lost);
-// Topology-aware variant: additionally derives the survivors' node-aligned
-// subgroups (ShrunkGroups::nodes) through node_groups(), so hierarchical
-// collectives keep correct intra/inter splits after the shrink.
-ShrunkGroups shrink_process_groups(const ProcessGroups& old, const std::vector<int>& lost,
-                                   const net::Topology& topo);
 
 // Rebuilds the hybrid-parallel layout over whatever part of the *original*
 // world is currently alive — the grow-path entry point. `lost` is the
@@ -96,8 +67,5 @@ ShrunkGroups shrink_process_groups(const ProcessGroups& old, const std::vector<i
 // after a full rejoin the TP/DP/EP groups are byte-for-byte the seed layout,
 // not an approximation recovered through intermediate collapses.
 ShrunkGroups rebuild_process_groups(const ProcessGroups& original, const std::vector<int>& lost);
-// Topology-aware variant, mirroring the shrink overload.
-ShrunkGroups rebuild_process_groups(const ProcessGroups& original, const std::vector<int>& lost,
-                                    const net::Topology& topo);
 
 }  // namespace mcrdl

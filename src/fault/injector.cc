@@ -9,19 +9,6 @@
 
 namespace mcrdl::fault {
 
-const char* fault_kind_name(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::Transient: return "transient";
-    case FaultKind::Outage: return "outage";
-    case FaultKind::LinkDegradation: return "degrade";
-    case FaultKind::RankSlowdown: return "slowdown";
-    case FaultKind::Straggler: return "straggler";
-    case FaultKind::RankLoss: return "rank_loss";
-    case FaultKind::RankRejoin: return "rank_rejoin";
-  }
-  return "?";
-}
-
 const char* link_scope_name(LinkScope scope) {
   switch (scope) {
     case LinkScope::All: return "all";

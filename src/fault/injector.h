@@ -49,7 +49,6 @@ enum class FaultKind {
   RankRejoin,        // previously lost rank re-admitted at `from_us` (grow-back)
 };
 
-const char* fault_kind_name(FaultKind kind);
 const char* link_scope_name(LinkScope scope);
 
 constexpr SimTime kNoEnd = std::numeric_limits<double>::infinity();

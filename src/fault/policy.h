@@ -129,6 +129,9 @@ class CircuitBreaker {
   int consecutive_failures(const std::string& backend, int rank) const;
 
   void set_transition_hook(BreakerTransitionHook hook) { hook_ = std::move(hook); }
+  // Forgets every (backend, rank) entry: all breakers read Closed with no
+  // history again. The config and the transition hook stay.
+  void reset() { entries_.clear(); }
 
  private:
   struct Entry {

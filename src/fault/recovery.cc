@@ -10,17 +10,6 @@
 
 namespace mcrdl::fault {
 
-const char* recovery_phase_name(RecoveryPhase phase) {
-  switch (phase) {
-    case RecoveryPhase::Idle: return "idle";
-    case RecoveryPhase::Quiesce: return "quiesce";
-    case RecoveryPhase::Shrink: return "shrink";
-    case RecoveryPhase::Grow: return "grow";
-    case RecoveryPhase::Resume: return "resume";
-  }
-  return "?";
-}
-
 std::string describe_rank_loss(OpType op, const std::string& backend,
                                const std::vector<int>& lost_global) {
   std::ostringstream out;

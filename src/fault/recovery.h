@@ -63,7 +63,6 @@ namespace mcrdl::fault {
 class FaultInjector;
 
 enum class RecoveryPhase { Idle, Quiesce, Shrink, Grow, Resume };
-const char* recovery_phase_name(RecoveryPhase phase);
 
 // Human-readable diagnostic for an operation doomed by permanent rank loss;
 // names the dead ranks so logs read like the watchdog's timeout messages.

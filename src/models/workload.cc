@@ -73,6 +73,7 @@ RunResult TrainingHarness::run(const Model& model, const CommPlan& plan,
     result.comm_by_backend_us[b] = t / options.measured_steps;
   }
   result.throughput = model.samples_per_step(world) / (result.step_time_us / kSecond);
+  result.tune_fallbacks = cluster.metrics().counter_total("tune.fallback");
   return result;
 }
 

@@ -5,6 +5,7 @@
 // compute-vs-communication split, and the per-operation breakdown.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -39,6 +40,9 @@ struct RunResult {
   double compute_time_us = 0.0;     // per-step default-stream busy time, rank 0
   std::map<std::string, double> comm_by_op_us;       // per step
   std::map<std::string, double> comm_by_backend_us;  // per step
+  // "auto" ops the tuning table had no entry for, which fell back to the
+  // default backend (the run's "tune.fallback" counter, warmup included).
+  std::uint64_t tune_fallbacks = 0;
 
   double comm_fraction() const {
     const double busy = comm_time_us + compute_time_us;

@@ -24,17 +24,6 @@ const char* op_name(OpType op) {
   return "?";
 }
 
-const char* reduce_op_name(ReduceOp op) {
-  switch (op) {
-    case ReduceOp::Sum: return "sum";
-    case ReduceOp::Prod: return "prod";
-    case ReduceOp::Min: return "min";
-    case ReduceOp::Max: return "max";
-    case ReduceOp::Avg: return "avg";
-  }
-  return "?";
-}
-
 bool op_from_name(const std::string& name, OpType& out) {
   static const OpType all[] = {
       OpType::Send,    OpType::Recv,     OpType::Broadcast,      OpType::Reduce,
@@ -48,36 +37,6 @@ bool op_from_name(const std::string& name, OpType& out) {
     }
   }
   return false;
-}
-
-bool is_alltoall_like(OpType op) {
-  return op == OpType::AllToAll || op == OpType::AllToAllSingle || op == OpType::AllToAllV;
-}
-
-bool is_rooted(OpType op) {
-  switch (op) {
-    case OpType::Broadcast:
-    case OpType::Reduce:
-    case OpType::Gather:
-    case OpType::GatherV:
-    case OpType::Scatter:
-    case OpType::ScatterV:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_vector_collective(OpType op) {
-  switch (op) {
-    case OpType::GatherV:
-    case OpType::ScatterV:
-    case OpType::AllGatherV:
-    case OpType::AllToAllV:
-      return true;
-    default:
-      return false;
-  }
 }
 
 }  // namespace mcrdl

@@ -92,7 +92,8 @@ const TuningTable& JobCostCache::table_for(int ranks) {
   TuningSuite suite(system_);
   TuningConfig config;
   config.backends = {"nccl", "mv2-gdr"};
-  config.ops = {OpType::AllReduce, OpType::AllToAllSingle, OpType::Barrier};
+  config.ops = {OpType::AllReduce, OpType::AllToAllSingle, OpType::ReduceScatter,
+                OpType::AllGather, OpType::Barrier};
   config.sizes = {64u << 10, 1u << 20, 4u << 20, 16u << 20};
   config.world_sizes = {ranks};
   config.iterations = 1;
@@ -133,6 +134,7 @@ JobProfile JobCostCache::measure(JobModel model, int ranks, double contention) {
   const models::RunResult result =
       harness_.run(*workload, plan, models::FrameworkModel::raw(), options, table, ranks);
 
+  tune_fallbacks_ += result.tune_fallbacks;
   JobProfile profile;
   profile.step_time_us = result.step_time_us;
   profile.comm_time_us = result.comm_time_us;

@@ -11,6 +11,7 @@
 // TrainingHarness, so the entries share its actor stacks.
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <map>
 #include <string>
@@ -56,6 +57,9 @@ class JobCostCache {
   const std::string& plan_name() const { return plan_; }
   // Actor stacks the shared measurement harness has mapped.
   std::size_t stacks_mapped() const { return harness_.stacks_mapped(); }
+  // "auto" ops a "tuned" table had no entry for, so they fell back to the
+  // default backend, summed over every measurement (RunResult::tune_fallbacks).
+  std::uint64_t tune_fallbacks() const { return tune_fallbacks_; }
 
  private:
   JobProfile measure(JobModel model, int ranks, double contention);
@@ -66,6 +70,7 @@ class JobCostCache {
   bool quick_models_;
   models::TrainingHarness harness_;
   std::deque<JobProfile> entries_;  // measured profiles, in measurement order
+  std::uint64_t tune_fallbacks_ = 0;
   // [model][ranks][rung] -> entry, null until measured. Deque elements stay
   // put as entries are added, so the pointers never dangle.
   std::vector<const JobProfile*> index_;

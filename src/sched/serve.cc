@@ -72,23 +72,22 @@ obs::Labels tenant_labels(const JobSpec& spec) {
   return obs::Labels{{"tenant", spec.tenant}, {"qos", qos_name(spec.qos)}};
 }
 
-// Nearest-rank percentile of an ascending, non-empty sample: the smallest
-// value with at least q% of the sample at or below it.
-double sorted_percentile(const std::vector<double>& sorted, double q) {
-  const std::size_t rank = static_cast<std::size_t>(std::ceil(q / 100.0 * sorted.size()));
-  return sorted[rank == 0 ? 0 : rank - 1];
+// Index of the nearest-rank q-th percentile in an ascending sample of `n`:
+// the smallest value with at least q% of the sample at or below it.
+std::size_t nearest_rank_index(std::size_t n, double q) {
+  const std::size_t rank = static_cast<std::size_t>(std::ceil(q / 100.0 * n));
+  return rank == 0 ? 0 : rank - 1;
 }
 
-// Fills `stats`' p50/p99/mean from an unsorted latency sample, sorting it in
-// place once for both percentiles.
+// Fills `stats`' p50/p99/mean from an unsorted latency sample, reordering it.
 template <typename Stats>
 void summarize_latencies(std::vector<double>& latencies, Stats& stats) {
   double sum = 0.0;
-  for (double l : latencies) sum += l;  // in replay order, before the sort
+  for (double l : latencies) sum += l;  // in replay order, before the selection
   stats.mean_latency_us = sum / static_cast<double>(latencies.size());
-  std::sort(latencies.begin(), latencies.end());
-  stats.p50_latency_us = sorted_percentile(latencies, 50.0);
-  stats.p99_latency_us = sorted_percentile(latencies, 99.0);
+  const LatencyQuantiles q = select_p50_p99(latencies);
+  stats.p50_latency_us = q.p50;
+  stats.p99_latency_us = q.p99;
 }
 
 }  // namespace
@@ -97,7 +96,20 @@ double percentile(std::vector<double> values, double q) {
   MCRDL_REQUIRE(!values.empty(), "percentile of an empty sample");
   MCRDL_REQUIRE(q > 0.0 && q <= 100.0, "percentile rank must be in (0, 100]");
   std::sort(values.begin(), values.end());
-  return sorted_percentile(values, q);
+  return values[nearest_rank_index(values.size(), q)];
+}
+
+LatencyQuantiles select_p50_p99(std::vector<double>& values) {
+  MCRDL_REQUIRE(!values.empty(), "percentile of an empty sample");
+  // Select p99 first: everything before it is then the smaller part of the
+  // sample, which holds the p50 order statistic as well.
+  const auto p99 = values.begin() + static_cast<std::ptrdiff_t>(
+                                        nearest_rank_index(values.size(), 99.0));
+  std::nth_element(values.begin(), p99, values.end());
+  const auto p50 = values.begin() + static_cast<std::ptrdiff_t>(
+                                        nearest_rank_index(values.size(), 50.0));
+  if (p50 != p99) std::nth_element(values.begin(), p50, p99);
+  return LatencyQuantiles{*p50, *p99};
 }
 
 ServeScheduler::ServeScheduler(ServeConfig config)
@@ -155,51 +167,39 @@ SimTime ServeScheduler::next_dip_edge(SimTime t) const {
 void ServeScheduler::recompute_rates(std::vector<Active>& active,
                                      const std::vector<JobRecord>& jobs, double chaos,
                                      double* peak_contention) {
-  if (active.empty()) return;
-  const int world = config_.system.world_size();
-  const int gpn = config_.system.gpus_per_node;
-
-  // Fabric demand: each multi-node job asks for its slice's share of the
-  // full-bisection fabric, scaled by how much of a step it keeps its links
-  // busy when running alone. Single-node jobs live on NVLink and place no
-  // demand on the shared core.
-  demand_.assign(active.size(), 0.0);
-  weight_.assign(active.size(), 0.0);
-  multi_node_.assign(active.size(), false);
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    const JobRecord& job = jobs[active[i].job];
-    const RankRange& placement = job.placement;
-    multi_node_[i] = placement.begin / gpn != (placement.end() - 1) / gpn;
-    weight_[i] = qos_weight(job.spec.qos) * job.spec.ranks;
-    if (multi_node_[i]) {
-      const JobProfile& alone = cache_.profile(job.spec.model, job.spec.ranks, 1.0);
-      demand_[i] =
-          (static_cast<double>(job.spec.ranks) / world) * alone.comm_fraction();
-    }
+  // Only multi-node jobs share the fabric. Leaving the single-node ones out
+  // of the water-fill changes nothing: their zero demand adds nothing to its
+  // sums, and their weight only counts where demand is positive.
+  demand_.clear();
+  weight_.clear();
+  for (const Active& a : active) {
+    if (!a.multi_node) continue;
+    demand_.push_back(a.demand);
+    weight_.push_back(a.weight);
   }
+  if (demand_.empty()) return;
 
   // The tapered core sustains only 1/oversubscription of aggregate
   // injection; QoS-weighted max-min fairness splits it under overload.
   const double capacity = 1.0 / config_.fabric_oversubscription;
   water_fill(demand_, weight_, capacity, alloc_, frozen_);
 
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    const JobRecord& job = jobs[active[i].job];
-    double factor = 1.0;
-    if (multi_node_[i]) {
-      const double share =
-          demand_[i] > 0.0 && alloc_[i] > 0.0 ? demand_[i] / alloc_[i] : 1.0;
-      factor = JobCostCache::quantize_contention(std::max(1.0, share) * chaos);
-    }
-    const JobProfile& profile = cache_.profile(job.spec.model, job.spec.ranks, factor);
-    active[i].factor = factor;
-    active[i].rate = 1.0 / profile.step_time_us;
-    if (peak_contention != nullptr) *peak_contention = std::max(*peak_contention, factor);
+  std::size_t i = 0;
+  for (Active& a : active) {
+    if (!a.multi_node) continue;
+    const double share = demand_[i] > 0.0 && alloc_[i] > 0.0 ? demand_[i] / alloc_[i] : 1.0;
+    ++i;
+    const JobSpec& spec = jobs[a.job].spec;
+    a.factor = JobCostCache::quantize_contention(std::max(1.0, share) * chaos);
+    a.rate = 1.0 / cache_.profile(spec.model, spec.ranks, a.factor).step_time_us;
+    *peak_contention = std::max(*peak_contention, a.factor);
   }
 }
 
 ServeResult ServeScheduler::run(const ArrivalTrace& trace) {
   const int world = config_.system.world_size();
+  const int gpn = config_.system.gpus_per_node;
+  breaker_.reset();
   ServeResult result;
   std::vector<JobRecord>& jobs = result.jobs;
   jobs.reserve(trace.jobs.size());
@@ -261,10 +261,13 @@ ServeResult ServeScheduler::run(const ArrivalTrace& trace) {
   SimTime now = 0.0;
   double busy_rank_us = 0.0;
   std::size_t next_arrival = 0;
-  // Rates hold until the running set changes or the chaos factor moves.
-  // No factor is 0, so the first event with a running job computes them.
-  bool running_changed = false;
+  // Multi-node rates hold until the multi-node set changes or the chaos
+  // factor moves. No factor is 0, so the first event computes them.
+  bool fabric_changed = false;
   double rates_chaos = 0.0;
+  // Set when a finish or a dip end frees ranks or quota: only then can a
+  // queued head have become runnable.
+  bool capacity_freed = false;
 
   const std::function<bool(const JobSpec&)> fits = [&allocator](const JobSpec& spec) {
     return allocator.fits(spec.ranks);
@@ -278,7 +281,6 @@ ServeResult ServeScheduler::run(const ArrivalTrace& trace) {
   std::vector<DipState> dips(config_.dips.size());
 
   const auto process_dip_edges = [&] {
-    const int gpn = config_.system.gpus_per_node;
     for (std::size_t i = 0; i < dips.size(); ++i) {
       const CapacityDip& dip = config_.dips[i];
       DipState& state = dips[i];
@@ -289,6 +291,7 @@ ServeResult ServeScheduler::run(const ArrivalTrace& trace) {
         for (const RankRange& range : state.reserved) allocator.release(range);
         state.reserved.clear();
         state.active = false;
+        capacity_freed = true;
         if (config_.breaker_enabled) {
           for (const std::string& tenant : tenants) {
             if (breaker_.allow_probe(tenant, 0)) {
@@ -314,14 +317,29 @@ ServeResult ServeScheduler::run(const ArrivalTrace& trace) {
 
   const auto start_job = [&](std::size_t index) {
     JobRecord& job = jobs[index];
-    const std::optional<RankRange> placement = allocator.allocate(job.spec.ranks);
+    const JobSpec& spec = job.spec;
+    const std::optional<RankRange> placement = allocator.allocate(spec.ranks);
     MCRDL_CHECK(placement.has_value()) << "started a job with no free range";
-    admission.note_started(job.spec);
+    admission.note_started(spec);
     job.state = JobState::Running;
     job.placement = *placement;
     job.start_us = now;
-    active.push_back(Active{index, static_cast<double>(job.spec.steps), 0.0, 1.0});
-    running_changed = true;
+    // Fabric demand: a multi-node job asks for its slice's share of the
+    // full-bisection fabric, scaled by how much of a step it keeps its links
+    // busy when running alone; recompute_rates sets its rate. A single-node
+    // job lives on NVLink, places no demand on the shared core and runs at
+    // its uncontended rate throughout.
+    const bool multi_node = placement->begin / gpn != (placement->end() - 1) / gpn;
+    const JobProfile& alone = cache_.profile(spec.model, spec.ranks, 1.0);
+    Active a{index, static_cast<double>(spec.steps), 0.0, 1.0, multi_node, 0.0,
+             qos_weight(spec.qos) * spec.ranks};
+    if (multi_node) {
+      a.demand = (static_cast<double>(spec.ranks) / world) * alone.comm_fraction();
+      fabric_changed = true;
+    } else {
+      a.rate = 1.0 / alone.step_time_us;
+    }
+    active.push_back(a);
   };
 
   // Queued jobs start while a head fits; the sweep is skipped outright
@@ -340,6 +358,7 @@ ServeResult ServeScheduler::run(const ArrivalTrace& trace) {
     job.finish_us = now;
     allocator.release(job.placement);
     admission.note_finished(job.spec);
+    capacity_freed = true;
     ++result.completed;
     TenantInstruments& instrument = instruments_of(index);
     tenant_counter(instrument.completed, "serve_jobs_completed", index).inc();
@@ -415,8 +434,10 @@ ServeResult ServeScheduler::run(const ArrivalTrace& trace) {
     // Completions first — they free ranks and quota for everything below.
     // Ascending job order keeps tie-breaks deterministic.
     done.clear();
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      if (active[i].remaining_steps <= kStepEps) done.push_back(active[i].job);
+    for (const Active& a : active) {
+      if (a.remaining_steps > kStepEps) continue;
+      done.push_back(a.job);
+      if (a.multi_node) fabric_changed = true;
     }
     if (!done.empty()) {
       std::sort(done.begin(), done.end());
@@ -424,7 +445,6 @@ ServeResult ServeScheduler::run(const ArrivalTrace& trace) {
                                   [](const Active& a) { return a.remaining_steps <= kStepEps; }),
                    active.end());
       for (std::size_t index : done) finish_job(index);
-      running_changed = true;
     }
 
     // Dip edges after completions (an ending dip frees capacity for the
@@ -432,7 +452,14 @@ ServeResult ServeScheduler::run(const ArrivalTrace& trace) {
     process_dip_edges();
 
     // Queued jobs outrank same-instant arrivals for the freed capacity.
-    start_runnable();
+    // Without a finish or a dip end nothing was freed since the last sweep
+    // left every head blocked: admits and dip starts only take capacity, and
+    // arrive() queues a job only when it cannot run right now. So no sweep
+    // after the arrivals either.
+    if (capacity_freed) {
+      start_runnable();
+      capacity_freed = false;
+    }
 
     while (next_arrival < jobs.size() && jobs[next_arrival].spec.arrival_us <= now) {
       const std::size_t index = next_arrival++;
@@ -461,12 +488,10 @@ ServeResult ServeScheduler::run(const ArrivalTrace& trace) {
       }
     }
 
-    start_runnable();
-
     const double chaos = chaos_factor_at(now);
-    if (running_changed || chaos != rates_chaos) {
+    if (fabric_changed || chaos != rates_chaos) {
       recompute_rates(active, jobs, chaos, &result.peak_contention);
-      running_changed = false;
+      fabric_changed = false;
       rates_chaos = chaos;
     }
   }

@@ -115,12 +115,21 @@ struct ServeResult {
 // InvalidArgument on an empty sample.
 double percentile(std::vector<double> values, double q);
 
+// percentile(values, 50) and percentile(values, 99) by selection instead of
+// a sort; reorders `values`. Throws InvalidArgument on an empty sample.
+struct LatencyQuantiles {
+  double p50 = 0.0;
+  double p99 = 0.0;
+};
+LatencyQuantiles select_p50_p99(std::vector<double>& values);
+
 class ServeScheduler {
  public:
   explicit ServeScheduler(ServeConfig config);
 
   // Replays the trace to completion. Reusable: each run starts from an
-  // empty cluster (metrics and breaker state accumulate across runs).
+  // empty cluster and closed breakers, so a replay does not depend on the
+  // ones before it (metrics accumulate across runs).
   ServeResult run(const ArrivalTrace& trace);
 
   // Per-tenant counters/latency histograms, labelled {tenant, qos}.
@@ -135,6 +144,10 @@ class ServeScheduler {
     double remaining_steps;  // fractional steps outstanding
     double rate;             // steps per virtual µs at the current factor
     double factor;           // quantised contention dilation in effect
+    // Fixed at start by the spec and the placement.
+    bool multi_node;         // the slice spans nodes, so it shares the fabric
+    double demand;           // fabric share asked for when alone (multi-node)
+    double weight;           // QoS weight x ranks, for the fair split
   };
 
   double chaos_factor_at(SimTime t) const;
@@ -143,8 +156,9 @@ class ServeScheduler {
   // part of the event-time minimum even while nothing runs: a dip end is
   // what un-wedges a queue waiting for capacity to grow back.
   SimTime next_dip_edge(SimTime t) const;
-  // Recomputes every active job's contention factor and step rate under
-  // the chaos slowdown `chaos`. run() calls it only when the running set or
+  // Recomputes every multi-node job's contention factor and step rate under
+  // the chaos slowdown `chaos`; single-node jobs keep the rate they started
+  // with. run() calls it only when a multi-node job started or finished or
   // the chaos factor changed; otherwise every rate would come out the same.
   void recompute_rates(std::vector<Active>& active, const std::vector<JobRecord>& jobs,
                        double chaos, double* peak_contention);
@@ -155,7 +169,7 @@ class ServeScheduler {
   fault::CircuitBreaker breaker_;
   // recompute_rates' per-job working set, kept so an update allocates nothing.
   std::vector<double> demand_, weight_, alloc_;
-  std::vector<bool> multi_node_, frozen_;
+  std::vector<bool> frozen_;
 };
 
 }  // namespace mcrdl::sched

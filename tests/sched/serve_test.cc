@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "bench/experiments.h"
+#include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/sched/serve.h"
 
@@ -33,6 +34,26 @@ ServeConfig small_config() {
   ServeConfig config;
   config.system = net::SystemConfig::lassen(4);  // 16 shared ranks
   return config;
+}
+
+// Selection gives exactly the nearest-rank values a full sort gives, ties
+// and the smallest samples included.
+TEST(Percentile, SelectionMatchesSort) {
+  Rng rng(7);
+  for (std::size_t n : {1u, 2u, 99u, 100u, 101u}) {
+    for (std::uint64_t distinct : {3u, 1000u}) {  // few distinct values: many ties
+      std::vector<double> sample;
+      for (std::size_t i = 0; i < n; ++i) {
+        sample.push_back(static_cast<double>(rng.next_below(distinct)) * 0.5);
+      }
+      std::vector<double> selected = sample;
+      const LatencyQuantiles q = select_p50_p99(selected);
+      EXPECT_EQ(q.p50, percentile(sample, 50.0)) << "n=" << n << " distinct=" << distinct;
+      EXPECT_EQ(q.p99, percentile(sample, 99.0)) << "n=" << n << " distinct=" << distinct;
+    }
+  }
+  std::vector<double> empty;
+  EXPECT_THROW(select_p50_p99(empty), InvalidArgument);
 }
 
 TEST(Percentile, NearestRank) {
@@ -59,6 +80,17 @@ TEST(JobCostCache, EntriesShareOneHarnessStackPool) {
   (void)cache.profile(JobModel::ResNet, 16, 1.5);
   EXPECT_EQ(cache.entries(), 5u);
   EXPECT_EQ(cache.stacks_mapped(), after_first) << "a later entry mapped stacks of its own";
+}
+
+// The "tuned" plan's tables cover every op the four job models run, so no
+// "auto" op falls back to the default backend.
+TEST(JobCostCache, TunedPlanCoversEveryModelOp) {
+  JobCostCache cache(net::SystemConfig::lassen(4), "tuned");
+  for (JobModel model : {JobModel::MoE, JobModel::DLRM, JobModel::Megatron, JobModel::ResNet}) {
+    for (int ranks : {4, 8, 16}) (void)cache.profile(model, ranks);
+  }
+  EXPECT_EQ(cache.entries(), 12u);
+  EXPECT_EQ(cache.tune_fallbacks(), 0u);
 }
 
 TEST(ServeScheduler, ReplayIsDeterministic) {
@@ -375,23 +407,10 @@ std::string dump_replay(const ServeResult& r, const std::string& metrics_json) {
   return out.str();
 }
 
-TEST(ServeScheduler, ReplayMatchesPinnedGolden) {
-  TraceConfig trace_config;
-  trace_config.num_jobs = 2000;
-  trace_config.seed = 3;
-  const ArrivalTrace trace = generate_trace(trace_config);
-  const double horizon = trace.jobs.back().arrival_us;
-
-  ServeConfig config;  // 16 Lassen nodes, breakers on
-  config.chaos.push_back(ChaosWindow{0.25 * horizon, 0.75 * horizon, 8.0});
-  config.dips.push_back(CapacityDip{0.45 * horizon, 0.55 * horizon, 2});
-  ServeScheduler scheduler(config);
-  const ServeResult result = scheduler.run(trace);
-  ASSERT_GT(result.shed, 0u) << "the pinned replay must exercise the breakers";
-  ASSERT_GT(result.unshed_probes, 0u) << "the pinned replay must exercise the dip's end";
-  const std::string actual = dump_replay(result, scheduler.metrics().to_json());
-
-  const std::string path = std::string(MCRDL_GOLDEN_DIR) + "/replay_2000.txt";
+// Compares `actual` with the golden file `name`, or rewrites the file under
+// MCRDL_UPDATE_GOLDEN.
+void expect_golden(const std::string& name, const std::string& actual) {
+  const std::string path = std::string(MCRDL_GOLDEN_DIR) + "/" + name;
   if (std::getenv("MCRDL_UPDATE_GOLDEN") != nullptr) {
     std::ofstream out(path);
     ASSERT_TRUE(out.good()) << "cannot write golden " << path;
@@ -408,9 +427,119 @@ TEST(ServeScheduler, ReplayMatchesPinnedGolden) {
     std::string el, al;
     int line = 1;
     while (std::getline(ea, el) && std::getline(aa, al) && el == al) ++line;
-    FAIL() << "replay diverges from golden at line " << line << "\n  golden: " << el
+    FAIL() << name << " diverges from the replay at line " << line << "\n  golden: " << el
            << "\n  actual: " << al;
   }
+}
+
+TEST(ServeScheduler, ReplayMatchesPinnedGolden) {
+  TraceConfig trace_config;
+  trace_config.num_jobs = 2000;
+  trace_config.seed = 3;
+  const ArrivalTrace trace = generate_trace(trace_config);
+  const double horizon = trace.jobs.back().arrival_us;
+
+  ServeConfig config;  // 16 Lassen nodes, breakers on
+  config.chaos.push_back(ChaosWindow{0.25 * horizon, 0.75 * horizon, 8.0});
+  config.dips.push_back(CapacityDip{0.45 * horizon, 0.55 * horizon, 2});
+  ServeScheduler scheduler(config);
+  const ServeResult result = scheduler.run(trace);
+  ASSERT_GT(result.shed, 0u) << "the pinned replay must exercise the breakers";
+  ASSERT_GT(result.unshed_probes, 0u) << "the pinned replay must exercise the dip's end";
+  expect_golden("replay_2000.txt", dump_replay(result, scheduler.metrics().to_json()));
+}
+
+// Only 4-rank jobs, so every job sits on one node: the fabric split never
+// runs and every rate is the one a job starts with, chaos window or not.
+TEST(ServeScheduler, SingleNodeReplayMatchesPinnedGolden) {
+  TraceConfig trace_config;
+  trace_config.num_jobs = 1500;
+  trace_config.seed = 21;
+  trace_config.rank_choices = {4};
+  trace_config.mean_interarrival_us = 6000.0;
+  const ArrivalTrace trace = generate_trace(trace_config);
+  const double horizon = trace.jobs.back().arrival_us;
+
+  ServeConfig config;
+  config.chaos.push_back(ChaosWindow{0.3 * horizon, 0.6 * horizon, 8.0});
+  ServeScheduler scheduler(config);
+  const ServeResult result = scheduler.run(trace);
+  ASSERT_EQ(result.peak_contention, 1.0) << "a single-node job saw fabric contention";
+  ASSERT_GT(result.completed, 0u);
+  expect_golden("replay_single_node.txt", dump_replay(result, scheduler.metrics().to_json()));
+}
+
+// Only 8- and 16-rank jobs, so every job shares the fabric, under two
+// overlapping chaos windows: every start, finish and chaos edge re-splits it.
+TEST(ServeScheduler, MultiNodeChaosReplayMatchesPinnedGolden) {
+  TraceConfig trace_config;
+  trace_config.num_jobs = 1500;
+  trace_config.seed = 22;
+  trace_config.rank_choices = {8, 16};
+  const ArrivalTrace trace = generate_trace(trace_config);
+  const double horizon = trace.jobs.back().arrival_us;
+
+  ServeConfig config;
+  config.fabric_oversubscription = 4.0;
+  config.chaos.push_back(ChaosWindow{0.2 * horizon, 0.6 * horizon, 4.0});
+  config.chaos.push_back(ChaosWindow{0.5 * horizon, 0.8 * horizon, 2.0});
+  ServeScheduler scheduler(config);
+  const ServeResult result = scheduler.run(trace);
+  ASSERT_GT(result.peak_contention, 4.0) << "the fabric split never stacked on chaos";
+  expect_golden("replay_multi_node_chaos.txt",
+                dump_replay(result, scheduler.metrics().to_json()));
+}
+
+// A saturated 16-rank cluster with short queues: quota rejects, full-queue
+// rejects, two overlapping capacity dips and the SLO breakers all at once.
+TEST(ServeScheduler, SaturatedReplayMatchesPinnedGolden) {
+  TraceConfig trace_config;
+  trace_config.num_jobs = 1500;
+  trace_config.seed = 23;
+  trace_config.mean_interarrival_us = 25000.0;
+  const ArrivalTrace trace = generate_trace(trace_config);
+  const double horizon = trace.jobs.back().arrival_us;
+
+  ServeConfig config = small_config();
+  for (QosPolicy* policy :
+       {&config.admission.gold, &config.admission.silver, &config.admission.bronze}) {
+    policy->max_queued = 4;
+  }
+  config.dips.push_back(CapacityDip{0.2 * horizon, 0.5 * horizon, 1});
+  config.dips.push_back(CapacityDip{0.4 * horizon, 0.7 * horizon, 2});
+  ServeScheduler scheduler(config);
+  const ServeResult result = scheduler.run(trace);
+  std::uint64_t quota_rejects = 0, full_rejects = 0;
+  for (const JobRecord& job : result.jobs) {
+    if (job.reject_reason.rfind("unsatisfiable", 0) == 0) ++quota_rejects;
+    if (job.reject_reason.find("queue full") != std::string::npos) ++full_rejects;
+  }
+  ASSERT_GT(quota_rejects, 0u);
+  ASSERT_GT(full_rejects, 0u);
+  ASSERT_GT(result.shed, 0u);
+  ASSERT_EQ(scheduler.metrics().counter_value("serve_capacity_dips"), 2u);
+  expect_golden("replay_saturated.txt", dump_replay(result, scheduler.metrics().to_json()));
+}
+
+// A scheduler carries nothing but its metrics from one replay into the
+// next: its second run of a trace equals a fresh scheduler's first.
+TEST(ServeScheduler, ReplaysOnOneSchedulerAreIndependent) {
+  TraceConfig trace_config;
+  trace_config.num_jobs = 2000;
+  trace_config.seed = 3;
+  const ArrivalTrace trace = generate_trace(trace_config);
+  const double horizon = trace.jobs.back().arrival_us;
+
+  ServeConfig config;
+  config.chaos.push_back(ChaosWindow{0.6 * horizon, 4.0 * horizon, 16.0});
+  ServeScheduler reused(config);
+  const ServeResult first = reused.run(trace);
+  ASSERT_GT(first.shed, 0u) << "the replay must leave breakers open at its end";
+  const ServeResult second = reused.run(trace);
+  ServeScheduler fresh(config);
+  const ServeResult expected = fresh.run(trace);
+  EXPECT_EQ(second.shed, expected.shed);
+  EXPECT_EQ(dump_replay(second, ""), dump_replay(expected, ""));
 }
 
 TEST(RunServe, QuickReportIsSchemaShapedAndChaosDegrades) {

@@ -240,6 +240,18 @@ for experiment in fig1 fig2 fig7 fig8 fig9 fig10 fig11 fig12 table2 ablations \
   fi
 done
 
+# Line coverage of src/: a Debug --coverage build runs the whole suite, and
+# the installed gcov (tools/coverage.py) prints coverage per src/ directory
+# and fails below the floor committed in that script.
+echo "== coverage: src/ line coverage of the full suite =="
+cov_dir="${build_dir}-coverage"
+rm -rf "${cov_dir}"
+cmake -B "${cov_dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Debug \
+    -DCMAKE_CXX_FLAGS=--coverage -DCMAKE_EXE_LINKER_FLAGS=--coverage
+cmake --build "${cov_dir}" -j "${jobs}"
+( cd "${cov_dir}" && ctest --output-on-failure -j "${jobs}" )
+python3 "${repo_root}/tools/coverage.py" "${cov_dir}"
+
 # Memory- and UB-check the whole suite: rebuild everything with
 # -fsanitize=address,undefined and run the full ctest. Leak detection stays
 # on, so a Work pinned by its own completion callback on a deadlock, abort or
