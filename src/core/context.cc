@@ -44,8 +44,9 @@ void McrDl::init(const std::vector<std::string>& backend_names) {
     // Surface breaker open/half-open/close events as metrics; the hook is
     // purely observational, so routing decisions are untouched.
     failover_->breaker().set_transition_hook(
-        [cluster = cluster_](const std::string& backend, int rank, fault::BreakerState to) {
-          (void)rank;  // per-backend cardinality; worlds are small and symmetric
+        [cluster = cluster_](fault::BreakerSlotId /*slot*/, const std::string& backend,
+                             int /*rank*/, fault::BreakerState to) {
+          // Per-backend cardinality; worlds are small and symmetric.
           cluster->metrics()
               .counter("breaker_transitions",
                        {{"backend", backend}, {"to", fault::breaker_state_name(to)}})

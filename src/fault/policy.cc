@@ -34,20 +34,36 @@ CircuitBreaker::CircuitBreaker(BreakerConfig config) : config_(config) {
   MCRDL_REQUIRE(config_.cooldown >= 1, "circuit breaker cooldown must be >= 1");
 }
 
-void CircuitBreaker::transition(const std::string& backend, int rank, Entry& entry,
-                                BreakerState to) {
-  entry.state = to;
-  if (hook_) hook_(backend, rank, to);
+CircuitBreaker::SlotId CircuitBreaker::slot(const std::string& backend, int rank) {
+  const auto [it, created] =
+      index_.try_emplace({backend, rank}, static_cast<SlotId>(slots_.size()));
+  if (created) slots_.push_back(Slot{backend, rank, Entry{}});
+  return it->second;
 }
 
-bool CircuitBreaker::record_failure(const std::string& backend, int rank) {
-  Entry& entry = entries_[{backend, rank}];
+const CircuitBreaker::SlotId* CircuitBreaker::find(const std::string& backend, int rank) const {
+  const auto it = index_.find({backend, rank});
+  return it == index_.end() ? nullptr : &it->second;
+}
+
+void CircuitBreaker::reset() {
+  for (Slot& slot : slots_) slot.entry = Entry{};
+}
+
+void CircuitBreaker::transition(SlotId id, BreakerState to) {
+  Slot& slot = slots_[id];
+  slot.entry.state = to;
+  if (hook_) hook_(id, slot.backend, slot.rank, to);
+}
+
+bool CircuitBreaker::record_failure(SlotId id) {
+  Entry& entry = slots_[id].entry;
   ++entry.failures;
   switch (entry.state) {
     case BreakerState::Closed:
       if (entry.failures >= config_.threshold) {
         entry.skipped = 0;
-        transition(backend, rank, entry, BreakerState::Open);
+        transition(id, BreakerState::Open);
         return true;
       }
       return false;
@@ -56,7 +72,7 @@ bool CircuitBreaker::record_failure(const std::string& backend, int rank) {
       // sick, so it goes back to aging toward the next probe window.
       entry.skipped = 0;
       entry.successes = 0;
-      transition(backend, rank, entry, BreakerState::Open);
+      transition(id, BreakerState::Open);
       return true;
     case BreakerState::Open:
       return false;
@@ -64,10 +80,8 @@ bool CircuitBreaker::record_failure(const std::string& backend, int rank) {
   return false;
 }
 
-void CircuitBreaker::record_success(const std::string& backend, int rank) {
-  auto it = entries_.find({backend, rank});
-  if (it == entries_.end()) return;
-  Entry& entry = it->second;
+void CircuitBreaker::record_success(SlotId id) {
+  Entry& entry = slots_[id].entry;
   switch (entry.state) {
     case BreakerState::Closed:
       entry.failures = 0;
@@ -77,7 +91,7 @@ void CircuitBreaker::record_success(const std::string& backend, int rank) {
         entry.failures = 0;
         entry.skipped = 0;
         entry.successes = 0;
-        transition(backend, rank, entry, BreakerState::Closed);
+        transition(id, BreakerState::Closed);
       }
       break;
     case BreakerState::Open:
@@ -87,39 +101,23 @@ void CircuitBreaker::record_success(const std::string& backend, int rank) {
   }
 }
 
-void CircuitBreaker::note_skipped(const std::string& backend, int rank) {
-  auto it = entries_.find({backend, rank});
-  if (it == entries_.end() || it->second.state != BreakerState::Open) return;
-  if (config_.probe_after_ops <= 0) return;
-  Entry& entry = it->second;
+void CircuitBreaker::note_skipped(SlotId id) {
+  Entry& entry = slots_[id].entry;
+  if (entry.state != BreakerState::Open || config_.probe_after_ops <= 0) return;
   if (++entry.skipped >= config_.probe_after_ops) {
     entry.skipped = 0;
     entry.successes = 0;
-    transition(backend, rank, entry, BreakerState::HalfOpen);
+    transition(id, BreakerState::HalfOpen);
   }
 }
 
-bool CircuitBreaker::allow_probe(const std::string& backend, int rank) {
-  auto it = entries_.find({backend, rank});
-  if (it == entries_.end() || it->second.state != BreakerState::Open) return false;
-  it->second.skipped = 0;
-  it->second.successes = 0;
-  transition(backend, rank, it->second, BreakerState::HalfOpen);
+bool CircuitBreaker::allow_probe(SlotId id) {
+  Entry& entry = slots_[id].entry;
+  if (entry.state != BreakerState::Open) return false;
+  entry.skipped = 0;
+  entry.successes = 0;
+  transition(id, BreakerState::HalfOpen);
   return true;
-}
-
-bool CircuitBreaker::healthy(const std::string& backend, int rank) const {
-  return state(backend, rank) != BreakerState::Open;
-}
-
-BreakerState CircuitBreaker::state(const std::string& backend, int rank) const {
-  auto it = entries_.find({backend, rank});
-  return it == entries_.end() ? BreakerState::Closed : it->second.state;
-}
-
-int CircuitBreaker::consecutive_failures(const std::string& backend, int rank) const {
-  auto it = entries_.find({backend, rank});
-  return it == entries_.end() ? 0 : it->second.failures;
 }
 
 }  // namespace mcrdl::fault

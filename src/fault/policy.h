@@ -32,11 +32,13 @@
 //     logical op than its peers and desync sequences.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/common/units.h"
 
@@ -73,6 +75,7 @@ struct RetryPolicy {
 };
 
 enum class BreakerState { Closed, Open, HalfOpen };
+inline constexpr std::size_t kNumBreakerStates = 3;
 
 // Human-readable state name ("closed" / "open" / "half_open"); used as a
 // metrics label by the transition hook installed in McrDl::init.
@@ -87,51 +90,94 @@ struct BreakerConfig {
   int probe_after_ops = 8;
 };
 
-// Invoked on every state transition, after the state changed. Purely
-// observational — the obs layer counts open/half-open/close events with it.
-using BreakerTransitionHook =
-    std::function<void(const std::string& backend, int rank, BreakerState to)>;
+// Dense handle of one (backend, rank) breaker: CircuitBreaker::slot()
+// hands them out in creation order, and an id stays valid for the breaker's
+// whole life, reset() included.
+using BreakerSlotId = std::uint32_t;
+
+// Invoked on every state transition, after the state changed, with the
+// slot's id, key and rank. Purely observational — the obs layer counts
+// open/half-open/close events with it, and may cache per-(slot, state)
+// counters by the id. It must not create slots.
+using BreakerTransitionHook = std::function<void(BreakerSlotId slot, const std::string& backend,
+                                                 int rank, BreakerState to)>;
 
 // Per-(backend, rank) three-state breaker. Deterministic and
 // allocation-light; shared by every rank of a cluster (the simulator is
 // single-batoned, so no locking is needed beyond the scheduler's own
 // serialisation).
+//
+// The entries live in a dense vector of slots, one per (backend, rank) ever
+// seen. A caller that keeps asking about the same keys resolves each one
+// to a slot once and then drives the slot-taking overloads, which index the
+// vector directly; the string-keyed overloads look the slot up (or, for
+// record_failure, create it) and run the same state machine.
 class CircuitBreaker {
  public:
+  using SlotId = BreakerSlotId;
+
   explicit CircuitBreaker(int threshold = 3) : CircuitBreaker(BreakerConfig{threshold, 2, 8}) {}
   explicit CircuitBreaker(BreakerConfig config);
+
+  // The slot of (backend, rank), created Closed with no history if new.
+  SlotId slot(const std::string& backend, int rank);
+  std::size_t num_slots() const { return slots_.size(); }
 
   // Records one failed attempt by `rank` on `backend`. Returns true if this
   // failure tripped the breaker (Closed reaching the threshold, or a failed
   // half-open probe re-opening it).
-  bool record_failure(const std::string& backend, int rank);
+  bool record_failure(SlotId id);
+  bool record_failure(const std::string& backend, int rank) {
+    return record_failure(slot(backend, rank));
+  }
   // A successful attempt: resets the consecutive-failure count when Closed;
   // when HalfOpen, counts toward `cooldown` and closes the breaker once
   // enough consecutive probes succeeded.
-  void record_success(const std::string& backend, int rank);
+  void record_success(SlotId id);
+  void record_success(const std::string& backend, int rank) {
+    if (const SlotId* id = find(backend, rank)) record_success(*id);
+  }
 
   // An operation preferring `backend` was routed elsewhere while the
   // breaker was open. After `probe_after_ops` such denials the breaker
   // moves to HalfOpen, so the next preferring op becomes the probe. No-op
   // unless Open.
-  void note_skipped(const std::string& backend, int rank);
+  void note_skipped(SlotId id);
+  void note_skipped(const std::string& backend, int rank) {
+    if (const SlotId* id = find(backend, rank)) note_skipped(*id);
+  }
   // Explicit Open -> HalfOpen transition; returns false (and does nothing)
   // unless the breaker is currently Open.
-  bool allow_probe(const std::string& backend, int rank);
+  bool allow_probe(SlotId id);
+  bool allow_probe(const std::string& backend, int rank) {
+    const SlotId* id = find(backend, rank);
+    return id != nullptr && allow_probe(*id);
+  }
 
   // True unless Open: half-open breakers admit traffic (the probe).
-  bool healthy(const std::string& backend, int rank) const;
-  BreakerState state(const std::string& backend, int rank) const;
+  bool healthy(SlotId id) const { return state(id) != BreakerState::Open; }
+  bool healthy(const std::string& backend, int rank) const {
+    return state(backend, rank) != BreakerState::Open;
+  }
+  BreakerState state(SlotId id) const { return slots_[id].entry.state; }
+  BreakerState state(const std::string& backend, int rank) const {
+    const SlotId* id = find(backend, rank);
+    return id == nullptr ? BreakerState::Closed : state(*id);
+  }
 
   int threshold() const { return config_.threshold; }
   const BreakerConfig& config() const { return config_; }
   // Consecutive failures recorded for (backend, rank); for introspection.
-  int consecutive_failures(const std::string& backend, int rank) const;
+  int consecutive_failures(SlotId id) const { return slots_[id].entry.failures; }
+  int consecutive_failures(const std::string& backend, int rank) const {
+    const SlotId* id = find(backend, rank);
+    return id == nullptr ? 0 : consecutive_failures(*id);
+  }
 
   void set_transition_hook(BreakerTransitionHook hook) { hook_ = std::move(hook); }
-  // Forgets every (backend, rank) entry: all breakers read Closed with no
-  // history again. The config and the transition hook stay.
-  void reset() { entries_.clear(); }
+  // Every breaker reads Closed with no history again. Slots and their ids
+  // stay valid, as do the config and the transition hook.
+  void reset();
 
  private:
   struct Entry {
@@ -140,11 +186,18 @@ class CircuitBreaker {
     int skipped = 0;    // denied routes since the breaker opened
     int successes = 0;  // consecutive half-open probe successes
   };
-
-  void transition(const std::string& backend, int rank, Entry& entry, BreakerState to);
+  struct Slot {
+    std::string backend;
+    int rank = 0;
+    Entry entry;
+  };
+  // The slot of (backend, rank), or nullptr when it was never created.
+  const SlotId* find(const std::string& backend, int rank) const;
+  void transition(SlotId id, BreakerState to);
 
   BreakerConfig config_;
-  std::map<std::pair<std::string, int>, Entry> entries_;
+  std::vector<Slot> slots_;
+  std::map<std::pair<std::string, int>, SlotId> index_;
   BreakerTransitionHook hook_;
 };
 

@@ -129,13 +129,16 @@ ServeScheduler::ServeScheduler(ServeConfig config)
     MCRDL_REQUIRE(dip.nodes_offline < config_.system.num_nodes,
                   "capacity dip cannot take the whole cluster offline");
   }
-  breaker_.set_transition_hook(
-      [this](const std::string& tenant, int /*rank*/, fault::BreakerState to) {
-        metrics_
-            .counter("serve_breaker_transitions",
-                     {{"tenant", tenant}, {"to", fault::breaker_state_name(to)}})
-            .inc();
-      });
+  breaker_.set_transition_hook([this](fault::BreakerSlotId slot, const std::string& tenant,
+                                      int /*rank*/, fault::BreakerState to) {
+    if (slot >= transition_counters_.size()) transition_counters_.resize(slot + 1);
+    obs::Counter*& counter = transition_counters_[slot][static_cast<std::size_t>(to)];
+    if (counter == nullptr) {
+      counter = &metrics_.counter("serve_breaker_transitions",
+                                  {{"tenant", tenant}, {"to", fault::breaker_state_name(to)}});
+    }
+    counter->inc();
+  });
 }
 
 double ServeScheduler::chaos_factor_at(SimTime t) const {
@@ -220,19 +223,36 @@ ServeResult ServeScheduler::run(const ArrivalTrace& trace) {
     std::stable_sort(jobs.begin(), jobs.end(), replay_order);
   }
 
-  // Dense tenant ids in name order: the dip-end un-shed probe sweep walks
-  // tenants in this order, and the instruments and roll-up index by id.
-  std::map<std::string_view, std::size_t> tenant_ids;
-  for (const JobRecord& job : jobs) tenant_ids.emplace(job.spec.tenant, 0);
-  std::vector<std::string> tenants;
-  tenants.reserve(tenant_ids.size());
-  for (auto& [name, id] : tenant_ids) {
-    id = tenants.size();
-    tenants.emplace_back(name);
-  }
+  // Dense tenant ids in name order, with no node allocation per job: each
+  // job first takes its tenant's first-seen id, remapped to the name order
+  // once every name is known. The dip-end un-shed probe sweep walks tenants
+  // in this order, and the breaker slots, instruments and roll-up index by
+  // id, so no per-job step touches a tenant string again.
+  std::map<std::string_view, std::size_t> first_seen;
   std::vector<std::size_t> tenant_of(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    tenant_of[i] = tenant_ids.find(jobs[i].spec.tenant)->second;
+    tenant_of[i] = first_seen.try_emplace(jobs[i].spec.tenant, first_seen.size()).first->second;
+  }
+  std::vector<std::string> tenants;
+  std::vector<std::size_t> name_order(first_seen.size());
+  tenants.reserve(first_seen.size());
+  for (const auto& [name, seen] : first_seen) {
+    name_order[seen] = tenants.size();
+    tenants.emplace_back(name);
+  }
+  // Each tenant's roll-up carries the QoS of its first job in replay order.
+  std::vector<TenantStats> stats(tenants.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const std::size_t id = name_order[tenant_of[i]];
+    tenant_of[i] = id;
+    if (stats[id].tenant.empty()) {
+      stats[id].tenant = tenants[id];
+      stats[id].qos = jobs[i].spec.qos;
+    }
+  }
+  std::vector<fault::BreakerSlotId> breaker_slot(tenants.size());
+  for (std::size_t id = 0; id < tenants.size(); ++id) {
+    breaker_slot[id] = breaker_.slot(tenants[id], 0);
   }
 
   // Per-(tenant, qos) instruments, resolved on first use so the registry
@@ -293,10 +313,10 @@ ServeResult ServeScheduler::run(const ArrivalTrace& trace) {
         state.active = false;
         capacity_freed = true;
         if (config_.breaker_enabled) {
-          for (const std::string& tenant : tenants) {
-            if (breaker_.allow_probe(tenant, 0)) {
+          for (std::size_t id = 0; id < tenants.size(); ++id) {
+            if (breaker_.allow_probe(breaker_slot[id])) {
               ++result.unshed_probes;
-              metrics_.counter("serve_unshed_probes", {{"tenant", tenant}}).inc();
+              metrics_.counter("serve_unshed_probes", {{"tenant", tenants[id]}}).inc();
             }
           }
         }
@@ -372,9 +392,9 @@ ServeResult ServeScheduler::run(const ArrivalTrace& trace) {
       const JobProfile& alone = cache_.profile(job.spec.model, job.spec.ranks, 1.0);
       const double slo = config_.slo_factor * alone.step_time_us * job.spec.steps;
       if (job.latency_us() > slo) {
-        breaker_.record_failure(job.spec.tenant, 0);
+        breaker_.record_failure(breaker_slot[tenant_of[index]]);
       } else {
-        breaker_.record_success(job.spec.tenant, 0);
+        breaker_.record_success(breaker_slot[tenant_of[index]]);
       }
     }
   };
@@ -384,6 +404,7 @@ ServeResult ServeScheduler::run(const ArrivalTrace& trace) {
     job.state = JobState::Rejected;
     job.reject_reason = std::move(reason);
     ++result.rejected;
+    ++stats[tenant_of[index]].rejected;
     tenant_counter(instruments_of(index).rejected, "serve_jobs_rejected", index).inc();
   };
 
@@ -464,14 +485,16 @@ ServeResult ServeScheduler::run(const ArrivalTrace& trace) {
     while (next_arrival < jobs.size() && jobs[next_arrival].spec.arrival_us <= now) {
       const std::size_t index = next_arrival++;
       const JobSpec& spec = jobs[index].spec;
-      if (config_.breaker_enabled && !breaker_.healthy(spec.tenant, 0)) {
+      const fault::BreakerSlotId slot = breaker_slot[tenant_of[index]];
+      if (config_.breaker_enabled && !breaker_.healthy(slot)) {
         // The tenant's breaker is open: shed the arrival instead of letting
         // a struggling tenant stack more load onto a degraded cluster. The
         // skip count is what eventually half-opens the breaker for a probe.
-        breaker_.note_skipped(spec.tenant, 0);
+        breaker_.note_skipped(slot);
         jobs[index].state = JobState::Rejected;
         jobs[index].reject_reason = "shed: tenant breaker open";
         ++result.shed;
+        ++stats[tenant_of[index]].shed;
         tenant_counter(instruments_of(index).shed, "serve_jobs_shed", index).inc();
         continue;
       }
@@ -502,30 +525,19 @@ ServeResult ServeScheduler::run(const ArrivalTrace& trace) {
       now > 0.0 ? busy_rank_us / (static_cast<double>(world) * now) : 0.0;
   metrics_.gauge("serve_avg_utilization").set(result.avg_utilization);
 
-  std::vector<TenantStats> stats(tenants.size());
   std::vector<std::vector<double>> tenant_latencies(tenants.size());
   std::vector<double> all_latencies;
   all_latencies.reserve(result.completed);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const JobRecord& job = jobs[i];
-    TenantStats& tenant = stats[tenant_of[i]];
-    if (tenant.tenant.empty()) {
-      tenant.tenant = job.spec.tenant;
-      tenant.qos = job.spec.qos;
-    }
     switch (job.state) {
       case JobState::Completed:
-        ++tenant.completed;
+        ++stats[tenant_of[i]].completed;
         tenant_latencies[tenant_of[i]].push_back(job.latency_us());
         all_latencies.push_back(job.latency_us());
         break;
       case JobState::Rejected:
-        if (job.reject_reason.rfind("shed:", 0) == 0) {
-          ++tenant.shed;
-        } else {
-          ++tenant.rejected;
-        }
-        break;
+        break;  // counted as shed or rejected where it happened
       case JobState::Queued:
       case JobState::Running:
         MCRDL_CHECK(false) << "job " << job.spec.id << " left " << job_state_name(job.state)

@@ -29,6 +29,7 @@
 // trace and config produce bit-identical JobRecords and percentiles.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -167,6 +168,9 @@ class ServeScheduler {
   JobCostCache cache_;
   obs::MetricsRegistry metrics_;
   fault::CircuitBreaker breaker_;
+  // serve_breaker_transitions{tenant, to} per (breaker slot, state), resolved
+  // on the first such transition. Slots outlive replays, and so do these.
+  std::vector<std::array<obs::Counter*, fault::kNumBreakerStates>> transition_counters_;
   // recompute_rates' per-job working set, kept so an update allocates nothing.
   std::vector<double> demand_, weight_, alloc_;
   std::vector<bool> frozen_;

@@ -209,7 +209,8 @@ TEST(CircuitBreaker, SkipsOnlyAgeOpenBreakers) {
 TEST(CircuitBreaker, TransitionHookSeesEveryStateChange) {
   CircuitBreaker cb(BreakerConfig{1, 1, 1});
   std::vector<std::string> events;
-  cb.set_transition_hook([&](const std::string& backend, int rank, BreakerState to) {
+  cb.set_transition_hook([&](BreakerSlotId, const std::string& backend, int rank,
+                             BreakerState to) {
     events.push_back(backend + "/" + std::to_string(rank) + ":" + breaker_state_name(to));
   });
   cb.record_failure("nccl", 3);
@@ -219,6 +220,120 @@ TEST(CircuitBreaker, TransitionHookSeesEveryStateChange) {
   EXPECT_EQ(events[0], "nccl/3:open");
   EXPECT_EQ(events[1], "nccl/3:half_open");
   EXPECT_EQ(events[2], "nccl/3:closed");
+}
+
+TEST(CircuitBreaker, SlotAndStringCallsDriveOneStateMachine) {
+  // threshold 2, cooldown 2, probe after 2 skips; every step alternates the
+  // slot-keyed and string-keyed spelling of the same (backend, rank).
+  CircuitBreaker cb(BreakerConfig{2, 2, 2});
+  const CircuitBreaker::SlotId slot = cb.slot("nccl", 1);
+  EXPECT_EQ(cb.slot("nccl", 1), slot);
+  EXPECT_NE(cb.slot("nccl", 0), slot);
+  EXPECT_FALSE(cb.record_failure(slot));
+  EXPECT_EQ(cb.consecutive_failures("nccl", 1), 1);
+  EXPECT_TRUE(cb.record_failure("nccl", 1));
+  EXPECT_FALSE(cb.healthy(slot));
+  EXPECT_EQ(cb.state(slot), BreakerState::Open);
+  cb.note_skipped("nccl", 1);
+  cb.note_skipped(slot);
+  EXPECT_EQ(cb.state("nccl", 1), BreakerState::HalfOpen);
+  cb.record_success(slot);
+  EXPECT_EQ(cb.state("nccl", 1), BreakerState::HalfOpen);
+  cb.record_success("nccl", 1);
+  EXPECT_EQ(cb.state(slot), BreakerState::Closed);
+  EXPECT_TRUE(cb.healthy("nccl", 1));
+  EXPECT_FALSE(cb.record_failure(slot));
+  EXPECT_TRUE(cb.record_failure("nccl", 1));
+  EXPECT_TRUE(cb.allow_probe(slot));
+  EXPECT_FALSE(cb.allow_probe("nccl", 1));  // already half-open
+  EXPECT_EQ(cb.consecutive_failures(slot), 2);
+  EXPECT_EQ(cb.state("nccl", 0), BreakerState::Closed);  // the other rank never moved
+}
+
+TEST(CircuitBreaker, StringQueriesOfAnUnknownKeyCreateNoSlot) {
+  CircuitBreaker cb(1);
+  cb.record_success("nccl", 0);
+  cb.note_skipped("nccl", 0);
+  EXPECT_FALSE(cb.allow_probe("nccl", 0));
+  EXPECT_EQ(cb.state("nccl", 0), BreakerState::Closed);
+  EXPECT_TRUE(cb.healthy("nccl", 0));
+  EXPECT_EQ(cb.consecutive_failures("nccl", 0), 0);
+  EXPECT_EQ(cb.num_slots(), 0u);
+  EXPECT_TRUE(cb.record_failure("nccl", 0));  // a failure is what creates one
+  EXPECT_EQ(cb.num_slots(), 1u);
+  EXPECT_EQ(cb.slot("nccl", 0), 0u);
+}
+
+TEST(CircuitBreaker, SlotIdsSurviveResetAndEverySlotReadsClosed) {
+  CircuitBreaker cb(BreakerConfig{2, 2, 1});
+  std::vector<std::string> events;
+  cb.set_transition_hook([&](BreakerSlotId, const std::string& backend, int, BreakerState to) {
+    events.push_back(backend + ":" + breaker_state_name(to));
+  });
+  const CircuitBreaker::SlotId open = cb.slot("nccl", 0);
+  const CircuitBreaker::SlotId half_open = cb.slot("mv2-gdr", 0);
+  const CircuitBreaker::SlotId failing = cb.slot("ompi", 2);
+  cb.record_failure(open);
+  cb.record_failure(open);
+  cb.record_failure(half_open);
+  cb.record_failure(half_open);
+  cb.note_skipped(half_open);
+  cb.record_success(half_open);  // one of the two probe successes it needs
+  cb.record_failure(failing);
+  ASSERT_EQ(cb.state(open), BreakerState::Open);
+  ASSERT_EQ(cb.state(half_open), BreakerState::HalfOpen);
+  ASSERT_EQ(cb.consecutive_failures(failing), 1);
+
+  cb.reset();
+  EXPECT_EQ(cb.num_slots(), 3u);
+  EXPECT_EQ(cb.slot("nccl", 0), open);
+  EXPECT_EQ(cb.slot("mv2-gdr", 0), half_open);
+  EXPECT_EQ(cb.slot("ompi", 2), failing);
+  for (CircuitBreaker::SlotId id = 0; id < cb.num_slots(); ++id) {
+    EXPECT_EQ(cb.state(id), BreakerState::Closed) << id;
+    EXPECT_EQ(cb.consecutive_failures(id), 0) << id;
+  }
+  // No history left: one failure is below the threshold again, a skip ages
+  // nothing, and a fresh trip needs the full threshold.
+  events.clear();
+  EXPECT_FALSE(cb.record_failure(failing));
+  cb.note_skipped(open);
+  cb.record_success(half_open);
+  EXPECT_FALSE(cb.allow_probe(open));
+  EXPECT_TRUE(events.empty());
+  EXPECT_FALSE(cb.record_failure(open));
+  EXPECT_TRUE(cb.record_failure(open));
+  EXPECT_EQ(events, std::vector<std::string>{"nccl:open"});  // the hook stays
+}
+
+TEST(CircuitBreaker, HookReceivesTheSlotIdKeyAndRank) {
+  CircuitBreaker cb(BreakerConfig{1, 1, 1});
+  struct Event {
+    BreakerSlotId slot;
+    std::string backend;
+    int rank;
+    BreakerState to;
+  };
+  std::vector<Event> events;
+  cb.set_transition_hook([&](BreakerSlotId slot, const std::string& backend, int rank,
+                             BreakerState to) { events.push_back({slot, backend, rank, to}); });
+  const CircuitBreaker::SlotId first = cb.slot("nccl", 5);
+  cb.record_failure("mv2-gdr", 2);  // creates the second slot
+  cb.record_failure(first);
+  cb.allow_probe("mv2-gdr", 2);
+  ASSERT_EQ(events.size(), 3u);
+  const CircuitBreaker::SlotId second = cb.slot("mv2-gdr", 2);
+  EXPECT_NE(first, second);
+  EXPECT_EQ(events[0].slot, second);
+  EXPECT_EQ(events[0].backend, "mv2-gdr");
+  EXPECT_EQ(events[0].rank, 2);
+  EXPECT_EQ(events[0].to, BreakerState::Open);
+  EXPECT_EQ(events[1].slot, first);
+  EXPECT_EQ(events[1].backend, "nccl");
+  EXPECT_EQ(events[1].rank, 5);
+  EXPECT_EQ(events[1].to, BreakerState::Open);
+  EXPECT_EQ(events[2].slot, second);
+  EXPECT_EQ(events[2].to, BreakerState::HalfOpen);
 }
 
 }  // namespace

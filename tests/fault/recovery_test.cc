@@ -87,6 +87,87 @@ TEST(RecoveryManager, LossAdvancesEpochAndShrinksSurvivors) {
   rec.unregister_drain(id);
 }
 
+// A save_state() body: 8 ranks, epoch 2, ranks 3 and 5 lost, and counters
+// in RecoveryStats field order (checkpoint_restores is never saved).
+constexpr const char* kRecoveryBody =
+    "world 8\n"
+    "epoch 2\n"
+    "lost 3 5\n"
+    "stats 2 2 4 3 1 0 0 6\n";
+
+TEST(RecoveryManager, SaveRestoreRoundTripsTheElasticState) {
+  sim::Scheduler sched;
+  FaultInjector inj(&sched);
+  RecoveryManager& rec = inj.recovery();
+  obs::MetricsRegistry metrics;
+  ResilienceReport report;
+  rec.bind_metrics(&metrics);
+  rec.bind_report(&report);
+  // Blank lines are skipped, and restoring arms an unarmed manager.
+  rec.restore_state(std::string("\n") + kRecoveryBody + "\n");
+  EXPECT_TRUE(rec.armed());
+  EXPECT_EQ(rec.epoch(), 2u);
+  EXPECT_EQ(rec.lost_ranks(), (std::vector<int>{3, 5}));
+  EXPECT_EQ(rec.survivors(), (std::vector<int>{0, 1, 2, 4, 6, 7}));
+  EXPECT_EQ(rec.stats().ranks_lost, 2u);
+  EXPECT_EQ(rec.stats().epochs, 2u);
+  EXPECT_EQ(rec.stats().quiesced_ops, 4u);
+  EXPECT_EQ(rec.stats().recovered_ops, 3u);
+  EXPECT_EQ(rec.stats().stale_rejections, 1u);
+  EXPECT_EQ(rec.stats().rejoins_rejected, 6u);
+  EXPECT_EQ(rec.stats().checkpoint_restores, 1u);
+  EXPECT_EQ(report.ranks_lost, 2u);
+  EXPECT_EQ(report.checkpoint_restores, 1u);
+  EXPECT_EQ(metrics.counter_value("recovery_checkpoint_restores"), 1u);
+  EXPECT_EQ(rec.save_state(), kRecoveryBody);
+
+  // A second restore replaces the state and keeps counting restores.
+  rec.restore_state("world 4\nepoch 0\nlost\nstats 0 0 0 0 0 0 0 0\n");
+  EXPECT_EQ(rec.epoch(), 0u);
+  EXPECT_TRUE(rec.lost_ranks().empty());
+  EXPECT_EQ(rec.survivors(), (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(rec.stats().checkpoint_restores, 2u);
+  EXPECT_EQ(metrics.counter_value("recovery_checkpoint_restores"), 2u);
+  EXPECT_EQ(rec.save_state(), "world 4\nepoch 0\nlost\nstats 0 0 0 0 0 0 0 0\n");
+}
+
+TEST(RecoveryManager, RestoreRejectsMalformedBodiesAndKeepsItsState) {
+  sim::Scheduler sched;
+  FaultInjector inj(&sched);
+  RecoveryManager& rec = inj.recovery();
+  rec.restore_state(kRecoveryBody);
+  const struct {
+    const char* body;
+    const char* error;
+  } cases[] = {
+      {"world 0\nepoch 2\nlost\nstats 0 0 0 0 0 0 0 0\n", "bad world line"},
+      {"world eight\nepoch 2\nlost\nstats 0 0 0 0 0 0 0 0\n", "bad world line"},
+      {"world 8\nepoch two\nlost\nstats 0 0 0 0 0 0 0 0\n", "bad epoch line"},
+      {"world 8\nepoch 2\nlost\nstats 0 0 0\n", "bad stats line"},
+      {"world 8\nepoch 2\nlost\nstats 0 0 0 0 0 0 0 0\nphase idle\n",
+       "unknown line \"phase idle\""},
+      {"world 8\nepoch 2\nlost\n", "missing world/epoch/lost/stats line"},
+      {"epoch 2\nlost\nstats 0 0 0 0 0 0 0 0\n", "missing world/epoch/lost/stats line"},
+      {"world 8\nlost\nstats 0 0 0 0 0 0 0 0\n", "missing world/epoch/lost/stats line"},
+      {"world 8\nepoch 2\nstats 0 0 0 0 0 0 0 0\n", "missing world/epoch/lost/stats line"},
+      {"", "missing world/epoch/lost/stats line"},
+      {"world 8\nepoch 2\nlost 3 8\nstats 0 0 0 0 0 0 0 0\n", "lost rank out of range"},
+      {"world 8\nepoch 2\nlost -1\nstats 0 0 0 0 0 0 0 0\n", "lost rank out of range"},
+  };
+  for (const auto& c : cases) {
+    try {
+      rec.restore_state(c.body);
+      ADD_FAILURE() << "accepted: " << c.body;
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.error), std::string::npos)
+          << c.body << " -> " << e.what();
+    }
+  }
+  // Nothing is applied before the whole body validates.
+  EXPECT_EQ(rec.save_state(), kRecoveryBody);
+  EXPECT_EQ(rec.stats().checkpoint_restores, 1u);
+}
+
 // --- end-to-end scenarios ---------------------------------------------------
 
 struct ElasticRun {

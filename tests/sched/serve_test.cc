@@ -540,6 +540,27 @@ TEST(ServeScheduler, ReplaysOnOneSchedulerAreIndependent) {
   const ServeResult expected = fresh.run(trace);
   EXPECT_EQ(second.shed, expected.shed);
   EXPECT_EQ(dump_replay(second, ""), dump_replay(expected, ""));
+
+  // A trace with other tenant names gets breaker slots of its own on the
+  // reused scheduler, at ids a fresh scheduler does not use for them.
+  trace_config.seed = 4;
+  trace_config.num_tenants = 4;
+  ArrivalTrace other = generate_trace(trace_config);
+  for (JobSpec& spec : other.jobs) spec.tenant = "acct-" + spec.tenant;
+  const ServeResult reused_other = reused.run(other);
+  ServeScheduler fresh_other(config);
+  const ServeResult expected_other = fresh_other.run(other);
+  ASSERT_GT(expected_other.shed, 0u);
+  EXPECT_EQ(reused_other.tenants.count("tenant-0"), 0u);
+  EXPECT_EQ(dump_replay(reused_other, ""), dump_replay(expected_other, ""));
+  for (const auto& [tenant, stats] : expected_other.tenants) {
+    for (const char* to : {"open", "half_open", "closed"}) {
+      const obs::Labels labels{{"tenant", tenant}, {"to", to}};
+      EXPECT_EQ(reused.metrics().counter_value("serve_breaker_transitions", labels),
+                fresh_other.metrics().counter_value("serve_breaker_transitions", labels))
+          << tenant << " " << to;
+    }
+  }
 }
 
 TEST(RunServe, QuickReportIsSchemaShapedAndChaosDegrades) {

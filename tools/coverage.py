@@ -20,9 +20,9 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src")
 
 # Overall src/ line coverage, in percent, below which the script fails. The
-# suite measured 94.48% (6,988 of 7,396 lines) when this was set. Raise it as
+# suite measured 95.27% (7,070 of 7,421 lines) when this was set. Raise it as
 # untested paths get tests; never lower it.
-FLOOR = 94.4
+FLOOR = 95.2
 
 
 def gcov_reports(notes):
