@@ -6,7 +6,9 @@
 namespace mcrdl {
 
 using backends_detail::ArrivalSlot;
+using backends_detail::HostOp;
 using backends_detail::OpDesc;
+using backends_detail::P2pOp;
 
 // ---------------------------------------------------------------------------
 // Comm
@@ -92,8 +94,15 @@ Work Comm::submit(int rank, OpDesc desc, ArrivalSlot slot, bool async_op) {
         << " (MCR-DL emulates it from native primitives)";
     throw UnsupportedOperation(msg.str());
   }
-  Work work = backend_->post_collective(*this, rank, desc, std::move(slot), async_op);
-  work->op = desc.op;
+  const int idx = group_rank(rank);
+  return post(rank, engine_.join(idx, desc, std::move(slot)), idx, desc.op, desc.bytes, async_op);
+}
+
+Work Comm::post(int rank, std::shared_ptr<HostOp> op, int idx, OpType type, std::size_t bytes,
+                bool async_op) {
+  Work work = backend_->post(rank, op, idx, bytes);
+  op->on_complete([work, op_raw = op.get()] { work->exec_start = op_raw->exec_start_time(); });
+  work->op = type;
   work->backend_name = backend_->name();
   work->posted_at = backend_->cluster()->scheduler().now();
   backend_->track(rank, work);
@@ -301,14 +310,8 @@ Work Comm::send(int rank, Tensor tensor, int dst, bool async_op) {
   const int idx = group_rank(rank);
   MCRDL_REQUIRE(dst >= 0 && dst < size() && dst != idx, "invalid send destination");
   inject_launch_delay(rank);
-  auto op = p2p_.post_send(idx, dst, tensor);
-  Work work = backend_->post_p2p(*this, rank, /*is_send=*/true, op, tensor.bytes(), async_op);
-  work->op = OpType::Send;
-  work->backend_name = backend_->name();
-  work->posted_at = backend_->cluster()->scheduler().now();
-  backend_->track(rank, work);
-  if (!async_op) work->wait();
-  return work;
+  return post(rank, p2p_.post_send(idx, dst, tensor), P2pOp::kSendSide, OpType::Send,
+              tensor.bytes(), async_op);
 }
 
 Work Comm::issue(int rank, const OpRequest& req) {
@@ -375,14 +378,8 @@ Work Comm::recv(int rank, Tensor tensor, int src, bool async_op) {
   const int idx = group_rank(rank);
   MCRDL_REQUIRE(src >= 0 && src < size() && src != idx, "invalid recv source");
   inject_launch_delay(rank);
-  auto op = p2p_.post_recv(idx, src, tensor);
-  Work work = backend_->post_p2p(*this, rank, /*is_send=*/false, op, tensor.bytes(), async_op);
-  work->op = OpType::Recv;
-  work->backend_name = backend_->name();
-  work->posted_at = backend_->cluster()->scheduler().now();
-  backend_->track(rank, work);
-  if (!async_op) work->wait();
-  return work;
+  return post(rank, p2p_.post_recv(idx, src, tensor), P2pOp::kRecvSide, OpType::Recv,
+              tensor.bytes(), async_op);
 }
 
 // ---------------------------------------------------------------------------
@@ -487,50 +484,21 @@ sim::Stream* StreamBackend::comm_stream(int rank, std::size_t bytes) {
   return s;
 }
 
-Work StreamBackend::post_collective(Comm& comm, int global_rank, const OpDesc& desc,
-                                    ArrivalSlot slot, bool /*async_op*/) {
-  const int idx = comm.group_rank(global_rank);
-  auto rv = comm.engine().join(idx, desc, std::move(slot));
-  sim::Scheduler& sched = cluster_->scheduler();
+Work StreamBackend::post(int global_rank, std::shared_ptr<HostOp> op, int idx,
+                         std::size_t bytes) {
   sim::Device* dev = cluster_->device(global_rank);
-  sim::Stream* stream = comm_stream(global_rank, desc.bytes);
-
-  auto work = std::make_shared<StreamWork>(&sched, dev->default_stream());
+  sim::Stream* stream = comm_stream(global_rank, bytes);
+  auto work = std::make_shared<StreamWork>(&cluster_->scheduler(), dev->default_stream());
   // Input dependency: the communication stream waits for everything the
   // default stream has produced so far (fine-grained event, Fig 4(b) step 2).
   const std::shared_ptr<sim::Event> input_ready = work->input_ready();
   dev->default_stream()->record_event(input_ready);
   stream->wait_event(input_ready);
-  // Stream-side arrival: the collective "kernel" starts when the stream
-  // reaches this point on every rank.
-  stream->add_callback([rv, idx] { rv->mark_ready(idx); });
-  stream->wait_gate(rv->gate(idx));
-  stream->record_event(work->done_event());
-  rv->on_complete([work, rv_raw = rv.get()] { work->exec_start = rv_raw->exec_start_time(); });
-  return work;
-}
-
-Work StreamBackend::post_p2p(Comm& comm, int global_rank, bool is_send,
-                             std::shared_ptr<backends_detail::P2pOp> op, std::size_t bytes,
-                             bool /*async_op*/) {
-  (void)comm;
-  sim::Scheduler& sched = cluster_->scheduler();
-  sim::Device* dev = cluster_->device(global_rank);
-  sim::Stream* stream = comm_stream(global_rank, bytes);
-
-  auto work = std::make_shared<StreamWork>(&sched, dev->default_stream());
-  const std::shared_ptr<sim::Event> input_ready = work->input_ready();
-  dev->default_stream()->record_event(input_ready);
-  stream->wait_event(input_ready);
-  if (is_send) {
-    stream->add_callback([op] { op->mark_send_ready(); });
-    stream->wait_gate(op->send_gate());
-  } else {
-    stream->add_callback([op] { op->mark_recv_ready(); });
-    stream->wait_gate(op->recv_gate());
-  }
-  stream->record_event(work->done_event());
-  op->on_complete([work, op_raw = op.get()] { work->exec_start = op_raw->exec_start_time(); });
+  // Stream-side arrival: the operation starts when every participant's
+  // stream has reached this op; each stalls here until it completes.
+  std::shared_ptr<sim::StreamGate> gate = op->gate();
+  stream->add_callback([op = std::move(op), idx] { op->mark_ready(idx); }, std::move(gate),
+                       work->done_event());
   return work;
 }
 
@@ -541,33 +509,14 @@ Work StreamBackend::post_p2p(Comm& comm, int global_rank, bool is_send,
 HostMpiBackend::HostMpiBackend(ClusterContext* cluster, net::BackendProfile profile)
     : Backend(cluster, std::move(profile)) {}
 
-Work HostMpiBackend::post_collective(Comm& comm, int global_rank, const OpDesc& desc,
-                                     ArrivalSlot slot, bool /*async_op*/) {
-  const int idx = comm.group_rank(global_rank);
-  auto rv = comm.engine().join(idx, desc, std::move(slot));
+Work HostMpiBackend::post(int global_rank, std::shared_ptr<HostOp> op, int idx,
+                          std::size_t /*bytes*/) {
   // CUDA-aware MPI lets the library manage streams (paper Section V-D,
   // option 1): the operation may start once the data produced on this
   // rank's default stream so far is complete.
-  cluster_->device(global_rank)->default_stream()->add_callback([rv, idx] { rv->mark_ready(idx); });
-  auto work = std::make_shared<HostWork>(rv);
-  rv->on_complete([work, rv_raw = rv.get()] { work->exec_start = rv_raw->exec_start_time(); });
-  return work;
-}
-
-Work HostMpiBackend::post_p2p(Comm& comm, int global_rank, bool is_send,
-                              std::shared_ptr<backends_detail::P2pOp> op, std::size_t /*bytes*/,
-                              bool /*async_op*/) {
-  (void)comm;
-  if (is_send) {
-    cluster_->device(global_rank)->default_stream()->add_callback(
-        [op] { op->mark_send_ready(); });
-  } else {
-    cluster_->device(global_rank)->default_stream()->add_callback(
-        [op] { op->mark_recv_ready(); });
-  }
-  auto work = std::make_shared<HostWork>(op);
-  op->on_complete([work, op_raw = op.get()] { work->exec_start = op_raw->exec_start_time(); });
-  return work;
+  cluster_->device(global_rank)->default_stream()->add_callback(
+      [op, idx] { op->mark_ready(idx); });
+  return std::make_shared<HostWork>(std::move(op));
 }
 
 // ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@
 // rank subset — on which the actual operations are posted. Two families:
 //
 //   * StreamBackend (NCCL, SCCL): operations travel through a communication
-//     stream; input readiness and completion are CUDA events/gates; wait()
-//     on the returned Work is a stream-level dependency.
+//     stream; input readiness and completion are CUDA events, and the
+//     stream stalls behind the operation's gate; wait() on the returned
+//     Work is a stream-level dependency.
 //   * HostMpiBackend (MVAPICH2-GDR, OpenMPI): CUDA-aware MPI semantics; the
 //     host posts operations, blocking calls suspend the host actor, and
 //     non-blocking calls return MPI_Request-like handles.
@@ -83,13 +84,17 @@ class Comm {
   // emulation::issue (src/core/emulation.h) is the layer that rewrites them.
   Work issue(int rank, const OpRequest& req);
 
-  backends_detail::CollectiveEngine& engine() { return engine_; }
-
  private:
   friend class Backend;
 
+  // Joins the collective's rendezvous, then posts it.
   Work submit(int rank, backends_detail::OpDesc desc, backends_detail::ArrivalSlot slot,
               bool async_op);
+  // The one arrival path of collectives and p2p: hands participant `idx` of
+  // `op` to the backend, fills in the Work's metadata, tracks it and, for a
+  // blocking call, waits on it.
+  Work post(int rank, std::shared_ptr<backends_detail::HostOp> op, int idx, OpType type,
+            std::size_t bytes, bool async_op);
   void validate_root(int root) const;
   // Charges injected straggler/slowdown time to `rank`'s host launch path
   // (no-op unless a fault plan is active — see src/fault/injector.h).
@@ -140,13 +145,12 @@ class Backend {
  protected:
   friend class Comm;
 
-  // Posts a collective with backend-family-specific readiness/completion
-  // wiring; returns the caller's Work handle.
-  virtual Work post_collective(Comm& comm, int global_rank, const backends_detail::OpDesc& desc,
-                               backends_detail::ArrivalSlot slot, bool async_op) = 0;
-  virtual Work post_p2p(Comm& comm, int global_rank, bool is_send,
-                        std::shared_ptr<backends_detail::P2pOp> op, std::size_t bytes,
-                        bool async_op) = 0;
+  // Wires `global_rank`'s arrival as participant `idx` of `op` (a joined
+  // rendezvous or a matched p2p pair) in the backend family's way: when
+  // its input is ready, the rank calls op->mark_ready(idx). `bytes` picks
+  // the communication stream. Returns the caller's Work handle.
+  virtual Work post(int global_rank, std::shared_ptr<backends_detail::HostOp> op, int idx,
+                    std::size_t bytes) = 0;
 
   void require_initialized() const;
   // Tracks an operation for synchronize().
@@ -170,11 +174,8 @@ class StreamBackend : public Backend {
   sim::Stream* comm_stream(int rank, std::size_t bytes);
 
  protected:
-  Work post_collective(Comm& comm, int global_rank, const backends_detail::OpDesc& desc,
-                       backends_detail::ArrivalSlot slot, bool async_op) override;
-  Work post_p2p(Comm& comm, int global_rank, bool is_send,
-                std::shared_ptr<backends_detail::P2pOp> op, std::size_t bytes,
-                bool async_op) override;
+  Work post(int global_rank, std::shared_ptr<backends_detail::HostOp> op, int idx,
+            std::size_t bytes) override;
 
  private:
   std::vector<std::vector<sim::Stream*>> pools_;  // [rank][stream]
@@ -187,11 +188,8 @@ class HostMpiBackend : public Backend {
   HostMpiBackend(ClusterContext* cluster, net::BackendProfile profile);
 
  protected:
-  Work post_collective(Comm& comm, int global_rank, const backends_detail::OpDesc& desc,
-                       backends_detail::ArrivalSlot slot, bool async_op) override;
-  Work post_p2p(Comm& comm, int global_rank, bool is_send,
-                std::shared_ptr<backends_detail::P2pOp> op, std::size_t bytes,
-                bool async_op) override;
+  Work post(int global_rank, std::shared_ptr<backends_detail::HostOp> op, int idx,
+            std::size_t bytes) override;
 };
 
 // Creates a backend by registry name: "nccl", "sccl", "mv2-gdr", "ompi".

@@ -232,15 +232,15 @@ void HostOp::on_complete(InlineFn fn) {
   if (auto late = completion_.add(std::move(fn))) late();
 }
 
-void HostOp::fail(std::exception_ptr err) { terminate(std::move(err), /*open_gates=*/false); }
+void HostOp::fail(std::exception_ptr err) { terminate(std::move(err), /*open_gate=*/false); }
 
-void HostOp::cancel(std::exception_ptr err) { terminate(std::move(err), /*open_gates=*/true); }
+void HostOp::cancel(std::exception_ptr err) { terminate(std::move(err), /*open_gate=*/true); }
 
-void HostOp::terminate(std::exception_ptr err, bool open_gates) {
+void HostOp::terminate(std::exception_ptr err, bool open_gate) {
   MCRDL_CHECK(err != nullptr);
   if (completion_.fired() || error_) return;
   error_ = std::move(err);
-  if (open_gates) this->open_gates();
+  if (open_gate) gate_.open();
   completion_.drop();
   done_cond_.notify_all();
 }
@@ -273,11 +273,6 @@ void Rendezvous::post(int idx, ArrivalSlot slot) {
   ++posted_;
 }
 
-std::shared_ptr<sim::StreamGate> Rendezvous::gate(int idx) {
-  MCRDL_CHECK(idx >= 0 && idx < expected_);
-  return {shared_from_this(), &participants_[static_cast<std::size_t>(idx)].gate};
-}
-
 void Rendezvous::mark_ready(int idx) {
   MCRDL_CHECK(idx >= 0 && idx < expected_);
   // A failed rendezvous never starts its wire phase; a straggler's stream
@@ -295,7 +290,7 @@ void Rendezvous::mark_ready(int idx) {
   complete_time_ = exec_start_ + duration;
   // Keep the rendezvous alive through finish() even if every Work handle
   // and the engine's pending-table entry are dropped first.
-  sched_->schedule_at(complete_time_, [self = shared_from_this()] { self->finish(); });
+  sched_->schedule_at(complete_time_, [this, self = shared_from_this()] { finish(); });
 }
 
 void Rendezvous::finish() {
@@ -303,12 +298,8 @@ void Rendezvous::finish() {
   // Callbacks first: they set Work metadata (exec_start) that downstream
   // completion hooks — fired transitively by gate opening — read.
   for (auto& fn : completion_.fire()) fn();
-  open_gates();
+  gate_.open();
   done_cond_.notify_all();
-}
-
-void Rendezvous::open_gates() {
-  for (Participant& p : participants_) p.gate.open();
 }
 
 std::vector<int> Rendezvous::posted_indices() const {
@@ -548,22 +539,9 @@ void P2pOp::set_recv(Tensor t) {
   have_recv_ = true;
 }
 
-void P2pOp::mark_send_ready() {
-  send_ready_ = true;
-  maybe_finish();
-}
-
-void P2pOp::mark_recv_ready() {
-  recv_ready_ = true;
-  maybe_finish();
-}
-
-void P2pOp::open_gates() {
-  send_gate_.open();
-  recv_gate_.open();
-}
-
-void P2pOp::maybe_finish() {
+void P2pOp::mark_ready(int side) {
+  MCRDL_CHECK(side == kSendSide || side == kRecvSide);
+  (side == kSendSide ? send_ready_ : recv_ready_) = true;
   if (!send_ready_ || !recv_ready_ || completion_.fired() || error_) return;
   const SimTime duration = duration_fn_();
   exec_start_ = sched_->now();
@@ -574,7 +552,7 @@ void P2pOp::maybe_finish() {
       recv_tensor_.copy_from(send_tensor_);
     }
     auto callbacks = completion_.fire();
-    open_gates();
+    gate_.open();
     for (auto& fn : callbacks) fn();
     done_cond_.notify_all();
   });

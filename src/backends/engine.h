@@ -7,8 +7,8 @@
 // default-stream work finishes for host-synchronised MPI). Once every rank
 // is ready, the operation's duration comes from the backend's CostModel, and
 // at the completion time the engine applies the real data effect (reduction
-// math / block shuffles) to all materialised tensors, opens the stream gates
-// and notifies host waiters.
+// math / block shuffles) to all materialised tensors, opens the operation's
+// one stream gate and notifies host waiters.
 //
 // Sequence numbers also give NCCL-accurate misuse detection: ranks issuing
 // different operations at the same position on one communicator raise
@@ -67,8 +67,10 @@ inline constexpr std::size_t kWireSerializeThreshold = 64 * 1024;
 
 // The host-visible lifecycle Rendezvous and P2pOp share: an operation that
 // ends exactly once, completing (its Completion fires) or failing (it is
-// dropped; src/common/completion.h).
-class HostOp {
+// dropped; src/common/completion.h). Every participant arrives the same way,
+// through mark_ready(); stream-aware backends stall each participant's
+// communication stream behind the op's one gate, which opens at completion.
+class HostOp : public std::enable_shared_from_this<HostOp> {
  public:
   virtual ~HostOp() = default;
   HostOp(const HostOp&) = delete;
@@ -87,13 +89,22 @@ class HostOp {
   // Runs fn (under the baton) at completion, or inline if already complete.
   void on_complete(InlineFn fn);
 
+  // Declares participant `idx`'s input ready at the current virtual time: a
+  // group rank for a Rendezvous, kSendSide or kRecvSide for a P2pOp. The
+  // last participant to arrive starts the wire phase.
+  virtual void mark_ready(int idx) = 0;
+  // The gate every participant's communication stream stalls behind; it
+  // opens at completion or cancel(). It lives inside the operation, which
+  // the returned pointer keeps alive.
+  std::shared_ptr<sim::StreamGate> gate() { return {shared_from_this(), &gate_}; }
+
   // --- fault injection (src/fault/) ----------------------------------------
   // Marks the operation failed: stores the error and wakes host waiters so
   // wait_done() rethrows it from actor context. Safe to call from a
-  // timed-event callback (never throws; gates stay closed; no data effects
-  // are applied). No-op once done or already failed.
+  // timed-event callback (never throws; the gate stays closed; no data
+  // effects are applied). No-op once done or already failed.
   void fail(std::exception_ptr err);
-  // Like fail(), but also opens the operation's stream gates — the
+  // Like fail(), but also opens the operation's stream gate — the
   // ncclCommAbort model used by the elastic-recovery quiesce: parked
   // communication streams unwedge while host waiters still observe the
   // error.
@@ -108,19 +119,19 @@ class HostOp {
   Completion completion_;
   sim::SimCondition done_cond_;
   std::exception_ptr error_;
+  sim::StreamGate gate_;
 
  private:
   // The engines drop the operations they still hold at teardown.
   friend class CollectiveEngine;
   friend class P2pEngine;
-  void terminate(std::exception_ptr err, bool open_gates);
-  virtual void open_gates() = 0;
+  void terminate(std::exception_ptr err, bool open_gate);
 };
 
 class CollectiveEngine;
 
 // An all-ranks collective at one sequence position of a communicator.
-class Rendezvous : public HostOp, public std::enable_shared_from_this<Rendezvous> {
+class Rendezvous : public HostOp {
  public:
   // `engine` prices the operation and books its wire time once the last
   // rank is ready.
@@ -133,12 +144,7 @@ class Rendezvous : public HostOp, public std::enable_shared_from_this<Rendezvous
 
   // Declares rank `idx`'s input ready at the current virtual time. The last
   // ready rank triggers cost evaluation and schedules completion.
-  void mark_ready(int idx);
-
-  // Stream-aware backends park their communication stream behind this gate;
-  // it opens at the completion time. The gate lives inside the rendezvous,
-  // which the returned pointer keeps alive.
-  std::shared_ptr<sim::StreamGate> gate(int idx);
+  void mark_ready(int idx) override;
 
   // True once every participant has signalled readiness — the wire phase
   // has begun and completion is already scheduled. Quiesce drains skip
@@ -152,15 +158,13 @@ class Rendezvous : public HostOp, public std::enable_shared_from_this<Rendezvous
 
  private:
   // Applies the data effect, runs the completion callbacks, then opens the
-  // gates and wakes host waiters.
+  // gate and wakes host waiters.
   void finish();
-  void open_gates() override;
 
-  // One participant's progress and the gate its stream waits behind.
+  // One participant's progress.
   struct Participant {
     bool posted = false;
     bool ready = false;
-    sim::StreamGate gate;
   };
 
   OpDesc desc_;
@@ -245,29 +249,23 @@ class CollectiveEngine {
 // Fault injection: a failed op is still enqueued for FIFO matching (both
 // sides of the pair must observe the same failed attempt) but never
 // transfers data; post_send/post_recv rethrow its error.
-class P2pOp : public HostOp, public std::enable_shared_from_this<P2pOp> {
+class P2pOp : public HostOp {
  public:
+  // mark_ready() participant indices.
+  static constexpr int kSendSide = 0;
+  static constexpr int kRecvSide = 1;
+
   P2pOp(sim::Scheduler* sched, std::function<SimTime()> duration_fn);
 
   void set_send(Tensor t);
   void set_recv(Tensor t);
-  void mark_send_ready();
-  void mark_recv_ready();
-
-  // The gates the sender's and receiver's streams wait behind; like a
-  // rendezvous, the op owns them and the returned pointers keep it alive.
-  std::shared_ptr<sim::StreamGate> send_gate() { return {shared_from_this(), &send_gate_}; }
-  std::shared_ptr<sim::StreamGate> recv_gate() { return {shared_from_this(), &recv_gate_}; }
+  void mark_ready(int side) override;
 
  private:
-  void maybe_finish();
-  void open_gates() override;
-
   std::function<SimTime()> duration_fn_;
   Tensor send_tensor_, recv_tensor_;
   bool have_send_ = false, have_recv_ = false;
   bool send_ready_ = false, recv_ready_ = false;
-  sim::StreamGate send_gate_, recv_gate_;
 };
 
 // FIFO tag-matching of sends and recvs per (src, dst) pair.

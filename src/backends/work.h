@@ -53,9 +53,13 @@ class WorkHandle {
 
 using Work = std::shared_ptr<WorkHandle>;
 
-// Completion via a recorded event on a communication stream. The work owns
-// both events of its operation, so posting one allocates only the work; the
-// event pointers handed to streams share ownership of the work.
+// Completion via an event on a communication stream. The work owns both
+// events of its operation, so posting one allocates only the work; the
+// event pointers handed to streams share ownership of the work. A post is
+// three stream ops: input_ready is recorded on the default stream, and the
+// communication stream waits on it, then reaches the arrival op, which
+// marks this rank ready, stalls behind the operation's gate and completes
+// done_event when the gate opens.
 class StreamWork : public WorkHandle, public std::enable_shared_from_this<StreamWork> {
  public:
   StreamWork(sim::Scheduler* sched, sim::Stream* default_stream);
@@ -63,7 +67,7 @@ class StreamWork : public WorkHandle, public std::enable_shared_from_this<Stream
   // Recorded on the caller's default stream ahead of the operation; the
   // communication stream waits on it before starting.
   std::shared_ptr<sim::Event> input_ready() { return {shared_from_this(), &input_ready_}; }
-  // Recorded on the communication stream once the operation is done.
+  // Completed on the communication stream once the operation is done.
   std::shared_ptr<sim::Event> done_event() { return {shared_from_this(), &done_event_}; }
 
   bool test() const override;

@@ -98,19 +98,14 @@ void Stream::wait_event(std::shared_ptr<Event> event) {
   enqueue(std::move(op));
 }
 
-void Stream::wait_gate(std::shared_ptr<StreamGate> gate) {
-  MCRDL_REQUIRE(gate != nullptr, "wait_gate with null gate");
-  Op op;
-  op.kind = Op::Kind::Gate;
-  op.gate = std::move(gate);
-  enqueue(std::move(op));
-}
-
-void Stream::add_callback(InlineFn fn) {
+void Stream::add_callback(InlineFn fn, std::shared_ptr<StreamGate> gate,
+                          std::shared_ptr<Event> done) {
   MCRDL_REQUIRE(static_cast<bool>(fn), "add_callback with null function");
   Op op;
   op.kind = Op::Kind::Callback;
   op.fn = std::move(fn);
+  op.gate = std::move(gate);
+  op.event = std::move(done);
   enqueue(std::move(op));
 }
 
@@ -162,19 +157,18 @@ void Stream::pump() {
         front.event->add_stream_waiter(this);
         return;
       }
-      case Op::Kind::Gate: {
-        if (front.gate->is_open()) {
-          queue_.pop_front();
-          break;
-        }
-        state_ = State::Stalled;
-        front.gate->add_waiter(this);
-        return;
-      }
       case Op::Kind::Callback: {
-        auto fn = std::move(front.fn);
+        // fn stays at the front while it runs: ops it enqueues go behind
+        // this one (and may move the queue, so front is re-read after).
+        if (InlineFn fn = std::move(front.fn)) fn();
+        Op& op = queue_.front();
+        if (op.gate != nullptr && !op.gate->is_open()) {
+          state_ = State::Stalled;
+          op.gate->add_waiter(this);
+          return;  // resume() re-enters here with fn already run
+        }
+        if (op.event != nullptr) op.event->mark_complete(sched_->now());
         queue_.pop_front();
-        fn();  // may enqueue further ops on this stream; loop re-examines
         break;
       }
     }

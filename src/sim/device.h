@@ -2,9 +2,10 @@
 //
 // A Stream is an in-order queue of operations. Kernels occupy the stream for
 // a virtual-time duration; Record/Wait of Events reproduce cudaEventRecord /
-// cudaStreamWaitEvent ordering; Gates let collective backends stall a stream
-// until an all-ranks rendezvous completes (the moment every participant's
-// stream has reached its gate). Host code interacts through synchronize()
+// cudaStreamWaitEvent ordering; a callback op may carry a gate and a done
+// event, so one op is a backend's whole stream-side arrival at a
+// communication operation: signal arrival, stall until the operation
+// completes, record completion. Host code interacts through synchronize()
 // calls that suspend the calling actor in virtual time.
 //
 // All methods must be called under the scheduler baton (i.e. from actor code
@@ -80,9 +81,10 @@ class Event {
   StalledStreams stream_waiters_;
 };
 
-// A gate a stream can be told to wait behind; collective rendezvous objects
-// open gates when the operation's completion time arrives. Unlike an Event,
-// a Gate is one-shot and not recorded by any stream.
+// A gate a callback op can stall its stream behind; a communication
+// operation opens its one gate at completion (or cancellation), resuming
+// every stream stalled behind it in stall order. Unlike an Event, a Gate is
+// one-shot and not recorded by any stream.
 class StreamGate {
  public:
   StreamGate() = default;
@@ -122,12 +124,14 @@ class Stream {
   // cudaStreamWaitEvent: stalls the stream until the event is complete.
   void wait_event(std::shared_ptr<Event> event);
 
-  // Stalls the stream behind a rendezvous gate.
-  void wait_gate(std::shared_ptr<StreamGate> gate);
-
-  // Runs fn the moment the stream reaches this point (zero duration). Used
-  // by collective backends to timestamp stream-side arrival at a rendezvous.
-  void add_callback(InlineFn fn);
+  // Runs fn the moment the stream reaches this point (zero duration); fn may
+  // enqueue further ops, which run after this one. With a gate, the stream
+  // then stalls until the gate opens; `done` (optional) completes once the
+  // op is passed — at the gate's opening, or when fn returns if there is no
+  // gate. Communication backends post their stream-side arrival as one such
+  // op: fn marks the operation ready, the gate opens at its completion.
+  void add_callback(InlineFn fn, std::shared_ptr<StreamGate> gate = nullptr,
+                    std::shared_ptr<Event> done = nullptr);
 
   // Host-side blocking wait until every queued operation has finished.
   void synchronize();
@@ -147,10 +151,13 @@ class Stream {
 
   enum class State { Idle, Running, Stalled };
   struct Op {
-    enum class Kind { Kernel, Record, WaitEvent, Gate, Callback };
+    enum class Kind { Kernel, Record, WaitEvent, Callback };
     Kind kind = Kind::Callback;
     SimTime duration = 0.0;
+    // A callback op's fn is emptied once it has run, while the op may still
+    // stall behind its gate.
     InlineFn fn;
+    // Recorded, waited on, or (callback) completed once passed.
     std::shared_ptr<Event> event;
     std::shared_ptr<StreamGate> gate;
     const char* label = nullptr;

@@ -142,6 +142,24 @@ TEST_P(ApiAllOpsTest, ListingOneOpsThroughFacade) {
     api.synchronize();
     EXPECT_DOUBLE_EQ(av_out.get(0), rank);
 
+    // TensorList form: input block j has j + 1 distinct elements and lands as
+    // rank j's output block from this rank.
+    const auto a2a_value = [](int src, int dst, int e) { return src * 100.0 + dst * 10.0 + e; };
+    TensorList list_in, list_out;
+    for (int j = 0; j < n; ++j) {
+      list_in.push_back(Tensor::zeros({j + 1}, DType::F32, dev));
+      for (int e = 0; e <= j; ++e) list_in.back().set(e, a2a_value(rank, j, e));
+      list_out.push_back(Tensor::zeros({rank + 1}, DType::F32, dev));
+    }
+    api.all_to_all(backend, list_out, list_in);
+    api.synchronize();
+    for (int src = 0; src < n; ++src) {
+      for (int e = 0; e <= rank; ++e) {
+        EXPECT_DOUBLE_EQ(list_out[static_cast<std::size_t>(src)].get(e), a2a_value(src, rank, e))
+            << "block from rank " << src << ", element " << e;
+      }
+    }
+
     api.barrier(backend);
     if (rank == 0) {
       api.send(backend, Tensor::arange(3, DType::F32, dev), 1);

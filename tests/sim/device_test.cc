@@ -1,5 +1,5 @@
 // Unit tests for the simulated device runtime: stream FIFO ordering, kernel
-// timing, event record/wait semantics, gates, and host synchronisation.
+// timing, event record/wait semantics, gated callbacks, and host synchronisation.
 #include "src/sim/device.h"
 
 #include <gtest/gtest.h>
@@ -156,7 +156,7 @@ TEST_F(DeviceTest, StreamTeardownDropsCallbacksOfUnreachedEvents) {
   {
     Device dev(&sched_, 0, 0, 0);
     Stream* s = dev.default_stream();
-    s->wait_gate(std::make_shared<StreamGate>());  // never opens
+    s->add_callback([] {}, std::make_shared<StreamGate>());  // never opens
     s->record_event(ev);
     ev->on_complete([&ran, token] { ran = true; });
     token.reset();
@@ -172,7 +172,7 @@ TEST_F(DeviceTest, GateStallsStreamUntilOpened) {
     Stream* s = dev.default_stream();
     auto gate = std::make_shared<StreamGate>();
     SimTime ran_at = -1.0;
-    s->wait_gate(gate);
+    s->add_callback([] {}, gate);
     s->launch_kernel(1.0, [&] { ran_at = sched_.now(); });
     sched_.schedule_after(25.0, [gate] { gate->open(); });
     s->synchronize();
@@ -185,11 +185,89 @@ TEST_F(DeviceTest, OpenGateDoesNotStall) {
     Stream* s = dev.default_stream();
     auto gate = std::make_shared<StreamGate>();
     gate->open();
-    s->wait_gate(gate);
+    s->add_callback([] {}, gate);
     s->launch_kernel(2.0);
     s->synchronize();
     EXPECT_DOUBLE_EQ(sched_.now(), 2.0);
   });
+}
+
+TEST_F(DeviceTest, GatedCallbackCompletesDoneWhenTheGateOpens) {
+  run_host([&](Device& dev) {
+    Stream* s = dev.default_stream();
+    auto gate = std::make_shared<StreamGate>();
+    auto done = std::make_shared<Event>(&sched_);
+    SimTime ran_at = -1.0;
+    s->launch_kernel(5.0);
+    s->add_callback([&] { ran_at = sched_.now(); }, gate, done);
+    sched_.schedule_after(30.0, [gate] { gate->open(); });
+    sched_.sleep_for(10.0);
+    EXPECT_DOUBLE_EQ(ran_at, 5.0) << "fn runs when the stream reaches the op";
+    EXPECT_FALSE(done->complete()) << "done waits for the gate, not for fn";
+    done->synchronize();
+    EXPECT_DOUBLE_EQ(done->completion_time(), 30.0);
+  });
+}
+
+TEST_F(DeviceTest, UngatedCallbackCompletesDoneWhenFnReturns) {
+  run_host([&](Device& dev) {
+    Stream* s = dev.default_stream();
+    auto done = std::make_shared<Event>(&sched_);
+    bool ran = false;
+    s->launch_kernel(4.0);
+    s->add_callback([&] { ran = true; }, nullptr, done);
+    done->on_complete([&] { EXPECT_TRUE(ran); });
+    s->synchronize();
+    EXPECT_DOUBLE_EQ(done->completion_time(), 4.0);
+  });
+}
+
+TEST_F(DeviceTest, GatedCallbackRunsWorkItEnqueuesAfterItself) {
+  // fn enqueues while its op is still at the front of the queue, stalled on
+  // the gate: the new ops run after the op is passed, in order. Enough of
+  // them to grow the queue's storage under the op.
+  run_host([&](Device& dev) {
+    Stream* s = dev.default_stream();
+    auto gate = std::make_shared<StreamGate>();
+    auto done = std::make_shared<Event>(&sched_);
+    std::vector<int> order;
+    constexpr int kEnqueued = 64;
+    s->add_callback(
+        [&] {
+          order.push_back(-1);
+          for (int i = 0; i < kEnqueued; ++i) {
+            s->launch_kernel(1.0, [&order, i] { order.push_back(i); });
+          }
+        },
+        gate, done);
+    done->on_complete([&] { order.push_back(-2); });
+    sched_.schedule_after(10.0, [gate] { gate->open(); });
+    s->synchronize();
+    ASSERT_EQ(order.size(), static_cast<std::size_t>(kEnqueued + 2));
+    EXPECT_EQ(order[0], -1);
+    EXPECT_EQ(order[1], -2) << "done completes before the ops fn enqueued";
+    for (int i = 0; i < kEnqueued; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i) + 2], i);
+    EXPECT_DOUBLE_EQ(sched_.now(), 10.0 + kEnqueued);
+  });
+}
+
+TEST_F(DeviceTest, StreamTeardownDropsDoneOfAGatedCallback) {
+  auto done = std::make_shared<Event>(&sched_);
+  auto token = std::make_shared<int>(0);
+  std::weak_ptr<int> weak = token;
+  bool ran = false, done_ran = false;
+  {
+    Device dev(&sched_, 0, 0, 0);
+    Stream* s = dev.default_stream();
+    s->add_callback([&ran] { ran = true; }, std::make_shared<StreamGate>(), done);  // never opens
+    done->on_complete([&done_ran, token] { done_ran = true; });
+    token.reset();
+    EXPECT_FALSE(weak.expired());
+  }
+  EXPECT_TRUE(ran) << "the idle stream reached the op at once";
+  EXPECT_TRUE(weak.expired()) << "the stream's teardown must drop the done event's callbacks";
+  EXPECT_FALSE(done_ran);
+  EXPECT_FALSE(done->complete());
 }
 
 TEST_F(DeviceTest, CallbackRunsAtStreamPosition) {
