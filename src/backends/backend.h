@@ -197,4 +197,9 @@ std::unique_ptr<Backend> make_backend(const std::string& name, ClusterContext* c
 // Names accepted by make_backend, in the paper's order.
 std::vector<std::string> available_backend_names();
 
+// Dense index of an initialised backend: its position in the list passed to
+// McrDl::init(). The dispatch path names backends by id, not by string.
+using BackendId = std::size_t;
+inline constexpr BackendId kNoBackend = static_cast<BackendId>(-1);
+
 }  // namespace mcrdl

@@ -67,14 +67,17 @@ void McrDl::init(const std::vector<std::string>& backend_names) {
         [&rec](const std::string& body) { rec.restore_state(body); });
   }
   for (const auto& name : backend_names) {
-    if (backends_.count(name) > 0) {
+    if (has_backend(name)) {
       throw InvalidArgument("backend '" + name + "' listed twice in init()");
     }
     auto b = make_backend(name, cluster_);
     b->init();
     backend_order_.push_back(name);
-    backends_[name] = std::move(b);
+    backends_.push_back(std::move(b));
   }
+  // Ids now name this backend set: drop the pipeline's per-id handles of a
+  // previous set.
+  pipeline_->bind_backends(backends_.size());
   // The online tuner becomes the resolution authority behind "auto"; the
   // static table (whenever it is installed) seeds its per-key incumbents.
   if (options_.online_tuning.enabled) {
@@ -136,7 +139,7 @@ void McrDl::finalize() {
     launch_ctx_ = coll::LaunchContext{};
     overlap_.reset();
   }
-  for (auto& [name, b] : backends_) b->finalize();
+  for (auto& b : backends_) b->finalize();
   backends_.clear();
   backend_order_.clear();
   // Checkpoint sections capture raw pointers into subsystems about to be
@@ -153,37 +156,59 @@ void McrDl::finalize() {
 
 fault::RecoveryManager& McrDl::recovery() const { return cluster_->faults().recovery(); }
 
-bool McrDl::has_backend(const std::string& name) const { return backends_.count(name) > 0; }
+BackendId McrDl::find_backend(const std::string& name) const {
+  for (BackendId id = 0; id < backend_order_.size(); ++id) {
+    if (backend_order_[id] == name) return id;
+  }
+  return kNoBackend;
+}
 
-Backend* McrDl::backend(const std::string& name) const {
-  auto it = backends_.find(name);
-  if (it == backends_.end()) {
+bool McrDl::has_backend(const std::string& name) const { return find_backend(name) != kNoBackend; }
+
+BackendId McrDl::backend_id(const std::string& name) const {
+  const BackendId id = find_backend(name);
+  if (id == kNoBackend) {
     throw InvalidArgument("backend '" + name + "' was not passed to McrDl::init");
   }
-  return it->second.get();
+  return id;
 }
 
-Backend* McrDl::resolve(const std::string& name, OpType op, std::size_t bytes, int world,
-                        int rank) const {
-  return backend(resolve_string(name, op, bytes, world, rank));
-}
+Backend* McrDl::backend(const std::string& name) const { return backend(backend_id(name)); }
 
-std::string McrDl::resolve_string(const std::string& name, OpType op, std::size_t bytes,
-                                  int world, int rank) const {
+BackendId McrDl::resolve(const std::string& name, OpType op, std::size_t bytes, int world,
+                         int rank, coll::CompositeSpec* composite) const {
   MCRDL_CHECK(initialized_) << "MCR-DL is not initialised";
-  if (name != "auto") return name;
-  // Online tuner enabled: it owns "auto". It works from a cold start too, so
-  // a static table is optional on this path.
-  if (tuner_ != nullptr) {
-    // With composites enabled the tuner's arm set grows beyond plain backend
-    // names — allreduce only, the one op the composite algorithms implement.
-    if (coll_enabled() && options_.coll.tuner_arms && op == OpType::AllReduce) {
-      std::vector<std::string> arms = backend_order_;
-      for (auto& arm : coll::composite_arms(backend_order_)) arms.push_back(std::move(arm));
-      return tuner_->select(op, world, bytes, rank, arms);
+  // A name, given or chosen by the tuner: a composite algorithm when the
+  // caller accepts one, else an initialised backend.
+  const auto named = [&](const std::string& choice) {
+    if (composite != nullptr) {
+      if (auto spec = coll::parse(choice)) {
+        if (op != OpType::AllReduce) {
+          throw InvalidArgument("composite '" + choice + "' implements all_reduce only, not " +
+                                op_name(op));
+        }
+        validate_composite(*spec);
+        *composite = std::move(*spec);
+        return kNoBackend;
+      }
     }
-    return tuner_->select(op, world, bytes, rank, backend_order_);
+    return backend_id(choice);
+  };
+  if (name != "auto") return named(name);
+  if (tuner_ == nullptr) return tuned_backend(op, bytes, world);
+  // Online tuner enabled: it owns "auto". It works from a cold start too, so
+  // a static table is optional on this path. With composites enabled its arm
+  // set grows beyond plain backend names — allreduce only, the one op the
+  // composite algorithms implement.
+  if (coll_enabled() && options_.coll.tuner_arms && op == OpType::AllReduce) {
+    std::vector<std::string> arms = backend_order_;
+    for (auto& arm : coll::composite_arms(backend_order_)) arms.push_back(std::move(arm));
+    return named(tuner_->select(op, world, bytes, rank, arms));
   }
+  return named(tuner_->select(op, world, bytes, rank, backend_order_));
+}
+
+BackendId McrDl::tuned_backend(OpType op, std::size_t bytes, int world) const {
   if (!tuning_table_.has_value()) {
     throw InvalidArgument(
         "backend 'auto' requires a tuning table — run TuningSuite::generate and "
@@ -197,15 +222,16 @@ std::string McrDl::resolve_string(const std::string& name, OpType op, std::size_
     MCRDL_LOG_WARN << "backend 'auto' requested for " << op_name(op)
                    << " but the tuning table has no entries for it; falling back to '"
                    << backend_order_.front() << "'";
-    return backend_order_.front();
+    return 0;
   }
   const std::string& best = tuning_table_->lookup(op, world, bytes);
-  if (backends_.count(best) > 0) return best;
+  const BackendId id = find_backend(best);
+  if (id != kNoBackend) return id;
   // The tuned winner is not among the initialised backends; fall back to the
   // first initialised one rather than failing mid-training.
   MCRDL_LOG_WARN << "tuning table prefers '" << best << "' for " << op_name(op)
                  << " but it is not initialised; using '" << backend_order_.front() << "'";
-  return backend_order_.front();
+  return 0;
 }
 
 void McrDl::validate_composite(coll::CompositeSpec& spec) const {
@@ -252,7 +278,7 @@ int Api::get_size(const std::string& backend) const {
   return comm_for(ctx_->backend(backend))->size();
 }
 
-Work Api::dispatch(OpRequest req) const {
+Work Api::dispatch(OpRequest&& req) const {
   return ctx_->pipeline().execute(rank_, group_, std::move(req));
 }
 
@@ -261,7 +287,7 @@ void Api::synchronize() {
   // Drive this rank's composite chains to completion first: their remaining
   // phases post sub-ops the backend synchronize below must also cover.
   if (ctx_->coll_enabled()) ctx_->overlap_scheduler()->drain(rank_);
-  for (const auto& name : ctx_->get_backends()) ctx_->backend(name)->synchronize(rank_);
+  for (BackendId id = 0; id < ctx_->num_backends(); ++id) ctx_->backend(id)->synchronize(rank_);
 }
 
 void Api::synchronize(const std::string& backend) {

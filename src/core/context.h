@@ -25,7 +25,6 @@
 // per-op code.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -83,6 +82,12 @@ class McrDl {
   void finalize();
   bool initialized() const { return initialized_; }
   const std::vector<std::string>& get_backends() const { return backend_order_; }
+  // The initialised backends by dense id: id i is get_backends()[i].
+  std::size_t num_backends() const { return backends_.size(); }
+  Backend* backend(BackendId id) const { return backends_[id].get(); }
+  // The id of an initialised backend; throws InvalidArgument for any other
+  // name.
+  BackendId backend_id(const std::string& name) const;
   Backend* backend(const std::string& name) const;
   bool has_backend(const std::string& name) const;
 
@@ -94,19 +99,17 @@ class McrDl {
     if (tuner_ != nullptr) tuner_->seed_prior(*tuning_table_);
   }
   const std::optional<TuningTable>& tuning_table() const { return tuning_table_; }
-  // Resolves a backend string, dispatching "auto" through the online tuner
-  // when enabled, else the static tuning table. `rank` is the caller's
-  // global rank (the tuner aligns its per-key decision sequence across
-  // ranks with it; irrelevant for static resolution).
-  Backend* resolve(const std::string& name, OpType op, std::size_t bytes, int world,
-                   int rank = 0) const;
-  // The string-level half of resolve(): returns the chosen backend *name*
-  // without requiring it to be an initialised backend — with composites
-  // enabled the choice may be a composite algorithm string ("hier:nccl+mpi",
-  // "rsag"), offered to the online tuner as extra "auto" arms when
-  // CollConfig::tuner_arms is set. resolve() is resolve_string() + backend().
-  std::string resolve_string(const std::string& name, OpType op, std::size_t bytes, int world,
-                             int rank = 0) const;
+  // Resolves a collective's backend string to an initialised backend's id.
+  // "auto" goes through the online tuner when it is enabled, else through
+  // the installed table; any other string names a backend. With `composite`
+  // non-null, a composite algorithm string ("hier:nccl+mpi", "rsag") —
+  // passed, or picked by the tuner from its composite arms when
+  // CollConfig::tuner_arms is set — is parsed and validated into
+  // *composite and the result is kNoBackend. `rank` is the caller's global
+  // rank (the tuner aligns its per-key decision sequence across ranks with
+  // it; irrelevant for static resolution).
+  BackendId resolve(const std::string& name, OpType op, std::size_t bytes, int world, int rank,
+                    coll::CompositeSpec* composite = nullptr) const;
 
   // Measurement-driven "auto" resolution; non-null only when
   // options.online_tuning.enabled (created by init()).
@@ -159,11 +162,16 @@ class McrDl {
  private:
   friend class Api;
 
+  // Id of `name` among the initialised backends, or kNoBackend.
+  BackendId find_backend(const std::string& name) const;
+  // "auto" through the installed table, with its per-call fallbacks.
+  BackendId tuned_backend(OpType op, std::size_t bytes, int world) const;
+
   ClusterContext* cluster_;
   McrDlOptions options_;
   bool initialized_ = false;
   std::vector<std::string> backend_order_;
-  std::map<std::string, std::unique_ptr<Backend>> backends_;
+  std::vector<std::unique_ptr<Backend>> backends_;  // by BackendId
   std::optional<TuningTable> tuning_table_;
   std::unique_ptr<tune::OnlineTuner> tuner_;
   CommLogger logger_;
@@ -241,7 +249,7 @@ class Api {
   Comm* comm_for(Backend* b) const;
   // Packs per-op arguments into the request's common fields and hands it to
   // the runtime's OpPipeline.
-  Work dispatch(OpRequest req) const;
+  Work dispatch(OpRequest&& req) const;
 
   McrDl* ctx_;
   int rank_;

@@ -131,11 +131,10 @@ void remap(OpCall& c, fault::RecoveryManager& rec, const std::vector<int>& origi
   // size *and* world size, so "auto" may legitimately pick a different
   // backend after the shrink.
   if (c.req.op == OpType::Send || c.req.op == OpType::Recv) {
-    c.resolved = c.ctx->backend(c.req.backend);
+    c.requested = c.ctx->backend_id(c.req.backend);
   } else {
-    c.resolved = c.ctx->resolve(c.req.backend, c.req.op, c.bytes, c.world_size(), c.rank);
+    c.requested = c.ctx->resolve(c.req.backend, c.req.op, c.bytes, c.world_size(), c.rank);
   }
-  c.requested = c.resolved->name();
 }
 
 }  // namespace
@@ -148,21 +147,28 @@ Comm* OpCall::comm_for(Backend* b) const {
   return group.empty() ? b->world() : b->group(group);
 }
 
+const std::string& OpCall::requested_name() const {
+  return is_composite ? composite.text : ctx->get_backends()[requested];
+}
+
+const std::string& OpCall::completed_name() const {
+  return is_composite ? composite.text : ctx->get_backends()[completed_on];
+}
+
 void OpCall::recycle() {
   ctx = nullptr;
   rank = 0;
   group.clear();
   req.recycle();
   bytes = 0;
-  resolved = nullptr;
-  requested.clear();
+  requested = kNoBackend;
   admit_fusion = false;
   admit_compression = false;
   attempt_backend = nullptr;
   attempts = 1;
   rerouted = false;
   fault.clear();
-  completed_on.clear();
+  completed_on = kNoBackend;
   recovered = false;
   fused = false;
   compressed = false;
@@ -208,15 +214,16 @@ OpPipeline::OpPipeline(McrDl* ctx) : ctx_(ctx) {
 
 OpPipeline::~OpPipeline() = default;
 
-Work OpPipeline::execute(int rank, const std::vector<int>& group, OpRequest req) {
+Work OpPipeline::execute(int rank, const std::vector<int>& group, OpRequest&& req) {
   ArenaLease lease(this, rank);
   OpCall& call = lease.call();
   call.ctx = ctx_;
   call.rank = rank;
-  // Copy-assign (not move) into the recycled slot so its container capacity
-  // is reused instead of replaced.
+  // Copy-assign the group into the recycled slot so its capacity is reused.
+  // The request moves in: its containers arrive filled by the caller, so
+  // moving allocates nothing either.
   call.group = group;
-  call.req = req;
+  call.req = std::move(req);
   return next<kOverhead>(call);
 }
 
@@ -316,36 +323,24 @@ Work OpPipeline::overhead(OpCall& c) {
   return next<kResolve>(c);
 }
 
-// resolve: backend string -> Backend*, "auto" via the tuning table.
+// resolve: backend string -> BackendId, "auto" via the tuning table.
 Work OpPipeline::resolve(OpCall& c) {
   c.bytes = c.req.payload_bytes();
   if (c.req.op == OpType::Send || c.req.op == OpType::Recv) {
     // "auto" is collective-only; p2p resolves the literal name.
-    c.resolved = ctx_->backend(c.req.backend);
-    c.requested = c.resolved->name();
-    return next<kFusion>(c);
+    c.requested = ctx_->backend_id(c.req.backend);
+  } else {
+    // With composites enabled the choice may be an algorithm string rather
+    // than a backend — either passed explicitly or picked by the tuner from
+    // its composite arms. `requested` stays kNoBackend; the coll stage
+    // launches it. Nested sub-ops always name concrete backends (no
+    // composite recursion).
+    coll::CompositeSpec* composite =
+        ctx_->coll_enabled() && !c.req.nested ? &c.composite : nullptr;
+    c.requested =
+        ctx_->resolve(c.req.backend, c.req.op, c.bytes, c.world_size(), c.rank, composite);
+    c.is_composite = c.requested == kNoBackend;
   }
-  const std::string choice =
-      ctx_->resolve_string(c.req.backend, c.req.op, c.bytes, c.world_size(), c.rank);
-  // With composites enabled the choice may be an algorithm string rather
-  // than a backend — either passed explicitly or picked by the tuner from
-  // its composite arms. `resolved` stays null; the coll stage launches it.
-  // Nested sub-ops always name concrete backends (no composite recursion).
-  if (ctx_->coll_enabled() && !c.req.nested) {
-    if (auto spec = coll::parse(choice)) {
-      if (c.req.op != OpType::AllReduce) {
-        throw InvalidArgument("composite '" + choice + "' implements all_reduce only, not " +
-                              op_name(c.req.op));
-      }
-      ctx_->validate_composite(*spec);
-      c.is_composite = true;
-      c.composite = std::move(*spec);
-      c.requested = c.composite.text;
-      return next<kFusion>(c);
-    }
-  }
-  c.resolved = ctx_->backend(choice);
-  c.requested = c.resolved->name();
   return next<kFusion>(c);
 }
 
@@ -381,7 +376,7 @@ Work OpPipeline::finish(OpCall& c) {
   // histogram billed with the logger's convention (execution window when the
   // backend reported one, posted-at otherwise), through the per-(backend, op)
   // handle cache.
-  const FinishHandles& h = finish_handles(c.completed_on, c.req.op);
+  const FinishHandles& h = finish_handles(c);
   h.ops->inc();
   obs::Histogram* latency = h.latency;
   // Bucketed ops bill latency differently: the fusion layer observes every
@@ -433,14 +428,14 @@ Work OpPipeline::finish(OpCall& c) {
       d.op = c.req.op;
       d.world = c.world_size();
       d.bytes = c.bytes;
-      d.backend = c.completed_on;
+      d.backend = c.completed_name();
     }
     d.logger = logger;
     if (logger != nullptr) {
       CommRecord& rec = d.rec;
       rec.rank = c.rank;
       rec.op = c.req.op;
-      rec.backend = c.completed_on;
+      rec.backend = c.completed_name();
       rec.bytes = c.bytes;
       rec.start = w->posted_at;
       rec.fused = c.fused;
@@ -449,7 +444,7 @@ Work OpPipeline::finish(OpCall& c) {
       rec.rerouted = c.rerouted;
       // Always recorded — also when the op ran where it was asked to — so
       // traces never carry stale routing info.
-      rec.requested_backend = c.requested;
+      rec.requested_backend = c.requested_name();
       rec.fault = c.fault;
       rec.epoch = c.req.epoch;
       rec.recovered = c.recovered;
@@ -459,19 +454,29 @@ Work OpPipeline::finish(OpCall& c) {
   return w;
 }
 
+void OpPipeline::bind_backends(std::size_t count) {
+  finish_handles_.assign(count * kOpTypeCount, FinishHandles{});
+}
+
 // Registry references are stable for its lifetime, so handles are resolved
 // once per (backend, op) pair instead of building label maps — four
-// small-map node allocations — per dispatch.
-const OpPipeline::FinishHandles& OpPipeline::finish_handles(const std::string& backend,
-                                                            OpType op) {
-  const std::pair<std::string, int> key{backend, static_cast<int>(op)};
-  auto it = finish_handles_.find(key);
-  if (it != finish_handles_.end()) return it->second;
-  obs::MetricsRegistry& metrics = ctx_->cluster()->metrics();
-  const obs::Labels labels{{"backend", backend}, {"op", op_name(op)}};
-  FinishHandles h{&metrics.counter("pipeline_ops", labels),
-                  &metrics.histogram("op_latency_us", labels)};
-  return finish_handles_.emplace(key, h).first->second;
+// small-map node allocations — per dispatch. They are created on first use,
+// so the metrics snapshot lists only pairs that completed an op.
+const OpPipeline::FinishHandles& OpPipeline::finish_handles(const OpCall& c) {
+  const auto op = static_cast<std::size_t>(c.req.op);
+  FinishHandles* h = nullptr;
+  if (c.is_composite) {
+    h = &composite_handles_[{c.composite.text, static_cast<int>(op)}];
+  } else {
+    h = &finish_handles_[c.completed_on * kOpTypeCount + op];
+  }
+  if (h->ops == nullptr) {
+    obs::MetricsRegistry& metrics = ctx_->cluster()->metrics();
+    const obs::Labels labels{{"backend", c.completed_name()}, {"op", op_name(c.req.op)}};
+    *h = FinishHandles{&metrics.counter("pipeline_ops", labels),
+                       &metrics.histogram("op_latency_us", labels)};
+  }
+  return *h;
 }
 
 // recover: elastic rank-loss recovery (src/fault/recovery.h). Runs between
@@ -509,7 +514,10 @@ Work OpPipeline::recover(OpCall& c) {
       c.attempts += prior_attempts;
       if (c.recovered) {
         rec.note_recovered();
-        ctx_->cluster()->metrics().counter("ops_recovered", {{"backend", c.completed_on}}).inc();
+        ctx_->cluster()
+            ->metrics()
+            .counter("ops_recovered", {{"backend", c.completed_name()}})
+            .inc();
       }
       return w;
     } catch (const RankLostError&) {
@@ -548,7 +556,6 @@ Work OpPipeline::coll(OpCall& c) {
                         " after rank loss; replay on the shrunk communicator");
   }
   Work w = coll::launch(ctx_->coll_launch(), c.composite, c.rank, c.group, c.req);
-  c.completed_on = c.composite.text;
   // Synchronous composites drive their chain to completion right here, so a
   // rank loss surfaces as RankLostError inside this pipeline frame and the
   // recover stage above parks, remaps and replays the whole composite.
@@ -561,9 +568,9 @@ Work OpPipeline::route(OpCall& c) {
   fault::FailoverRouter* router = ctx_->failover();
   if (router == nullptr) {
     // Fault subsystem disabled: issue exactly once on the resolved backend.
-    c.attempt_backend = c.resolved;
+    c.attempt_backend = ctx_->backend(c.requested);
     Work w = next<kIssue>(c);
-    c.completed_on = c.resolved->name();
+    c.completed_on = c.requested;
     return w;
   }
 
@@ -575,6 +582,7 @@ Work OpPipeline::route(OpCall& c) {
   // at its own pace, and collectives stay aligned across retries and
   // failover even with stragglers in flight.
   const std::vector<std::string>& order = ctx_->get_backends();
+  const std::string& requested = c.requested_name();
 
   obs::MetricsRegistry& metrics = ctx_->cluster()->metrics();
   // Age the preferred backend's breaker toward its half-open probe before
@@ -583,16 +591,16 @@ Work OpPipeline::route(OpCall& c) {
   // sequence, so the skip counts — and the resulting probe op — line up
   // across ranks, which rank-asymmetric p2p traffic would break.
   if (c.req.op != OpType::Send && c.req.op != OpType::Recv) {
-    router->age_breaker(c.requested, c.rank);
+    router->age_breaker(requested, c.rank);
   }
 
-  std::string current = router->select(c.requested, order, c.rank);
-  if (current != c.requested) {
+  std::string current = router->select(requested, order, c.rank);
+  if (current != requested) {
     c.rerouted = true;
     c.fault = "unavailable";
     router->report().rerouted++;
-    router->report().by_backend[c.requested].rerouted++;
-    metrics.counter("failover_reroutes", {{"backend", c.requested}}).inc();
+    router->report().by_backend[requested].rerouted++;
+    metrics.counter("failover_reroutes", {{"backend", requested}}).inc();
   }
 
   c.attempts = 0;
@@ -601,12 +609,13 @@ Work OpPipeline::route(OpCall& c) {
     ++attempts_on_current;
     ++c.attempts;
     router->report().attempted++;
-    c.attempt_backend = ctx_->backend(current);
+    const BackendId attempt = ctx_->backend_id(current);
+    c.attempt_backend = ctx_->backend(attempt);
     try {
       Work w = next<kIssue>(c);
       router->record_success(current, c.rank);
       router->report().succeeded++;
-      c.completed_on = current;
+      c.completed_on = attempt;
       return w;
     } catch (const TransientFault& tf) {
       c.fault = "transient";
@@ -626,7 +635,7 @@ Work OpPipeline::route(OpCall& c) {
       // otherwise surface the original fault as the operation's failure.
       std::string failed_backend = current;
       try {
-        current = router->next_healthy(current, c.requested, order, c.rank);
+        current = router->next_healthy(current, requested, order, c.rank);
       } catch (const BackendUnavailable&) {
         router->report().failed++;
         router->report().by_backend[failed_backend].failed++;
@@ -643,7 +652,7 @@ Work OpPipeline::route(OpCall& c) {
       router->record_failure(current, c.rank);
       std::string next_backend;
       try {
-        next_backend = router->next_healthy(current, c.requested, order, c.rank);
+        next_backend = router->next_healthy(current, requested, order, c.rank);
       } catch (const BackendUnavailable&) {
         router->report().failed++;
         router->report().by_backend[current].failed++;

@@ -13,7 +13,7 @@
 // Stage order (OpPipeline::stage_names()):
 //
 //   overhead     per-call host overhead (paper C3)
-//   resolve      backend-string resolution; "auto" -> tuning table (V-F)
+//   resolve      backend string -> BackendId; "auto" -> tuning table (V-F)
 //   fusion       bucketing admission for small collectives (V-C)
 //   compression  compression admission by op/dtype/size (V-E)
 //   finish       attaches the CommLogger record on completion (V-D)
@@ -27,7 +27,9 @@
 // whose feature is disabled (overhead 0, fusion or compression off or not
 // admitting the op, recovery disarmed, composites off) is bypassed: it
 // records a 0.0 observation — what running it would have measured — without
-// reading the clock, so every stage still counts every op.
+// reading the clock, so every stage still counts every op. Histogram::observe
+// takes the first bucket with one compare, so these and the zero-time
+// stages' observations cost no binary search.
 //
 // Hooks. insert_before(name, stage) attaches an OpStage that runs right
 // before the named built-in stage, on every op. Hooks get no histogram of
@@ -36,9 +38,14 @@
 //
 // Hot path (DESIGN.md §14). Every op takes its OpCall from a per-rank arena
 // (container capacity survives recycling, so steady-state dispatch
-// allocates nothing), and the finish stage uses cached metric handles
-// instead of building label maps per call. The golden-trace tests pin the
-// resulting virtual time byte for byte.
+// allocates nothing) and moves its one OpRequest into it. Backends travel
+// by BackendId (their index in McrDl::init() order): "auto" maps the tuning
+// table's winner to its id with one scan of the initialised names (five at
+// most), and the finish stage's metric handles are an array indexed by
+// (id, op), so a plain collective builds no backend string and probes no
+// string-keyed map. Names are used only for the logger record, the online
+// tuner, the fault router and composite text. The golden-trace tests pin the resulting virtual time
+// byte for byte.
 #pragma once
 
 #include <array>
@@ -49,6 +56,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/backends/backend.h"
 #include "src/backends/op_request.h"
 #include "src/backends/work.h"
 #include "src/coll/spec.h"
@@ -73,12 +81,13 @@ struct OpCall {
 
   // Filled by the resolve stage.
   std::size_t bytes = 0;         // payload size (tuning/logging convention)
-  Backend* resolved = nullptr;   // preferred backend after "auto" resolution
-  std::string requested;         // its name; CommRecord.requested_backend
+  // Preferred backend after "auto" resolution; CommRecord.requested_backend.
+  BackendId requested = kNoBackend;
 
   // Filled by the resolve stage when the choice is a composite algorithm
-  // ("hier:...", "rsag..."): `resolved` stays null and the coll stage hands
-  // the call to coll::launch instead of the route/issue tail.
+  // ("hier:...", "rsag..."): `requested` and `completed_on` stay kNoBackend
+  // (composite.text names the algorithm), and the coll stage hands the call
+  // to coll::launch instead of the route/issue tail.
   bool is_composite = false;
   coll::CompositeSpec composite;
 
@@ -92,7 +101,7 @@ struct OpCall {
   bool rerouted = false;
   std::string fault;             // last injected failure: "", "transient",
                                  // "unavailable", "rank_lost"
-  std::string completed_on;      // backend name the op finally completed on
+  BackendId completed_on = kNoBackend;  // backend the op finally completed on
 
   // Maintained by the recover stage: true once the op was replayed on a
   // shrunk communicator after a rank loss (req.epoch carries the epoch).
@@ -112,6 +121,11 @@ struct OpCall {
   int world_size() const;
   // The group/world communicator of `b` for this call.
   Comm* comm_for(Backend* b) const;
+  // Names of the requested and completing backends (a composite's text for
+  // both), for records, metric labels, the online tuner and the
+  // string-keyed fault router.
+  const std::string& requested_name() const;
+  const std::string& completed_name() const;
 
   // Keep-capacity reset for arena reuse: drops tensor/backend references and
   // clears strings/vectors without freeing their buffers.
@@ -152,7 +166,7 @@ class OpPipeline {
   OpPipeline& operator=(const OpPipeline&) = delete;
 
   // Runs `req` through all stages on behalf of `rank`; `group` empty = world.
-  Work execute(int rank, const std::vector<int>& group, OpRequest req);
+  Work execute(int rank, const std::vector<int>& group, OpRequest&& req);
 
   // Stage and hook names in request-path order.
   std::vector<std::string> stage_names() const;
@@ -165,6 +179,10 @@ class OpPipeline {
   // Total OpCall slots the dispatch arena has ever created (diagnostic: a
   // steady-state workload holds this constant after warm-up).
   std::size_t arena_slots() const;
+
+  // Called by McrDl::init: backend ids now name a new set of `count`
+  // backends, so the per-id finish-stage handles start over.
+  void bind_backends(std::size_t count);
 
  private:
   friend class OpNext;
@@ -220,7 +238,7 @@ class OpPipeline {
   Work route(OpCall& c);
   Work issue(OpCall& c);
 
-  const FinishHandles& finish_handles(const std::string& backend, OpType op);
+  const FinishHandles& finish_handles(const OpCall& c);
 
   OpCall* arena_acquire(int rank);
   void arena_release(int rank, OpCall* call);
@@ -231,8 +249,10 @@ class OpPipeline {
   std::array<obs::Histogram*, kPipelineStages> stage_hist_{};
   std::array<std::vector<std::unique_ptr<OpStage>>, kPipelineStages> hooks_;
   // Resolved once per (backend, op) pair instead of building label maps per
-  // dispatch. Backend names are SSO-short, so lookups do not allocate.
-  std::map<std::pair<std::string, int>, FinishHandles> finish_handles_;
+  // dispatch: indexed by BackendId * kOpTypeCount + op for backends, and by
+  // text only for composite algorithms.
+  std::vector<FinishHandles> finish_handles_;
+  std::map<std::pair<std::string, int>, FinishHandles> composite_handles_;
 
   // Per-rank OpCall recycling pools, sized once at construction. A rank's
   // pool is touched only by that rank's actor (reentrant dispatch nests in

@@ -16,13 +16,6 @@ Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   counts_.assign(bounds_.size() + 1, 0);
 }
 
-void Histogram::observe(double value) {
-  auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  ++counts_[static_cast<std::size_t>(it - bounds_.begin())];
-  ++count_;
-  sum_ += value;
-}
-
 std::vector<double> Histogram::default_latency_bounds_us() {
   std::vector<double> bounds;
   bounds.reserve(21);

@@ -25,6 +25,7 @@
 // scheduler's baton (src/sim/scheduler.h), so instruments are plain fields.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -59,7 +60,20 @@ class Histogram {
   // overflow bucket is appended implicitly.
   explicit Histogram(std::vector<double> bounds);
 
-  void observe(double value);
+  // Inline, with one compare for the first bucket: the dispatch path feeds
+  // every zero-time pipeline stage's 0.0 through here. Whenever
+  // `value <= bounds_[0]`, lower_bound would pick bucket 0 too; every other
+  // value, NaN included, takes the lower_bound path as before.
+  void observe(double value) {
+    const std::size_t bucket =
+        value <= bounds_[0]
+            ? 0
+            : static_cast<std::size_t>(std::lower_bound(bounds_.begin(), bounds_.end(), value) -
+                                       bounds_.begin());
+    ++counts_[bucket];
+    ++count_;
+    sum_ += value;
+  }
 
   std::uint64_t count() const { return count_; }
   double sum() const { return sum_; }

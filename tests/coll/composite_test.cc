@@ -97,6 +97,35 @@ TEST_F(CompositeTest, AsyncCompositeCompletesOnWait) {
   }
 }
 
+// Work::synchronize() completes an async composite like wait() does: an
+// unchunked composite is one ChainWork, a chunked one (overlap on) a
+// ChainGroupWork over its chunk chains.
+TEST_F(CompositeTest, AsyncCompositeCompletesOnSynchronize) {
+  for (const bool overlap : {false, true}) {
+    SCOPED_TRACE(overlap ? "overlap" : "no overlap");
+    McrDlOptions opts = coll_opts();
+    opts.coll.overlap = overlap;
+    opts.coll.chunks = 4;
+    mcr_.reset();
+    make(2, opts);
+    mcr_->init({"nccl", "mv2-gdr"});
+    cluster_->run_spmd([&](int rank) {
+      Api api = mcr_->on(rank);
+      Tensor t = Tensor::full({64}, DType::F32, rank + 1.0, cluster_->device(rank));
+      Work w = api.all_reduce("hier:nccl+mv2-gdr", t, ReduceOp::Sum, /*async_op=*/true);
+      if (overlap) {
+        EXPECT_NE(dynamic_cast<coll::ChainGroupWork*>(w.get()), nullptr);
+      } else {
+        EXPECT_NE(dynamic_cast<coll::ChainWork*>(w.get()), nullptr);
+      }
+      w->synchronize();
+      EXPECT_TRUE(w->test());
+      api.synchronize();
+      EXPECT_DOUBLE_EQ(t.get(63), world_sum(world()));
+    });
+  }
+}
+
 TEST_F(CompositeTest, SubgroupCompositeReducesOnlyMembers) {
   make(2, coll_opts());
   mcr_->init({"nccl", "mv2-gdr"});

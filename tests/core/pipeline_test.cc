@@ -44,7 +44,7 @@ class CountingStage : public OpStage {
   const char* name() const override { return "counting"; }
   Work run(OpCall& call, const OpNext& next) override {
     // Runs before fusion, so the backend decision is visible here.
-    EXPECT_NE(call.resolved, nullptr);
+    EXPECT_NE(call.requested, kNoBackend);
     seen_->push_back(call.req.op);
     return next();
   }

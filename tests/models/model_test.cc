@@ -4,6 +4,7 @@
 // framework adapters (Figs 7/11).
 #include <gtest/gtest.h>
 
+#include "src/models/cnn3d.h"
 #include "src/models/dlrm.h"
 #include "src/models/megatron.h"
 #include "src/models/moe.h"
@@ -217,6 +218,79 @@ TEST(ModelTest, ExpertParallelMustDivideWorld) {
   DSMoEModel m(cfg, sys);
   EXPECT_THROW(h.run(m, CommPlan::pure("nccl"), FrameworkModel::raw(), quick()),
                InvalidArgument);
+}
+
+// The spatially-partitioned 3D-CNN at two Lassen nodes, flat and through
+// the two-level composite (DESIGN.md §15): halo exchanges ride point-to-point
+// on the plan's default backend, and the mixed composite pays only with the
+// overlap scheduler on (flat < hier without overlap, hier+overlap < flat,
+// the ordering BENCH_hier.json's cnn3d series records at 8 ranks).
+TEST(ModelTest, Cnn3dHierarchicalPaysOnlyWithOverlap) {
+  net::SystemConfig sys = net::SystemConfig::lassen(2);  // 8 GPUs
+  TrainingHarness harness(sys);
+  Cnn3dModel model(Cnn3dConfig{}, sys);
+  EXPECT_EQ(model.name(), "3D-CNN");
+  EXPECT_DOUBLE_EQ(model.samples_per_step(8), 16.0);
+
+  const CommPlan hier = CommPlan::hier_allreduce("nccl", "nccl", "mv2-gdr");
+  EXPECT_EQ(hier.name, "nccl + hier:nccl+mv2-gdr");
+  EXPECT_EQ(hier.backend_for(OpType::AllReduce), "hier:nccl+mv2-gdr");
+  EXPECT_EQ(hier.backend_for(OpType::Send), "nccl");
+  EXPECT_EQ(CommPlan::hier_allreduce("nccl", "nccl", "mv2-gdr", "label").name, "label");
+
+  RunResult flat = harness.run(model, CommPlan::pure("nccl"), FrameworkModel::raw(), quick());
+  HarnessOptions coll = quick();
+  coll.mcr_options.coll.enabled = true;
+  RunResult serial = harness.run(model, hier, FrameworkModel::raw(), coll);
+  coll.mcr_options.coll.overlap = true;
+  RunResult overlapped = harness.run(model, hier, FrameworkModel::raw(), coll);
+  for (const RunResult* r : {&flat, &serial, &overlapped}) {
+    EXPECT_GT(r->throughput, 0.0);
+    EXPECT_GT(r->comm_by_op_us.at("send"), 0.0);  // halo exchanges
+    EXPECT_GT(r->comm_by_op_us.at("recv"), 0.0);
+    EXPECT_GT(r->comm_by_op_us.at("all_reduce"), 0.0);
+  }
+  EXPECT_LT(flat.step_time_us, serial.step_time_us);
+  EXPECT_LT(overlapped.step_time_us, flat.step_time_us);
+}
+
+// CommIssuer's broadcast and point-to-point calls follow the plan and move
+// real data: a broadcast from root 2 on the plan's broadcast backend, then
+// a blocking send/recv ring on its default backend.
+TEST(CommIssuerTest, BroadcastAndPointToPointFollowThePlan) {
+  ClusterContext cluster(net::SystemConfig::lassen(1));  // 4 GPUs
+  McrDl mcr(&cluster);
+  CommPlan plan = CommPlan::pure("nccl");
+  plan.per_op[OpType::Broadcast] = "mv2-gdr";
+  mcr.init({"nccl", "mv2-gdr"});
+  const FrameworkModel framework = FrameworkModel::mcr_dl();
+  cluster.run_spmd([&](int rank) {
+    CommIssuer comm(mcr.on(rank), plan, framework);
+    sim::Device* dev = cluster.device(rank);
+    const int world = comm.api().world_size();
+    Tensor b = Tensor::full({16}, DType::F32, rank == 2 ? 7.0 : 0.0, dev);
+    Work bw = comm.broadcast(b, /*root=*/2, /*async_op=*/true);
+    bw->wait();
+    EXPECT_EQ(bw->backend_name, "mv2-gdr");
+    Tensor out = Tensor::full({16}, DType::F32, rank + 1.0, dev);
+    Tensor in = Tensor::zeros({16}, DType::F32, dev);
+    const int right = (rank + 1) % world;
+    const int left = (rank + world - 1) % world;
+    Work sent, received;
+    if (rank % 2 == 0) {
+      sent = comm.send(out, right);
+      received = comm.recv(in, left);
+    } else {
+      received = comm.recv(in, left);
+      sent = comm.send(out, right);
+    }
+    EXPECT_EQ(sent->backend_name, "nccl");
+    EXPECT_EQ(received->backend_name, "nccl");
+    comm.synchronize();
+    EXPECT_DOUBLE_EQ(b.get(0), 7.0);
+    EXPECT_DOUBLE_EQ(in.get(15), left + 1.0);
+  });
+  mcr.finalize();
 }
 
 }  // namespace

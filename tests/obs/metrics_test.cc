@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -58,6 +61,47 @@ TEST(Histogram, RejectsBadBounds) {
   EXPECT_THROW(Histogram({}), InvalidArgument);
   EXPECT_THROW(Histogram({1.0, 1.0}), InvalidArgument);
   EXPECT_THROW(Histogram({2.0, 1.0}), InvalidArgument);
+}
+
+// observe() takes the first bucket with one compare. Every value — zeros of
+// both signs, negatives, NaN, infinities, each bound and its neighbours on
+// both sides — must land where std::lower_bound puts it, with the same count
+// and sum.
+TEST(Histogram, FirstBucketFastPathMatchesLowerBound) {
+  const auto same = [](double a, double b) {
+    return (std::isnan(a) && std::isnan(b)) || (a == b && std::signbit(a) == std::signbit(b));
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::vector<double>& bounds :
+       {Histogram::default_latency_bounds_us(), std::vector<double>{0.0, 1.0},
+        std::vector<double>{-5.0, -0.5, 3.0}}) {
+    std::vector<double> values = {0.0, -0.0, -1.0, -1e300, std::nan(""), inf, -inf, 1e-300};
+    for (double b : bounds) {
+      values.push_back(b);
+      values.push_back(std::nextafter(b, -inf));
+      values.push_back(std::nextafter(b, inf));
+    }
+    Histogram all(bounds);
+    std::vector<std::uint64_t> ref_counts(bounds.size() + 1, 0);
+    double ref_sum = 0.0;
+    for (double v : values) {
+      const auto ref = static_cast<std::size_t>(
+          std::lower_bound(bounds.begin(), bounds.end(), v) - bounds.begin());
+      Histogram one(bounds);
+      one.observe(v);
+      for (std::size_t i = 0; i < one.bucket_counts().size(); ++i) {
+        EXPECT_EQ(one.bucket_counts()[i], i == ref ? 1u : 0u) << "value " << v << " bucket " << i;
+      }
+      EXPECT_EQ(one.count(), 1u);
+      EXPECT_TRUE(same(one.sum(), 0.0 + v)) << "value " << v;
+      all.observe(v);
+      ++ref_counts[ref];
+      ref_sum += v;
+    }
+    EXPECT_EQ(all.bucket_counts(), ref_counts);
+    EXPECT_EQ(all.count(), values.size());
+    EXPECT_TRUE(same(all.sum(), ref_sum));
+  }
 }
 
 TEST(MetricsRegistry, FindOrCreateReturnsStableInstruments) {

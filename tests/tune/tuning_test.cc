@@ -3,9 +3,11 @@
 // cost-model orderings (the Table II pipeline).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/tune/tuning.h"
 #include "src/core/mcr_dl.h"
@@ -112,6 +114,18 @@ TEST(TuningTable, EntryCountFormula) {
     }
   }
   EXPECT_EQ(t.num_entries(), 2u * 3u * 4u);
+  // entries() is one (op, world) row of Table II, ascending by size.
+  const std::vector<TuningTable::Entry> row = t.entries(OpType::AllGather, 16);
+  ASSERT_EQ(row.size(), 4u);
+  EXPECT_EQ(row.front().max_bytes, 1024u);
+  EXPECT_EQ(row.back().max_bytes, 65536u);
+  EXPECT_EQ(row.back().op, OpType::AllGather);
+  EXPECT_EQ(row.back().world, 16);
+  EXPECT_EQ(row.back().backend, "nccl");
+  EXPECT_TRUE(t.entries(OpType::AllGather, 12).empty());
+  EXPECT_TRUE(t.entries(OpType::Broadcast, 16).empty());
+  EXPECT_EQ(t.tuned_worlds(OpType::AllReduce), (std::vector<int>{8, 16, 32}));
+  EXPECT_TRUE(t.tuned_worlds(OpType::Broadcast).empty());
 }
 
 TEST(TuningTable, SerializeParseRoundTrip) {
@@ -212,6 +226,107 @@ TEST(AutoResolution, UntunedOpFallsBackInsteadOfThrowing) {
     api.synchronize();
   });
   EXPECT_GT(cluster.metrics().counter("tune.fallback", {{"op", "all_gather"}}).value(), 0u);
+  mcr.finalize();
+}
+
+// "auto" maps TuningTable::lookup's winner to a backend id: every (op,
+// world, bytes) point must name what lookup names, and each fallback
+// behaves as it always did.
+TEST(AutoResolution, IdResolutionMatchesLookupEverywhere) {
+  ClusterContext cluster(net::SystemConfig::lassen(1));
+  McrDl mcr(&cluster);
+  TuningTable table;
+  const char* names[] = {"nccl", "mv2-gdr", "ompi", "sccl"};
+  const OpType ops[] = {OpType::AllReduce, OpType::Broadcast, OpType::AllToAllSingle};
+  const int worlds[] = {2, 8, 32};
+  const std::size_t sizes[] = {1024, 65536, 1 << 20};
+  int k = 0;
+  for (OpType op : ops) {
+    for (int w : worlds) {
+      for (std::size_t s : sizes) table.set(op, w, s, names[k++ % 4]);
+    }
+  }
+  // Installed before init, so ids first exist after the table does.
+  mcr.set_tuning_table(table);
+  const auto check_grid = [&](const std::vector<std::string>& initialised) {
+    for (OpType op : ops) {
+      for (int w : {1, 2, 3, 8, 9, 31, 32, 33, 1024}) {  // 1024: beyond every world
+        for (std::size_t b : {std::size_t{0}, std::size_t{1}, std::size_t{1024},
+                              std::size_t{1025}, std::size_t{65536}, std::size_t{65537},
+                              std::size_t{1} << 20, (std::size_t{1} << 20) + 1,
+                              std::size_t{1} << 30}) {
+          const std::string& best = table.lookup(op, w, b);
+          const bool present = std::find(initialised.begin(), initialised.end(), best) !=
+                               initialised.end();
+          const BackendId id = mcr.resolve("auto", op, b, w, 0);
+          ASSERT_LT(id, mcr.num_backends());
+          // A winner that is not initialised falls back to the first backend.
+          EXPECT_EQ(mcr.get_backends()[id], present ? best : initialised.front())
+              << op_name(op) << " world " << w << " bytes " << b;
+        }
+      }
+    }
+  };
+  mcr.init({"nccl", "mv2-gdr"});  // ompi and sccl wins fall back to nccl
+  check_grid({"nccl", "mv2-gdr"});
+
+  // An untuned op falls back to the first backend, one tune.fallback per call.
+  const obs::Labels gather{{"op", "all_gather"}};
+  for (std::uint64_t call = 1; call <= 3; ++call) {
+    EXPECT_EQ(mcr.resolve("auto", OpType::AllGather, 4096, 4, 0), 0u);
+    EXPECT_EQ(cluster.metrics().counter_value("tune.fallback", gather), call);
+  }
+  // A winner that was not initialised warns but counts no fallback.
+  EXPECT_EQ(cluster.metrics().counter_total("tune.fallback"), 3u);
+
+  // An explicit name resolves by name; an unknown one throws what backend()
+  // throws.
+  EXPECT_EQ(mcr.resolve("mv2-gdr", OpType::AllReduce, 4096, 4, 0), 1u);
+  std::string by_resolve, by_backend;
+  try {
+    mcr.resolve("gloo", OpType::AllReduce, 4096, 4, 0);
+  } catch (const InvalidArgument& e) {
+    by_resolve = e.what();
+  }
+  try {
+    mcr.backend("gloo");
+  } catch (const InvalidArgument& e) {
+    by_backend = e.what();
+  }
+  EXPECT_FALSE(by_resolve.empty());
+  EXPECT_EQ(by_resolve, by_backend);
+
+  // finalize() + init() with another set and order maps the same table onto
+  // the new ids.
+  mcr.finalize();
+  mcr.init({"sccl", "ompi", "mv2-gdr"});
+  check_grid({"sccl", "ompi", "mv2-gdr"});
+  mcr.finalize();
+}
+
+TEST(AutoResolution, TableInstalledMidRunTakesEffectOnTheNextOp) {
+  ClusterContext cluster(net::SystemConfig::lassen(1));
+  McrDl mcr(&cluster);
+  mcr.init({"nccl", "mv2-gdr"});
+  TuningTable first;
+  first.set(OpType::AllReduce, 4, 1 << 20, "mv2-gdr");
+  mcr.set_tuning_table(first);
+  TuningTable second;
+  second.set(OpType::AllReduce, 4, 1 << 20, "nccl");
+  cluster.run_spmd([&](int rank) {
+    Api api = mcr.on(rank);
+    Tensor t = Tensor::full({256}, DType::F32, 1.0, cluster.device(rank));
+    Work before = api.all_reduce("auto", t);
+    // Every rank enters the barrier after rank 0 swapped the table, so every
+    // rank's next op sees the new one.
+    if (rank == 0) mcr.set_tuning_table(second);
+    api.barrier("mv2-gdr");
+    Work after = api.all_reduce("auto", t, ReduceOp::Sum, true);
+    after->synchronize();
+    EXPECT_EQ(before->backend_name, "mv2-gdr");
+    EXPECT_EQ(after->backend_name, "nccl");
+    api.synchronize();
+  });
   mcr.finalize();
 }
 

@@ -20,9 +20,9 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src")
 
 # Overall src/ line coverage, in percent, below which the script fails. The
-# suite measured 95.81% (7,043 of 7,351 lines) when this was set. Raise it as
+# suite measured 97.02% (7,154 of 7,374 lines) when this was set. Raise it as
 # untested paths get tests; never lower it.
-FLOOR = 95.8
+FLOOR = 97.0
 
 
 def gcov_reports(notes):
